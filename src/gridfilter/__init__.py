@@ -28,8 +28,8 @@ from .filtering import (FilterRunResult, FilterState, exact_forward_filter,
                         path_sum_oracle, run_grid_filter)
 from .harness import (ConvergenceCurve, KGReport, convergence_sweep,
                       kg_evaluate, reference_filter)
-from .likelihood import (LogLikelihoodTerms, QuadFormWorkspace, accumulate,
-                         log_lambda, log_lambda_hat, log_lambda_hat_at_points)
+from .likelihood import (QuadFormWorkspace, log_lambda, log_lambda_hat,
+                         log_lambda_hat_at_points)
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, Trajectory, TransitionKernel, make_rng,
                     simulate, simulate_batch, simulate_tilde,
@@ -46,10 +46,10 @@ __all__ = [
     "BudgetExceededError", "ChainConstructionError", "ConcentrationReport",
     "ConfigError", "ConvergenceCurve", "DegenerateUpdateError", "DomainError",
     "FilterRunResult", "FilterState", "FiniteStateKernel", "Grid",
-    "GridFilterError", "KGReport", "LogLikelihoodTerms", "MODEL_BUILDERS",
+    "GridFilterError", "KGReport", "MODEL_BUILDERS",
     "ModelDefinitionError", "ObservationModel", "QuadFormWorkspace",
     "QuantizedChain", "RunConfig", "StateSpace", "SystemSpec", "TailCheck",
-    "Trajectory", "TransitionKernel", "accumulate", "adjugate_cofactor",
+    "Trajectory", "TransitionKernel", "adjugate_cofactor",
     "audit_derived_constants", "build_chain", "build_model",
     "check_adjugate_bound", "check_lipschitz_suite", "check_product_bound",
     "check_theta_bound", "chi2_tail_check", "concentration_experiment",

@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to an INI run config")
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--out", default=None, help="override [run] out_dir")
-        p.add_argument("--workers", type=int, default=1,
-                       help="thread count for per-trajectory work")
         p.add_argument("--resolution", type=int, default=None,
                        help="override [filter] resolution")
     return parser
@@ -92,8 +90,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         if args.resolution < 1:
             raise ConfigError("--resolution must be >= 1")
         cfg = replace(cfg, resolution=args.resolution)
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     return cfg
 
 
@@ -158,7 +154,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     curve = convergence_sweep(
         spec, cfg.horizon, cfg.resolutions, cfg.n_traj, cfg.c_const,
         seed=cfg.seed, a_ref=cfg.a_ref, build_method=cfg.build_method,
-        n_samples=cfg.n_samples, workers=args.workers)
+        n_samples=cfg.n_samples)
     curve_path = os.path.join(cfg.out_dir, "curve.csv")
     kg_path = os.path.join(cfg.out_dir, "kg.csv")
     curve.to_csv(curve_path)

@@ -119,9 +119,13 @@ class ConcentrationReport:
 
 
 def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
-    """Analytic floor 1 - (T+1)^{1-CN} e^{-CN} for the tame-set probability."""
+    """Analytic floor 1 - (T+1)^{1-CN} e^{-CN} for the tame-set probability.
+
+    The value is clamped to [0, 1]: for CN < 1 and long horizons the formula
+    goes negative, and a probability floor below zero says nothing.
+    """
     cn = c_const * n_dim
-    return 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)
+    return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
 
 
 def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,

@@ -16,7 +16,6 @@ scaled linear domain so the two implementations share no recursion code.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +23,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .csvio import write_csv
-from .errors import BudgetExceededError, DegenerateUpdateError, ModelDefinitionError
+from .errors import (BudgetExceededError, DegenerateUpdateError, DomainError,
+                     ModelDefinitionError)
 from .likelihood import QuadFormWorkspace, log_lambda_hat_at_points
 from .model import SystemSpec
 from .quantize import QuantizedChain
@@ -49,24 +49,25 @@ class FilterState:
     """Posterior over grid centers after absorbing observations up to time t.
 
     ``t == -1`` is the pre-observation state holding the chain's initial law.
-    ``log_weights`` are normalized (their exponentials sum to one);
-    ``log_norm`` carries the accumulated log normalizers.
+    ``log_weights`` are normalized along the last axis (their exponentials
+    sum to one); ``log_norm`` carries the accumulated log normalizers.  A
+    state filtering a stack of B trajectories holds (B, K) log-weights, (B, M)
+    estimates and (B,) normalizers; a single trajectory drops the B axis.
     """
 
     t: int
     log_weights: np.ndarray
     estimate: np.ndarray
-    log_norm: float
+    log_norm: float | np.ndarray
 
 
 @dataclass
 class FilterRunResult:
-    """Estimates and normalizers of a full filtering pass."""
+    """Estimates (.., T+1, M) and normalizers (.., T+1) of a full filtering pass."""
 
     estimates: np.ndarray
     log_norms: np.ndarray
     resolution: tuple[int, ...]
-    wall_time: float
     final_state: Optional[FilterState] = None
 
     def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
@@ -95,8 +96,10 @@ def initial_filter_state(chain: QuantizedChain) -> FilterState:
 def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState,
                      y: np.ndarray, workspace: Optional[QuadFormWorkspace] = None,
                      use_full_likelihood: bool = False) -> FilterState:
-    """Advance the posterior by one observation.
+    """Advance the posterior by one observation, for one trajectory or a stack.
 
+    ``y`` is (N,) or (B, N) and ``state.log_weights`` is (K,) or (B, K); the
+    two broadcast, so a single initial state can start a whole stack.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -105,20 +108,23 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
     weights = np.exp(state.log_weights)
-    predicted = weights if state.t == -1 else chain.transition.T @ weights
+    predicted = weights if state.t == -1 else weights @ chain.transition
     with np.errstate(divide="ignore"):
         log_predicted = np.log(predicted)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
-        yv = np.asarray(y, dtype=float).ravel()
-        ll = ll + 0.5 * float(yv @ yv)
+        y = np.asarray(y, dtype=float)
+        ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
     logw = log_predicted + ll
-    increment = float(logsumexp(logw))
-    if np.isneginf(increment) or np.isnan(increment):
+    increment = logsumexp(logw, axis=-1)
+    vanished = np.isneginf(increment) | np.isnan(increment)
+    if np.any(vanished):
+        b = int(np.flatnonzero(vanished)[0])
+        ll_b = np.broadcast_to(ll, logw.shape).reshape(-1, logw.shape[-1])[b]
         raise DegenerateUpdateError(
-            f"all weights vanished at t={t}; max log-likelihood was "
-            f"{np.max(ll):.6g} over reachable cells")
-    logw = logw - increment
+            f"all weights vanished at t={t} in trajectory b={b}; max "
+            f"log-likelihood was {np.max(ll_b):.6g} over reachable cells")
+    logw = logw - increment[..., None]
     return FilterState(
         t=t,
         log_weights=logw,
@@ -127,30 +133,53 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     )
 
 
+def _check_inputs(spec: SystemSpec, chain: QuantizedChain,
+                  observations: np.ndarray) -> None:
+    """Reject a chain on another box and malformed or non-finite observations."""
+    box, chain_box = spec.space, chain.grid.space
+    if not (np.array_equal(box.lower, chain_box.lower)
+            and np.array_equal(box.upper, chain_box.upper)):
+        raise DomainError(
+            f"chain was built on the box [{chain_box.lower}, {chain_box.upper}], "
+            f"the model's box is [{box.lower}, {box.upper}]")
+    if observations.ndim > 3:
+        raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not "
+                          f"{observations.shape}")
+    if observations.shape[-1] != spec.obs.n:
+        raise DomainError(
+            f"observation at t=0 in trajectory b=0 has {observations.shape[-1]} "
+            f"components, the model expects N={spec.obs.n}")
+    stack = observations if observations.ndim == 3 else observations[None]
+    bad = np.argwhere(~np.all(np.isfinite(stack), axis=-1))
+    if bad.size:
+        b, t = bad[0]
+        raise DomainError(
+            f"non-finite observation at t={t} in trajectory b={b}: {stack[b, t]}")
+
+
 def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
                     use_full_likelihood: bool = False) -> FilterRunResult:
-    """Fold the step over an observation sequence of shape (T+1, N)."""
+    """Fold the step over observations of shape (T+1, N) or (B, T+1, N).
+
+    A stack of B trajectories shares the chain and advances in one matrix
+    product per step; its estimates are (B, T+1, M) and its log-normalizers
+    (B, T+1).  Inputs are validated here, once, with ``DomainError``.
+    """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    start = time.perf_counter()
-    m = chain.grid.space.dim
-    if observations.size == 0:
-        return FilterRunResult(
-            estimates=np.empty((0, m)), log_norms=np.empty(0),
-            resolution=chain.grid.a_per_dim, wall_time=time.perf_counter() - start)
-    steps = observations.shape[0]
+    _check_inputs(spec, chain, observations)
+    *lead, steps, _ = observations.shape
     workspace = QuadFormWorkspace(spec, chain.grid.centers)
     state = initial_filter_state(chain)
-    estimates = np.empty((steps, m))
-    log_norms = np.empty(steps)
+    estimates = np.empty((*lead, steps, chain.grid.space.dim))
+    log_norms = np.empty((*lead, steps))
     for t in range(steps):
-        state = grid_filter_step(chain, spec, state, observations[t], workspace,
-                                 use_full_likelihood)
-        estimates[t] = state.estimate
-        log_norms[t] = state.log_norm
+        state = grid_filter_step(chain, spec, state, observations[..., t, :],
+                                 workspace, use_full_likelihood)
+        estimates[..., t, :] = state.estimate
+        log_norms[..., t] = state.log_norm
     return FilterRunResult(
         estimates=estimates, log_norms=log_norms,
-        resolution=chain.grid.a_per_dim,
-        wall_time=time.perf_counter() - start, final_state=state)
+        resolution=chain.grid.a_per_dim, final_state=state)
 
 
 def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
@@ -199,8 +228,9 @@ def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
 def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarray:
     """Optimal filter for dynamics that are exactly a finite-state chain.
 
-    Classical forward algorithm with per-step scaling, run in linear domain.
-    The spec's kernel must expose states, transition matrix and initial law.
+    Classical forward algorithm with per-step scaling, run in linear domain,
+    over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
+    must expose states, transition matrix and initial law.
     """
     kernel = spec.kernel
     if not isinstance(kernel, FiniteStateKernel):
@@ -208,20 +238,21 @@ def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarr
             "exact filtering needs dynamics supported on finitely many known "
             "states with a known transition matrix")
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    steps = observations.shape[0]
+    *lead, steps, _ = observations.shape
     states = kernel.states
     workspace = QuadFormWorkspace(spec, states)
     alpha = kernel.initial_probs.copy()
-    estimates = np.empty((steps, states.shape[1]))
+    estimates = np.empty((*lead, steps, states.shape[1]))
     for t in range(steps):
         if t > 0:
-            alpha = kernel.transition_matrix.T @ alpha
-        ll = log_lambda_hat_at_points(spec, t, states, observations[t], workspace)
-        emission = np.exp(ll - np.max(ll))
+            alpha = alpha @ kernel.transition_matrix
+        ll = log_lambda_hat_at_points(spec, t, states, observations[..., t, :],
+                                      workspace)
+        emission = np.exp(ll - np.max(ll, axis=-1, keepdims=True))
         alpha = alpha * emission
-        total = alpha.sum()
-        if total <= 0.0 or not np.isfinite(total):
+        total = alpha.sum(axis=-1, keepdims=True)
+        if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
             raise DegenerateUpdateError(f"forward weights vanished at t={t}")
         alpha = alpha / total
-        estimates[t] = alpha @ states
+        estimates[..., t, :] = alpha @ states
     return estimates

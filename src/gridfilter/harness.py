@@ -21,7 +21,6 @@ are maxima over the sampled tame trajectories and labeled estimates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,7 +30,7 @@ from .concentration import gamma_data, omega_hat_membership, membership_bound, t
 from .csvio import write_csv
 from .errors import ConfigError, GridFilterError
 from .filtering import exact_forward_filter, run_grid_filter
-from .model import SystemSpec, Trajectory, simulate
+from .model import SystemSpec, simulate
 from .quantize import Grid, build_chain, quantize_points
 from .registry import FiniteStateKernel
 
@@ -137,31 +136,41 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
         bound_log=bound_log)
 
 
-def reference_filter(spec: SystemSpec, observations: np.ndarray,
-                     a_ref: Optional[int] = None,
-                     max_experiment_a: Optional[int] = None,
-                     build_method: str = "quadrature", seed: int = 0,
-                     n_samples: int = 200_000,
-                     quad_order: int = 8) -> tuple[np.ndarray, str]:
-    """Best available reference estimates for one observation sequence.
-
-    Finite-state dynamics get the exact filter.  Anything else gets a
-    surrogate grid filter whose resolution must be at least eight times the
-    largest experimental resolution (ConfigError otherwise).
-    """
+def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
+               max_experiment_a: Optional[int], build_method: str, seed: int,
+               n_samples: int, quad_order: int) -> tuple[np.ndarray, str, Optional[int]]:
+    """``reference_filter`` plus the surrogate resolution used (None if exact)."""
     if isinstance(spec.kernel, FiniteStateKernel):
-        return exact_forward_filter(spec, observations), "exact"
-    if a_ref is None:
-        if max_experiment_a is None:
-            raise ConfigError("surrogate reference needs a_ref or max_experiment_a")
-        a_ref = 8 * int(max_experiment_a)
+        return exact_forward_filter(spec, observations), "exact", None
+    if a_ref is None and max_experiment_a is None:
+        raise ConfigError("surrogate reference needs a_ref or max_experiment_a")
+    a_ref = 8 * int(max_experiment_a) if a_ref is None else int(a_ref)
     if max_experiment_a is not None and a_ref < 8 * int(max_experiment_a):
         raise ConfigError(
             f"surrogate resolution {a_ref} is below 8x the largest "
             f"experimental resolution {max_experiment_a}")
     chain = build_chain(spec, Grid(spec.space, a_ref), build_method, seed=seed,
                         n_samples=n_samples, quad_order=quad_order)
-    return run_grid_filter(spec, chain, observations).estimates, f"surrogate(a={a_ref})"
+    estimates = run_grid_filter(spec, chain, observations).estimates
+    return estimates, f"surrogate(a={a_ref})", a_ref
+
+
+def reference_filter(spec: SystemSpec, observations: np.ndarray,
+                     a_ref: Optional[int] = None,
+                     max_experiment_a: Optional[int] = None,
+                     build_method: str = "quadrature", seed: int = 0,
+                     n_samples: int = 200_000,
+                     quad_order: int = 8) -> tuple[np.ndarray, str]:
+    """Best available reference estimates for observations (T+1, N) or (B, T+1, N).
+
+    Finite-state dynamics get the exact filter.  Anything else gets a
+    surrogate grid filter whose resolution ``a_ref`` must be at least eight
+    times the largest experimental resolution (ConfigError otherwise); it
+    defaults to exactly eight times.
+    """
+    estimates, label, _ = _reference(spec, observations, a_ref, max_experiment_a,
+                                     build_method, seed, n_samples, quad_order)
+    return estimates, label
 
 
 @dataclass
@@ -214,8 +223,9 @@ class ConvergenceCurve:
         write_csv(path, full_meta, header, rows)
 
 
-def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(estimates - reference), axis=1)))
+def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Worst-over-time l1 gap of each trajectory in a (B, T+1, M) stack."""
+    return np.max(np.sum(np.abs(estimates - reference), axis=-1), axis=-1)
 
 
 def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int],
@@ -223,8 +233,11 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
                       a_ref: Optional[int] = None,
                       build_method: str = "quadrature",
                       n_samples: int = 200_000, quad_order: int = 8,
-                      check_traj: int = 4, workers: int = 1) -> ConvergenceCurve:
-    """Filter-error curve across resolutions against the reference filter."""
+                      check_traj: int = 4) -> ConvergenceCurve:
+    """Filter-error curve across resolutions against the reference filter.
+
+    The kept trajectories are filtered as one stack per chain.
+    """
     resolutions = tuple(int(a) for a in resolutions)
     if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing and nonempty")
@@ -238,41 +251,29 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
     n_rejected = n_traj - len(kept)
     if not kept:
         raise GridFilterError("every sampled trajectory fell outside the tame set")
+    observations = np.stack([tr.observations for tr in kept])
+    chain_args = dict(seed=seed, n_samples=n_samples, quad_order=quad_order)
 
-    exact = isinstance(spec.kernel, FiniteStateKernel)
-    if exact:
-        a_ref_used = None
-        references = [exact_forward_filter(spec, tr.observations) for tr in kept]
-        label = "exact"
-    else:
-        a_ref_used = 8 * max(resolutions) if a_ref is None else int(a_ref)
-        if a_ref_used < 8 * max(resolutions):
-            raise ConfigError(
-                f"surrogate resolution {a_ref_used} is below 8x the largest "
-                f"experimental resolution {max(resolutions)}")
-        chain_ref = build_chain(spec, Grid(spec.space, a_ref_used), build_method,
-                                seed=seed, n_samples=n_samples, quad_order=quad_order)
-        references = _map_filters(spec, chain_ref, kept, workers)
-        label = f"surrogate(a={a_ref_used})"
+    references, label, a_ref_used = _reference(
+        spec, observations, a_ref, max(resolutions), build_method, **chain_args)
 
     mean_errors = np.empty(len(resolutions))
     max_errors = np.empty(len(resolutions))
     for i, a in enumerate(resolutions):
-        chain = build_chain(spec, Grid(spec.space, a), build_method, seed=seed,
-                            n_samples=n_samples, quad_order=quad_order)
-        estimates = _map_filters(spec, chain, kept, workers)
-        errs = [_sup_l1_errors(est, ref) for est, ref in zip(estimates, references)]
+        chain = build_chain(spec, Grid(spec.space, a), build_method, **chain_args)
+        errs = _sup_l1_errors(run_grid_filter(spec, chain, observations).estimates,
+                              references)
         mean_errors[i] = float(np.mean(errs))
         max_errors[i] = float(np.max(errs))
 
     converged: Optional[bool] = None
     gap: Optional[float] = None
-    if not exact:
-        probe = kept[: max(1, min(check_traj, len(kept)))]
+    if a_ref_used is not None:
+        n_probe = max(1, min(check_traj, len(kept)))
         chain_fine = build_chain(spec, Grid(spec.space, 2 * a_ref_used), build_method,
-                                 seed=seed, n_samples=n_samples, quad_order=quad_order)
-        fine = _map_filters(spec, chain_fine, probe, workers)
-        gap = max(_sup_l1_errors(references[j], fine[j]) for j in range(len(probe)))
+                                 **chain_args)
+        fine = run_grid_filter(spec, chain_fine, observations[:n_probe]).estimates
+        gap = float(np.max(_sup_l1_errors(references[:n_probe], fine)))
         converged = bool(gap < 0.1 * float(np.min(mean_errors)))
 
     kg = kg_evaluate(spec, horizon, c_const, resolutions,
@@ -283,13 +284,3 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
         n_rejected=n_rejected, horizon=horizon, c_const=c_const, seed=seed,
         reference_label=label, a_ref=a_ref_used, reference_converged=converged,
         reference_gap=gap, kg=kg, model_id=spec.model_id)
-
-
-def _map_filters(spec: SystemSpec, chain, trajectories, workers: int):
-    def one(tr: Trajectory) -> np.ndarray:
-        return run_grid_filter(spec, chain, tr.observations).estimates
-
-    if workers <= 1 or len(trajectories) <= 1:
-        return [one(tr) for tr in trajectories]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, trajectories))

@@ -18,48 +18,20 @@ determinants go through Cholesky factors; C^{-1} is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ModelDefinitionError
+from .errors import DomainError, ModelDefinitionError
 from .model import SystemSpec
 
 __all__ = [
-    "LogLikelihoodTerms",
     "QuadFormWorkspace",
     "log_lambda",
     "log_lambda_hat",
     "log_lambda_hat_at_points",
-    "accumulate",
 ]
-
-
-@dataclass(frozen=True)
-class LogLikelihoodTerms:
-    """Append-only record of per-step log terms and their running sums."""
-
-    per_step: np.ndarray
-    cumulative: np.ndarray
-
-    @staticmethod
-    def empty() -> "LogLikelihoodTerms":
-        return LogLikelihoodTerms(per_step=np.empty(0), cumulative=np.empty(0))
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[-1]) if self.cumulative.size else 0.0
-
-
-def accumulate(terms: LogLikelihoodTerms, value: float) -> LogLikelihoodTerms:
-    """Pure append of one per-step term; running sum is extended, not recomputed."""
-    value = float(value)
-    return LogLikelihoodTerms(
-        per_step=np.append(terms.per_step, value),
-        cumulative=np.append(terms.cumulative, terms.total + value),
-    )
 
 
 def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
@@ -143,16 +115,20 @@ class QuadFormWorkspace:
 def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
                              y: np.ndarray,
                              workspace: Optional[QuadFormWorkspace] = None) -> np.ndarray:
-    """Reduced log likelihood ratio of one observation at many states at once.
+    """Reduced log likelihood ratio of observations at many states at once.
 
-    Matches per-point ``log_lambda_hat`` up to floating point roundoff; the
-    workspace, when given, must have been built for the same point set.
+    ``y`` is one observation (N,) or a stack (B, N); the result is (K,) or
+    (B, K) for K points.  Matches per-point ``log_lambda_hat`` up to floating
+    point roundoff; the workspace, when given, must have been built for the
+    same point set.
     """
     if workspace is None:
         workspace = QuadFormWorkspace(spec, points)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != (spec.obs.n,):
+        raise DomainError(f"observation shape {y.shape}, the model expects N={spec.obs.n}")
     means, chol, logdet = workspace.factors(t)
-    y = np.asarray(y, dtype=float).reshape(spec.obs.n)
-    resid = y[None, :] - means
-    z = np.linalg.solve(chol, resid[:, :, None])[:, :, 0]
-    quad = np.sum(z * z, axis=1)
+    resid = y[..., None, :] - means
+    z = np.linalg.solve(chol, resid[..., None])[..., 0]
+    quad = np.sum(z * z, axis=-1)
     return -0.5 * (quad + logdet)

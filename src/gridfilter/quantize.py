@@ -80,9 +80,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 
-    def center(self, index: int) -> np.ndarray:
-        return self.centers[index]
-
 
 def quantize_points(grid: Grid, xs: np.ndarray) -> np.ndarray:
     """Linear cell indices for points ``xs`` of shape (n, M)."""

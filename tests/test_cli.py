@@ -192,7 +192,6 @@ def test_bad_flag_values_are_usage_errors(workdir, capsys):
     _, cfg = workdir
     assert main(["filter", "--config", cfg, "--resolution", "0"]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-3"]) == 2
-    assert main(["converge", "--config", cfg, "--workers", "0"]) == 2
 
 
 def test_config_render_parse_identity():

@@ -90,6 +90,13 @@ def test_membership_bound_values():
     assert 0.0 < gf.membership_bound(1.0, 2, 9) < 1.0
 
 
+def test_membership_bound_is_clamped_to_a_probability():
+    # CN < 1 over a long horizon: the raw formula is about -8.6e5
+    assert gf.membership_bound(0.01, 1, 10**6) == 0.0
+    for c, n, t in [(0.01, 1, 0), (0.5, 1, 100), (1.0, 8, 10**6), (3.0, 4, 0)]:
+        assert 0.0 <= gf.membership_bound(c, n, t) <= 1.0
+
+
 def test_concentration_experiment_on_demo_model():
     spec = gf.build_model("gauss_walk")
     report = gf.concentration_experiment(spec, 0, 1.0, 30_000, seed=0)

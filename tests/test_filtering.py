@@ -223,3 +223,100 @@ def test_run_result_csv_round_trip(tmp_path):
     assert meta["model_id"] == "demo"
     assert np.allclose(data[:, 1], res.estimates[:, 0])
     assert np.allclose(data[:, 2], res.log_norms)
+
+
+def test_stacked_run_matches_single_runs():
+    spec = interval_spec()
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 32), "quadrature")
+    obs = np.stack([gf.simulate(spec, 9, seed=s).observations for s in range(5)])
+    stacked = gf.run_grid_filter(spec, chain, obs)
+    assert stacked.estimates.shape == (5, 10, 1)
+    assert stacked.log_norms.shape == (5, 10)
+    for b in range(5):
+        single = gf.run_grid_filter(spec, chain, obs[b])
+        np.testing.assert_allclose(stacked.estimates[b], single.estimates,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.log_norms[b], single.log_norms,
+                                   rtol=0, atol=1e-12)
+
+
+def test_stacked_run_matches_path_sum_column_by_column():
+    rng = np.random.default_rng(7)
+    for trial in range(10):
+        a = int(rng.integers(2, 5))
+        horizon = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 3))
+        spec = interval_spec(n=n)
+        chain = random_chain(gf.Grid(spec.space, a), rng)
+        obs = np.stack([gf.simulate(spec, horizon, seed=10 * trial + b).observations
+                        for b in range(3)])
+        stacked = gf.run_grid_filter(spec, chain, obs)
+        for b in range(3):
+            single = gf.run_grid_filter(spec, chain, obs[b])
+            np.testing.assert_allclose(stacked.estimates[b], single.estimates,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stacked.log_norms[b], single.log_norms,
+                                       rtol=0, atol=1e-12)
+            oracle = gf.path_sum_oracle(spec, chain, obs[b])
+            rel = (np.abs(stacked.estimates[b] - oracle)
+                   / np.maximum(np.abs(oracle), 1e-30))
+            assert rel.max() < 1e-9, f"trial {trial}, column {b}: {rel.max():.3e}"
+
+
+def test_stack_of_one_is_bit_identical_to_single_run():
+    spec = interval_spec()
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 64), "quadrature")
+    obs = gf.simulate(spec, 15, seed=2).observations
+    single = gf.run_grid_filter(spec, chain, obs)
+    stacked = gf.run_grid_filter(spec, chain, obs[None])
+    assert np.array_equal(stacked.estimates[0], single.estimates)
+    assert np.array_equal(stacked.log_norms[0], single.log_norms)
+
+
+def test_vanished_column_is_named():
+    spec = interval_spec(n=1)
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
+    state = gf.run_grid_filter(spec, chain, np.zeros((3, 2, 1))).final_state
+    state.log_weights[1] = -np.inf  # total mass loss in trajectory 1 only
+    with pytest.raises(gf.DegenerateUpdateError, match=r"t=2 in trajectory b=1"):
+        gf.grid_filter_step(chain, spec, state, np.zeros((3, 1)))
+
+
+def test_non_finite_observation_is_a_domain_error():
+    spec = interval_spec()
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
+    obs = np.zeros((3, 5, 2))
+    obs[2, 3, 1] = np.nan
+    with pytest.raises(gf.DomainError, match=r"t=3 in trajectory b=2"):
+        gf.run_grid_filter(spec, chain, obs)
+    with pytest.raises(gf.DomainError, match=r"t=1 in trajectory b=0"):
+        gf.run_grid_filter(spec, chain, np.array([[0.0, 0.0], [np.inf, 0.0]]))
+
+
+def test_wrong_observation_length_is_a_domain_error():
+    spec = interval_spec(n=2)
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
+    with pytest.raises(gf.DomainError, match="3 components.*N=2"):
+        gf.run_grid_filter(spec, chain, np.zeros((5, 3)))
+    with pytest.raises(gf.DomainError, match="N=2"):
+        gf.run_grid_filter(spec, chain, np.zeros((2, 5, 1)))
+    with pytest.raises(gf.DomainError, match=r"\(B, T\+1, N\)"):
+        gf.run_grid_filter(spec, chain, np.zeros((2, 2, 5, 2)))
+
+
+def test_chain_on_another_box_is_a_domain_error():
+    spec = interval_spec(lower=5.0, upper=9.0)
+    other = interval_spec(lower=0.0, upper=1.0)
+    chain = gf.build_chain(other, gf.Grid(other.space, 4), "quadrature")
+    obs = gf.simulate(spec, 3, seed=0).observations
+    with pytest.raises(gf.DomainError, match="box"):
+        gf.run_grid_filter(spec, chain, obs)
+
+
+def test_exact_filter_stack_matches_single_runs():
+    fspec = gf.build_model("finite_chain", n_states=6, kind="sticky", seed=1)
+    obs = np.stack([gf.simulate(fspec, 7, seed=s).observations for s in range(4)])
+    stacked = gf.exact_forward_filter(fspec, obs)
+    for b in range(4):
+        np.testing.assert_allclose(stacked[b], gf.exact_forward_filter(fspec, obs[b]),
+                                   rtol=0, atol=1e-12)

@@ -107,14 +107,6 @@ def test_sweep_on_finite_chain_uses_exact_reference():
     assert curve.mean_sup_errors[-1] <= curve.mean_sup_errors[0]
 
 
-def test_sweep_worker_threads_do_not_change_results(audited):
-    c1 = gf.convergence_sweep(audited, 6, (4, 8), 4, 1.0, seed=3, a_ref=64)
-    c2 = gf.convergence_sweep(audited, 6, (4, 8), 4, 1.0, seed=3, a_ref=64,
-                              workers=4)
-    assert np.array_equal(c1.mean_sup_errors, c2.mean_sup_errors)
-    assert np.array_equal(c1.max_sup_errors, c2.max_sup_errors)
-
-
 def test_rejection_budget_formula(audited):
     curve = gf.convergence_sweep(audited, 4, (4, 8), 4, 1.0, seed=1, a_ref=64)
     miss = 1.0 - gf.membership_bound(1.0, audited.obs.n, 4)

@@ -91,37 +91,15 @@ def test_reduced_product_decays_with_eigenvalue_floor():
     spec = gf.build_model("gauss_walk")
     rng = gf.make_rng(5)
     c = spec.constants
-    total = gf.LogLikelihoodTerms.empty()
+    total = 0.0
     for t in range(50):
         x = rng.uniform(spec.space.lower, spec.space.upper)
         y = rng.standard_normal(spec.obs.n)
         term = gf.log_lambda_hat(spec, t, x, y)
         ceiling = -0.5 * spec.obs.n * math.log(c.lambda_inf)
         assert term <= ceiling + 1e-12
-        total = gf.accumulate(total, term)
-    assert total.total <= -0.5 * spec.obs.n * 50 * math.log(c.lambda_inf) + 1e-9
-
-
-def test_accumulate_matches_fresh_summation():
-    rng = gf.make_rng(3)
-    values = rng.standard_normal(200)
-    terms = gf.LogLikelihoodTerms.empty()
-    for v in values:
-        terms = gf.accumulate(terms, float(v))
-    assert terms.total == pytest.approx(float(np.sum(values)), abs=1e-12)
-    assert len(terms.per_step) == 200
-    # the incremental cumulative agrees with a recomputation at every prefix
-    recomputed = np.cumsum(values)
-    assert np.allclose(terms.cumulative, recomputed, atol=1e-12)
-
-
-def test_accumulate_is_pure():
-    t0 = gf.LogLikelihoodTerms.empty()
-    t1 = gf.accumulate(t0, 1.5)
-    t2 = gf.accumulate(t1, -0.5)
-    assert len(t0.per_step) == 0
-    assert list(t1.per_step) == [1.5]
-    assert t2.total == pytest.approx(1.0)
+        total += term
+    assert total <= -0.5 * spec.obs.n * 50 * math.log(c.lambda_inf) + 1e-9
 
 
 def test_batched_evaluation_matches_pointwise():
@@ -163,9 +141,23 @@ def test_long_horizon_high_dim_stays_finite():
     spec = make_spec(8, lambda t, x: np.zeros(8), lambda t, x: np.eye(8),
                      sigma_xi_sq=1.0)
     rng = gf.make_rng(30)
-    terms = gf.LogLikelihoodTerms.empty()
+    total = 0.0
     ys = rng.standard_normal((10_000, 8))
     for t in range(10_000):
-        terms = gf.accumulate(terms, gf.log_lambda_hat(spec, 0, X, ys[t]))
-    assert math.isfinite(terms.total)
-    assert terms.total < 0.0
+        total += gf.log_lambda_hat(spec, 0, X, ys[t])
+    assert math.isfinite(total)
+    assert total < 0.0
+
+
+def test_stacked_observations_match_one_at_a_time():
+    spec = gf.build_model("gauss_walk")
+    grid = gf.Grid(spec.space, 24)
+    ys = gf.make_rng(13).standard_normal((5, spec.obs.n))
+    stacked = gf.log_lambda_hat_at_points(spec, 0, grid.centers, ys)
+    assert stacked.shape == (5, grid.total_points)
+    for b in range(5):
+        assert np.array_equal(
+            stacked[b], gf.log_lambda_hat_at_points(spec, 0, grid.centers, ys[b]))
+    # a length-1 observation must not broadcast across N components
+    with pytest.raises(gf.DomainError, match="N=2"):
+        gf.log_lambda_hat_at_points(spec, 0, grid.centers, np.array([0.5]))
