@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .csvio import write_csv
 from .errors import (BudgetExceededError, DegenerateUpdateError, DomainError,
@@ -71,7 +70,12 @@ class FilterRunResult:
     final_state: Optional[FilterState] = None
 
     def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
-        m = self.estimates.shape[1] if self.estimates.ndim == 2 else 0
+        """Write one trajectory's estimates and normalizers, one row per t."""
+        if self.estimates.ndim != 2:
+            raise DomainError(
+                f"to_csv writes one trajectory with (T+1, M) estimates, not "
+                f"{self.estimates.shape}; write a stack one trajectory at a time")
+        m = self.estimates.shape[1]
         header = ["t"] + [f"estimate_{d}" for d in range(m)] + ["log_norm"]
         rows = [[t, *self.estimates[t], self.log_norms[t]]
                 for t in range(self.estimates.shape[0])]
@@ -81,10 +85,19 @@ class FilterRunResult:
         write_csv(path, full_meta, header, rows)
 
 
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, shifted by the maximum; an
+    all -inf row gives -inf."""
+    shift = np.max(x, axis=-1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(x - shift), axis=-1)) + shift[..., 0]
+
+
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
     with np.errstate(divide="ignore"):
         logw = np.log(chain.initial)
-    logw = logw - logsumexp(logw)
+    logw = logw - _logsumexp(logw)
     return FilterState(
         t=-1,
         log_weights=logw,
@@ -116,7 +129,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         y = np.asarray(y, dtype=float)
         ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
     logw = log_predicted + ll
-    increment = logsumexp(logw, axis=-1)
+    increment = _logsumexp(logw)
     vanished = np.isneginf(increment) | np.isnan(increment)
     if np.any(vanished):
         b = int(np.flatnonzero(vanished)[0])

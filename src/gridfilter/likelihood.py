@@ -13,7 +13,9 @@ and the reduced form drops the observation-only term:
 The dropped factor depends on the observations alone, so it cancels from
 every filtering ratio; the reduced form is what the recursions use because
 its running sums stay uniformly bounded above.  All quadratic forms and log
-determinants go through Cholesky factors; C^{-1} is never formed.
+determinants go through Cholesky factors C = L L'; C^{-1} is never formed.
+The batched path whitens residuals with L^{-1}, factored once per point set
+(and per step for time-varying models), so a step is a small matmul.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
 
 
 def log_lambda_hat(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:
-    """Reduced log likelihood ratio at (t, x, y)."""
+    """Reduced log likelihood ratio at (t, x, y); the per-point reference
+    ``log_lambda_hat_at_points`` is tested against."""
     quad, logdet, _ = _chol_terms(spec, t, x, y)
     return -0.5 * (quad + logdet)
 
@@ -61,7 +64,7 @@ def log_lambda(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:
 
 
 class QuadFormWorkspace:
-    """Cholesky factors, log-determinants and means for a fixed point set.
+    """Means, inverse Cholesky factors and log-determinants for a fixed point set.
 
     Stationary observation models are factorized once and reused at every
     step; time-varying ones keep only the factors of the step asked for last,
@@ -99,7 +102,7 @@ class QuadFormWorkspace:
                         f"x={x}") from exc
             raise
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        return means, chol, logdet
+        return means, np.linalg.inv(chol), logdet
 
     def factors(self, t: int):
         if self.spec.obs.stationary:
@@ -127,8 +130,8 @@ def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (spec.obs.n,):
         raise DomainError(f"observation shape {y.shape}, the model expects N={spec.obs.n}")
-    means, chol, logdet = workspace.factors(t)
+    means, inv_chol, logdet = workspace.factors(t)
     resid = y[..., None, :] - means
-    z = np.linalg.solve(chol, resid[..., None])[..., 0]
+    z = (inv_chol @ resid[..., None])[..., 0]
     quad = np.sum(z * z, axis=-1)
     return -0.5 * (quad + logdet)

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvio import write_csv
 from .errors import ChainConstructionError, DomainError
@@ -213,6 +214,14 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     ``initial_density``); ``method="monte_carlo"`` histograms ``n_samples``
     kernel draws per source center.  Rows are renormalized; a row with no
     mass raises ChainConstructionError naming it.
+
+    A kernel declaring ``increment_density`` (1-D boxes only) has rows that
+    are one shifted step profile up to a per-row constant.  Quadrature then
+    integrates that profile once, relative to the first and the last center
+    (2 * quad_order * K evaluations instead of quad_order * K^2), and
+    copies it into the matrix as a Toeplitz view before the renormalization.
+    Kernels without the hook take the row-by-row path, which is also the
+    reference the profile path is tested against.
     """
     if spec.kernel.order != 1:
         raise ChainConstructionError(
@@ -226,13 +235,30 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
             raise ChainConstructionError(
                 "quadrature construction needs density and initial_density")
         nodes, weights, owner = _gl_cells(grid, quad_order)
-        for row in range(k):
-            dens = _eval_density(spec.kernel.density, 1, centers[row], nodes,
-                                 spec.kernel.vectorized)
-            transition[row] = np.bincount(owner, weights=dens * weights, minlength=k)
-        dens0 = _eval_density(spec.kernel.initial_density, None, None, nodes,
-                              spec.kernel.vectorized)
-        initial = np.bincount(owner, weights=dens0 * weights, minlength=k)
+
+        def cell_mass(dens):
+            return np.bincount(owner, weights=dens * weights, minlength=k)
+
+        hook = spec.kernel.increment_density
+        if hook is not None:
+            if grid.space.dim != 1:
+                raise ChainConstructionError(
+                    f"increment_density needs a 1-D box, the state box has "
+                    f"M={grid.space.dim} axes")
+            # Offsets from the last center give the cell masses d = -(k-1)..0
+            # cells from the source, offsets from the first center d = 0..k-1;
+            # row r of the chain is profile[k-1-r : 2k-1-r].
+            back, fwd = (cell_mass(np.asarray(hook(nodes - src), dtype=float)
+                                   .reshape(len(nodes)))
+                         for src in (centers[-1], centers[0]))
+            profile = np.concatenate([back, fwd[1:]])
+            transition[:] = sliding_window_view(profile, k)[::-1]
+        else:
+            for row in range(k):
+                transition[row] = cell_mass(_eval_density(
+                    spec.kernel.density, 1, centers[row], nodes, spec.kernel.vectorized))
+        initial = cell_mass(_eval_density(spec.kernel.initial_density, None, None,
+                                          nodes, spec.kernel.vectorized))
         label = "quadrature"
     elif method == "monte_carlo":
         for row in range(k):

@@ -161,6 +161,10 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         dens = phi / (step_sigma * (fb - fa))
         return np.where((xs1 >= a) & (xs1 <= b), dens, 0.0)
 
+    def increment_density(dx):
+        z = np.asarray(dx, dtype=float)[:, 0] / step_sigma
+        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * step_sigma)
+
     def initial_sampler(rng, size=None):
         n_draw = 1 if size is None else int(size)
         out = rng.uniform(a, b, size=(n_draw, 1))
@@ -173,7 +177,8 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
 
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
-                              order=1, vectorized=True)
+                              order=1, vectorized=True,
+                              increment_density=increment_density)
     obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, 2.0 * hi2,
                       sigma_xi_sq, scale)
     constants = AssumptionConstants(

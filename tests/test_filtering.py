@@ -225,6 +225,16 @@ def test_run_result_csv_round_trip(tmp_path):
     assert np.allclose(data[:, 2], res.log_norms)
 
 
+def test_stacked_run_result_refuses_csv(tmp_path):
+    spec = interval_spec()
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
+    res = gf.run_grid_filter(spec, chain, np.zeros((3, 6, 2)))
+    p = tmp_path / "est.csv"
+    with pytest.raises(gf.DomainError, match=r"\(3, 6, 1\).*one trajectory at a time"):
+        res.to_csv(str(p))
+    assert not p.exists()
+
+
 def test_stacked_run_matches_single_runs():
     spec = interval_spec()
     chain = gf.build_chain(spec, gf.Grid(spec.space, 32), "quadrature")

@@ -83,6 +83,8 @@ def test_degenerate_covariance_is_reported_with_location():
                      lambda t, x: -1.0 * np.eye(1), sigma_xi_sq=0.5)
     with pytest.raises(gf.ModelDefinitionError, match="t=0"):
         gf.log_lambda(spec, 0, X, np.array([1.0]))
+    with pytest.raises(gf.ModelDefinitionError, match="t=0"):
+        gf.log_lambda_hat_at_points(spec, 0, X[None], np.array([1.0]))
 
 
 def test_reduced_product_decays_with_eigenvalue_floor():
@@ -111,6 +113,24 @@ def test_batched_evaluation_matches_pointwise():
     single = np.array([gf.log_lambda_hat(spec, 0, grid.centers[k], y)
                        for k in range(grid.total_points)])
     assert np.allclose(batch, single, atol=1e-12)
+
+
+def test_whitened_batch_matches_pointwise_for_time_varying_full_covariance():
+    # non-diagonal covariance that moves with t and x: the inverse Cholesky
+    # factors are recomputed per step and must whiten like a triangular solve
+    def cov_fn(t, x):
+        u = np.array([1.0, x[0], 0.5 * t])
+        return np.outer(u, u) + np.diag([0.3, 0.2 + x[0], 0.1 * (t + 1)])
+
+    spec = make_spec(3, lambda t, x: np.array([x[0], -t * x[0], 0.2]), cov_fn)
+    pts = gf.Grid(spec.space, 9).centers
+    ws = gf.QuadFormWorkspace(spec, pts)
+    rng = gf.make_rng(14)
+    for t in range(4):
+        y = rng.standard_normal(3)
+        batch = gf.log_lambda_hat_at_points(spec, t, pts, y, workspace=ws)
+        single = np.array([gf.log_lambda_hat(spec, t, x, y) for x in pts])
+        assert np.allclose(batch, single, atol=1e-12)
 
 
 def test_workspace_reuse_is_transparent():

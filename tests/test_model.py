@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -112,6 +114,15 @@ def test_validate_accepts_demo_and_rejects_bad_density():
     bad = gf.SystemSpec(space=spec.space, kernel=bad_kernel, obs=spec.obs,
                         constants=spec.constants, model_id="bad")
     with pytest.raises(gf.ModelDefinitionError):
+        bad.validate()
+
+
+def test_validate_rejects_increment_density_of_another_step():
+    spec = gf.build_model("gauss_walk", step_sigma=0.15)
+    wrong = gf.build_model("gauss_walk", step_sigma=0.2).kernel.increment_density
+    bad = dataclasses.replace(
+        spec, kernel=dataclasses.replace(spec.kernel, increment_density=wrong))
+    with pytest.raises(gf.ModelDefinitionError, match="x_prev="):
         bad.validate()
 
 

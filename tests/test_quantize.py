@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,3 +173,59 @@ def test_chain_round_trips_through_csv(tmp_path):
     assert meta["build_method"] == "quadrature"
     assert header == [f"p{j}" for j in range(6)]
     assert np.allclose(data, chain.transition)
+
+
+def without_hook(spec, **kernel_changes):
+    """The same spec with ``increment_density`` dropped (or replaced)."""
+    kernel_changes.setdefault("increment_density", None)
+    return dataclasses.replace(
+        spec, kernel=dataclasses.replace(spec.kernel, **kernel_changes))
+
+
+@pytest.mark.parametrize("a", [1, 2, 7, 64, 512])
+def test_profile_chain_matches_per_row_chain(a):
+    spec = gf.build_model("gauss_walk")
+    grid = gf.Grid(spec.space, a)
+    fast = gf.build_chain(spec, grid, "quadrature")
+    rows = gf.build_chain(without_hook(spec), grid, "quadrature")
+    assert np.all(np.abs(fast.transition - rows.transition) <= 1e-14 * rows.transition)
+    assert np.array_equal(fast.initial, rows.initial)
+    assert fast.build_method == rows.build_method == "quadrature"
+
+
+def test_profile_chain_filters_like_per_row_chain():
+    spec = gf.build_model("gauss_walk", lower=0.5, upper=2.5)
+    grid = gf.Grid(spec.space, 48)
+    obs = np.stack([gf.simulate(spec, 15, seed=s).observations for s in range(3)])
+    fast = gf.run_grid_filter(spec, gf.build_chain(spec, grid), obs)
+    rows = gf.run_grid_filter(spec, gf.build_chain(without_hook(spec), grid), obs)
+    assert np.max(np.abs(fast.estimates - rows.estimates)) <= 1e-12
+    assert np.allclose(fast.log_norms, rows.log_norms, rtol=1e-12, atol=1e-12)
+
+
+def test_zero_increment_density_names_row_0():
+    spec = without_hook(gf.build_model("gauss_walk"),
+                        increment_density=lambda dx: np.zeros(len(dx)))
+    with pytest.raises(gf.ChainConstructionError, match="row 0"):
+        gf.build_chain(spec, gf.Grid(spec.space, 8), "quadrature")
+
+
+def test_increment_density_on_two_dim_box_is_refused():
+    space = gf.StateSpace(lower=np.zeros(2), upper=np.ones(2))
+    kernel = gf.TransitionKernel(
+        sampler=lambda t, x, rng: x,
+        initial_sampler=lambda rng, size=None: rng.uniform(0.0, 1.0, size=(size or 1, 2)),
+        density=lambda t, x_prev, xs: np.ones(len(xs)),
+        initial_density=lambda xs: np.ones(len(xs)),
+        vectorized=True,
+        increment_density=lambda dx: np.ones(len(dx)))
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros(1),
+                              cov_fn=lambda t, x: np.eye(1), sigma_xi_sq=1.0)
+    constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0,
+                                       mu_sup=0.0, k_mu=0.0, k_sigma=0.0)
+    spec = gf.SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants)
+    with pytest.raises(gf.ChainConstructionError, match="M=2"):
+        gf.build_chain(spec, gf.Grid(space, 3), "quadrature")
+    # the row-by-row path still handles the same density on the same box
+    chain = gf.build_chain(without_hook(spec), gf.Grid(space, 3), "quadrature")
+    assert np.allclose(chain.transition, 1.0 / 9.0)
