@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import AssumptionViolationError, ConfigError
-from .model import SystemSpec, make_rng
+from .model import SystemSpec, _row_norms, make_rng
 
 __all__ = [
     "BoundReport",
@@ -112,10 +112,14 @@ def matvec_difference_sides(a: np.ndarray, x: np.ndarray, b: np.ndarray,
     return lhs, rhs
 
 
+def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs / rhs elementwise; 0 where both sides vanish, inf where only rhs does."""
+    pos = rhs > 0.0
+    return np.where(pos, lhs / np.where(pos, rhs, 1.0), np.where(lhs <= 0.0, 0.0, math.inf))
+
+
 def _ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs <= 0.0 else math.inf
+    return float(_ratios(lhs, rhs))
 
 
 def check_product_bound(trials: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
@@ -184,6 +188,16 @@ def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
     return prefactor * (k_det + k_det_minor) * k_sigma
 
 
+def _at_times(fn, ts: np.ndarray, pts: np.ndarray, shape: tuple) -> np.ndarray:
+    """``fn(t, x)`` at every (ts[i], pts[i]), one batched call per distinct t;
+    each value has ``shape``."""
+    out = np.empty((len(pts),) + shape)
+    for t in np.unique(ts):
+        sel = ts == t
+        out[sel] = fn(int(t), pts[sel])
+    return out
+
+
 def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
                           horizon: int = 0) -> BoundReport:
     """Estimate the determinant, minor and inverse Lipschitz constants of the
@@ -193,7 +207,8 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     Ratios entering the verdict: entrywise covariance differences against the
     declared constant, and the empirical inverse-difference quotient against
     the closed form.  The determinant and minor constants are the maxima of
-    their own quotients (reported, tight at one by construction).
+    their own quotients (reported, tight at one by construction).  All pairs
+    are evaluated as stacks in one pass.
     """
     if n_pairs < 1:
         raise ValueError("need n_pairs >= 1")
@@ -203,71 +218,57 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     xs = rng.uniform(space.lower, space.upper, size=(n_pairs, space.dim))
     ys = rng.uniform(space.lower, space.upper, size=(n_pairs, space.dim))
     ts = rng.integers(0, horizon + 1, size=n_pairs)
-    sigma_worst = 0.0
-    det_worst = 0.0
-    k_det_hat = 0.0
+    d = np.sum(np.abs(xs - ys), axis=1)
+    keep = d != 0.0
+    d, ts = d[keep], ts[keep]
+    cx = _at_times(obs.total_cov, ts, xs[keep], (n, n))
+    cy = _at_times(obs.total_cov, ts, ys[keep], (n, n))
+    diff = cx - cy
+    cdiff = _row_norms(diff)
+    entry_diff = np.max(np.abs(diff), axis=(1, 2), initial=0.0)
+    sigma_worst = np.max(_ratios(entry_diff, decl.k_sigma * d), initial=0.0)
+    det_diff = np.abs(np.linalg.det(cx) - np.linalg.det(cy))
+    moved = cdiff > 0.0
+    k_det_hat = np.max(det_diff[moved] / (n * cdiff[moved]), initial=0.0)
     k_minor_hat = 0.0
-    k_inv_emp = 0.0
-    used = 0
-    for x, y, t in zip(xs, ys, ts):
-        d = float(np.sum(np.abs(x - y)))
-        if d == 0.0:
-            continue
-        used += 1
-        cx = obs.total_cov(int(t), x)
-        cy = obs.total_cov(int(t), y)
-        cdiff = float(np.linalg.norm(cx - cy, "fro"))
-        entry_diff = float(np.max(np.abs(cx - cy)))
-        sigma_worst = max(sigma_worst, _ratio(entry_diff, decl.k_sigma * d))
-        det_diff = abs(float(np.linalg.det(cx)) - float(np.linalg.det(cy)))
-        if cdiff > 0.0:
-            k_det_hat = max(k_det_hat, det_diff / (n * cdiff))
-            if n >= 2:
-                for i in range(n):
-                    for j in range(n):
-                        sx = np.delete(np.delete(cx, i, axis=0), j, axis=1)
-                        sy = np.delete(np.delete(cy, i, axis=0), j, axis=1)
-                        sdiff = float(np.linalg.norm(sx - sy, "fro"))
-                        if sdiff > 0.0:
-                            md = abs(float(np.linalg.det(sx)) - float(np.linalg.det(sy)))
-                            k_minor_hat = max(k_minor_hat, md / ((n - 1) * sdiff))
-        inv_diff = float(np.linalg.norm(np.linalg.inv(cx) - np.linalg.inv(cy), "fro"))
-        k_inv_emp = max(k_inv_emp, inv_diff / d)
+    if n >= 2:
+        mx, my = cx[moved], cy[moved]
+        for i in range(n):
+            for j in range(n):
+                sx = np.delete(np.delete(mx, i, axis=1), j, axis=2)
+                sy = np.delete(np.delete(my, i, axis=1), j, axis=2)
+                sdiff = _row_norms(sx - sy)
+                md = np.abs(np.linalg.det(sx) - np.linalg.det(sy))
+                ok = sdiff > 0.0
+                k_minor_hat = max(k_minor_hat,
+                                  np.max(md[ok] / ((n - 1) * sdiff[ok]), initial=0.0))
+    inv_diff = _row_norms(np.linalg.inv(cx) - np.linalg.inv(cy))
+    k_inv_emp = np.max(inv_diff / d, initial=0.0)
     if decl.k_sigma == 0.0:
         # Constant covariance map: the true inverse-difference constant is zero.
         formula = 0.0
     else:
         formula = k_inv_formula(decl.lambda_inf, k_det_hat, k_minor_hat, decl.k_sigma)
     inv_ratio = _ratio(k_inv_emp, formula)
-    # Re-check the sampled pairs against the estimated determinant constant;
-    # tight at 1 when any pair moved the covariance.
-    for x, y, t in zip(xs, ys, ts):
-        d = float(np.sum(np.abs(x - y)))
-        if d == 0.0:
-            continue
-        cx = obs.total_cov(int(t), x)
-        cy = obs.total_cov(int(t), y)
-        cdiff = float(np.linalg.norm(cx - cy, "fro"))
-        det_diff = abs(float(np.linalg.det(cx)) - float(np.linalg.det(cy)))
-        det_worst = max(det_worst, _ratio(det_diff, n * k_det_hat * cdiff))
+    # The sampled pairs against the estimated determinant constant; tight at 1
+    # when any pair moved the covariance.
+    det_worst = np.max(_ratios(det_diff, n * k_det_hat * cdiff), initial=0.0)
     worst = max(sigma_worst, det_worst, inv_ratio)
     return BoundReport(
-        check_id="covariance-lipschitz-suite", n_trials=used, worst_ratio=worst,
+        check_id="covariance-lipschitz-suite", n_trials=int(keep.sum()),
+        worst_ratio=float(worst),
         constants={
             "k_sigma_declared": decl.k_sigma,
-            "k_det": k_det_hat,
-            "k_det_minor": k_minor_hat,
-            "k_inv_empirical": k_inv_emp,
+            "k_det": float(k_det_hat),
+            "k_det_minor": float(k_minor_hat),
+            "k_inv_empirical": float(k_inv_emp),
             "k_inv_formula": formula,
         },
         seed=seed)
 
 
-def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0,
-                            horizon: int = 0) -> SystemSpec:
-    """Return a copy of the spec whose constants carry the estimated
-    determinant/minor constants and the closed-form inverse constant."""
-    report = check_lipschitz_suite(spec, n_pairs, seed, horizon)
+def _with_derived(spec: SystemSpec, report: BoundReport) -> SystemSpec:
+    """``spec`` carrying the constants of a passed Lipschitz-suite report."""
     if not report.passed:
         raise AssumptionViolationError(
             f"covariance regularity check failed with ratio {report.worst_ratio:.6g}")
@@ -276,6 +277,13 @@ def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0
         k_det=c["k_det"], k_det_minor=c["k_det_minor"], k_inv=c["k_inv_formula"])
     return SystemSpec(space=spec.space, kernel=spec.kernel, obs=spec.obs,
                       constants=constants, model_id=spec.model_id)
+
+
+def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0,
+                            horizon: int = 0) -> SystemSpec:
+    """Return a copy of the spec whose constants carry the estimated
+    determinant/minor constants and the closed-form inverse constant."""
+    return _with_derived(spec, check_lipschitz_suite(spec, n_pairs, seed, horizon))
 
 
 def theta_bound(spec: SystemSpec, y: np.ndarray) -> float:
@@ -296,21 +304,25 @@ def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
     """Quadratic-form differences against Theta(y) times the state distance."""
     rng = make_rng(seed, 12)
     space, obs = spec.space, spec.obs
-    worst = 0.0
-    for _ in range(n_draws):
-        t = int(rng.integers(0, horizon + 1))
-        x1 = rng.uniform(space.lower, space.upper)
-        x2 = rng.uniform(space.lower, space.upper)
-        y = y_sigma * rng.standard_normal(obs.n)
-        d = float(np.sum(np.abs(x1 - x2)))
-        if d == 0.0:
-            continue
-        q = []
-        for x in (x1, x2):
-            resid = y - obs.mean(t, x).reshape(obs.n)
-            q.append(float(resid @ np.linalg.solve(obs.total_cov(t, x), resid)))
-        lhs = abs(q[0] - q[1])
-        rhs = theta_bound(spec, y) * d
-        worst = max(worst, _ratio(lhs, rhs))
+    m, n = space.dim, obs.n
+    ts = np.empty(n_draws, dtype=int)
+    x1, x2 = np.empty((n_draws, m)), np.empty((n_draws, m))
+    ys = np.empty((n_draws, n))
+    # One draw at a time keeps the stream order of the trials.
+    for i in range(n_draws):
+        ts[i] = rng.integers(0, horizon + 1)
+        x1[i] = rng.uniform(space.lower, space.upper)
+        x2[i] = rng.uniform(space.lower, space.upper)
+        ys[i] = y_sigma * rng.standard_normal(n)
+    d = np.sum(np.abs(x1 - x2), axis=1)
+    keep = d != 0.0
+    ts, ys, d = ts[keep], ys[keep], d[keep]
+    q = []
+    for x in (x1[keep], x2[keep]):
+        resid = ys - _at_times(obs.mean, ts, x, (n,))
+        sol = np.linalg.solve(_at_times(obs.total_cov, ts, x, (n, n)), resid[..., None])
+        q.append((resid[:, None, :] @ sol)[:, 0, 0])
+    theta = np.array([theta_bound(spec, y) for y in ys])
+    worst = np.max(_ratios(np.abs(q[0] - q[1]), theta * d), initial=0.0)
     return BoundReport(check_id="quadform-difference", n_trials=n_draws,
-                       worst_ratio=worst, seed=seed)
+                       worst_ratio=float(worst), seed=seed)

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (check_adjugate_bound, check_lipschitz_suite,
-                     check_product_bound, check_theta_bound,
-                     audit_derived_constants, write_bound_reports)
+from .bounds import (_with_derived, audit_derived_constants, check_adjugate_bound,
+                     check_lipschitz_suite, check_product_bound, check_theta_bound,
+                     write_bound_reports)
 from .concentration import (chi2_tail_check, concentration_experiment,
                             write_concentration_reports, write_tail_checks)
 from .config import RunConfig, load_config
@@ -186,8 +186,8 @@ def cmd_verify_bounds(cfg: RunConfig, args) -> int:
         reports.append(check_adjugate_bound(n_dim, cfg.n_trials, seed=cfg.seed))
     suite = check_lipschitz_suite(spec, cfg.n_pairs, seed=cfg.seed)
     reports.append(suite)
-    audited = audit_derived_constants(spec, n_pairs=cfg.n_pairs, seed=cfg.seed)
-    reports.append(check_theta_bound(audited, cfg.n_trials, seed=cfg.seed))
+    reports.append(check_theta_bound(_with_derived(spec, suite), cfg.n_trials,
+                                     seed=cfg.seed))
     out = os.path.join(cfg.out_dir, "bounds.csv")
     write_bound_reports(out, reports, meta={"model_id": cfg.model_id,
                                             "seed": cfg.seed})

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, ModelDefinitionError
-from .model import SystemSpec
+from .model import SystemSpec, _cholesky_at
 
 __all__ = [
     "QuadFormWorkspace",
@@ -37,9 +37,10 @@ __all__ = [
 
 
 def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
-    c = spec.obs.total_cov(t, np.asarray(x, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    c = spec.obs.total_cov(t, x[None])[0]
     y = np.asarray(y, dtype=float).reshape(spec.obs.n)
-    resid = y - spec.obs.mean(t, np.asarray(x, dtype=float)).reshape(spec.obs.n)
+    resid = y - spec.obs.mean(t, x[None])[0]
     try:
         factor = cho_factor(c, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -51,8 +52,8 @@ def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
 
 
 def log_lambda_hat(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:
-    """Reduced log likelihood ratio at (t, x, y); the per-point reference
-    ``log_lambda_hat_at_points`` is tested against."""
+    """Reduced log likelihood ratio at one state (t, x, y): the per-point
+    oracle ``log_lambda_hat_at_points`` is tested against."""
     quad, logdet, _ = _chol_terms(spec, t, x, y)
     return -0.5 * (quad + logdet)
 
@@ -79,28 +80,8 @@ class QuadFormWorkspace:
 
     def _compute(self, t: int):
         spec, pts = self.spec, self.points
-        k = len(pts)
-        n = spec.obs.n
-        if spec.obs.vectorized:
-            means = np.asarray(spec.obs.mean(t, pts), dtype=float).reshape(k, n)
-            covs = np.asarray(spec.obs.total_cov(t, pts), dtype=float).reshape(k, n, n)
-        else:
-            means = np.empty((k, n))
-            covs = np.empty((k, n, n))
-            for i, x in enumerate(pts):
-                means[i] = spec.obs.mean(t, x)
-                covs[i] = spec.obs.total_cov(t, x)
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            for i, x in enumerate(pts):
-                try:
-                    np.linalg.cholesky(covs[i])
-                except np.linalg.LinAlgError as exc:
-                    raise ModelDefinitionError(
-                        f"total covariance not positive definite at t={t}, "
-                        f"x={x}") from exc
-            raise
+        means = spec.obs.mean(t, pts)
+        chol = _cholesky_at(spec.obs.total_cov(t, pts), t, pts)
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         return means, np.linalg.inv(chol), logdet
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,6 +60,15 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     if seed < 0 or any(s < 0 for s in stream):
         raise ValueError("stream keys must be nonnegative integers")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+
+
+def _checked(a, shape: tuple, name: str, t: int) -> np.ndarray:
+    """A callback's output as a float array of ``shape``; any other shape
+    raises ModelDefinitionError naming the callback and ``t``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ModelDefinitionError(f"{name} shape {a.shape} at t={t}, expected {shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -107,19 +116,22 @@ class ObservationModel:
     """Conditionally Gaussian observation channel.
 
     ``mean_fn(t, x)`` and ``cov_fn(t, x)`` describe the unscaled mean and
-    state covariance; ``obs_scale`` multiplies the emitted observation (and
-    hence the total covariance by its square).  Set ``stationary`` when both
-    callbacks ignore ``t`` so factorizations can be cached, and ``vectorized``
-    when they accept a leading batch axis on ``x``.
+    state covariance at a batch of states; ``obs_scale`` multiplies the
+    emitted observation (and hence the total covariance by its square).  Set
+    ``stationary`` when both callbacks ignore ``t`` so factorizations can be
+    cached.  Both callbacks are batched over B states with M axes (N is
+    ``n``)::
+
+        mean_fn(t, x)    x (B, M)  ->  (B, N)
+        cov_fn(t, x)     x (B, M)  ->  (B, N, N)
     """
 
     n: int
-    mean_fn: Callable[..., np.ndarray]
-    cov_fn: Callable[..., np.ndarray]
+    mean_fn: Callable[[int, np.ndarray], np.ndarray]
+    cov_fn: Callable[[int, np.ndarray], np.ndarray]
     sigma_xi_sq: float
     obs_scale: float = 1.0
     stationary: bool = False
-    vectorized: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -130,25 +142,31 @@ class ObservationModel:
             raise ModelDefinitionError("obs_scale must be positive")
 
     def mean(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Scaled observation mean, shape (n,) (or (batch, n) when vectorized)."""
-        return self.obs_scale * np.asarray(self.mean_fn(t, x), dtype=float)
+        """Scaled observation means at states ``x`` (B, M), shape (B, n)."""
+        return self.obs_scale * _checked(self.mean_fn(t, x), (len(x), self.n), "mean_fn", t)
 
     def total_cov(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Scaled total covariance C_t(x), shape (n, n) (batched likewise)."""
-        sig = np.asarray(self.cov_fn(t, x), dtype=float)
+        """Scaled total covariances C_t(x) at states ``x`` (B, M), shape (B, n, n)."""
+        sig = _checked(self.cov_fn(t, x), (len(x), self.n, self.n), "cov_fn", t)
         return self.obs_scale**2 * (sig + self.sigma_xi_sq * np.eye(self.n))
 
 
 @dataclass
 class TransitionKernel:
-    """State dynamics: ``sampler(t, x_prev, rng)`` draws X_t given X_{t-1}.
+    """State dynamics of an order-``order`` Markov process on the box Z.
 
-    ``density(t, x_prev, x_next)``, when present, is the transition density
-    with respect to Lebesgue measure on Z and must integrate to one there.
-    ``initial_sampler(rng)`` draws X_0; ``initial_density(x)`` is its density.
-    Vectorized kernels accept a leading batch axis on ``x_prev`` (and a
-    ``size`` argument on ``initial_sampler``).  Only order-1 kernels can be
-    turned into a quantized chain.
+    Callbacks are batched over B paths or n points with M axes::
+
+        sampler(t, x_prev, rng)      x_prev (B, M)                      ->  (B, M)
+        initial_sampler(rng, size)                                      ->  (size, M)
+        density(t, x_prev, xs)       one source x_prev (M,), xs (n, M)  ->  (n,)
+        initial_density(xs)          xs (n, M)                          ->  (n,)
+
+    ``sampler`` draws X_t given X_{t-1} = x_prev row by row and
+    ``initial_sampler`` draws X_0.  ``density``, when present, is the
+    transition density with respect to Lebesgue measure on Z and must
+    integrate to one there; ``initial_density`` is the density of X_0.  Only
+    order-1 kernels can be turned into a quantized chain.
 
     ``increment_density(dx)``, optional, declares the dynamics translation
     invariant: it maps offsets of shape (n, M) to the (n,) density of the
@@ -166,7 +184,6 @@ class TransitionKernel:
     density: Optional[Callable[..., np.ndarray]] = None
     initial_density: Optional[Callable[..., np.ndarray]] = None
     order: int = 1
-    vectorized: bool = False
     increment_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -227,73 +244,86 @@ class SystemSpec:
     model_id: str = "custom"
 
     def validate(self, n_probe: int = 32, seed: int = 0, horizon: int = 0) -> None:
-        """Spot-check the callbacks: covariance symmetry and positive
-        definiteness, eigenvalue floor above one, sampler range, density mass
-        and its proportionality to ``increment_density`` when declared.
+        """Spot-check the callbacks: output shapes, covariance symmetry and
+        positive definiteness, eigenvalue floor above one, sampler range,
+        density mass and its proportionality to ``increment_density`` when
+        declared.
 
         Raises ModelDefinitionError / AssumptionViolationError naming the
         offending evaluation point.
         """
-        rng = make_rng(seed, 901)
-        pts = _probe_points(self.space, n_probe, rng)
+        pts = _probe_points(self.space, n_probe, make_rng(seed, 901))
+        k = len(pts)
         for t in range(horizon + 1):
-            for x in pts:
-                c = self.obs.total_cov(t, x)
-                if c.shape != (self.obs.n, self.obs.n):
-                    raise ModelDefinitionError(f"cov_fn shape {c.shape} at t={t}, x={x}")
-                asym = np.max(np.abs(c - c.T))
-                if asym > 1e-12:
-                    raise ModelDefinitionError(
-                        f"cov_fn not symmetric at t={t}, x={x}: max asymmetry {asym:.3e}")
-                lam_min = float(np.linalg.eigvalsh(c)[0])
-                if lam_min <= 0.0:
-                    raise ModelDefinitionError(
-                        f"total covariance not positive definite at t={t}, x={x}")
-                if lam_min <= 1.0:
-                    raise AssumptionViolationError(
-                        f"lambda_min(C)={lam_min:.6g} <= 1 at t={t}, x={x}; "
-                        "increase obs_scale")
-        x = self.kernel.initial_sampler(make_rng(seed, 902))
-        for t in range(1, 4):
-            if not self.space.contains(x):
-                raise ModelDefinitionError(f"sampled state {x} left the box at t={t - 1}")
-            x = self.kernel.sampler(t, x, make_rng(seed, 902, t))
-        if self.kernel.density is not None and self.kernel.vectorized:
-            _check_density_mass(self, pts[: min(4, len(pts))], tol=1e-6)
+            self.obs.mean(t, pts)  # checks the shape of mean_fn's output
+            c = self.obs.total_cov(t, pts)
+            asym = np.max(np.abs(c - np.swapaxes(c, 1, 2)), axis=(1, 2))
+            i = int(np.argmax(asym))
+            if asym[i] > 1e-12:
+                raise ModelDefinitionError(
+                    f"cov_fn not symmetric at t={t}, x={pts[i]}: max asymmetry {asym[i]:.3e}")
+            lam_min = np.linalg.eigvalsh(c)[:, 0]
+            i = int(np.argmin(lam_min))
+            if lam_min[i] <= 0.0:
+                raise ModelDefinitionError(
+                    f"total covariance not positive definite at t={t}, x={pts[i]}")
+            if lam_min[i] <= 1.0:
+                raise AssumptionViolationError(
+                    f"lambda_min(C)={lam_min[i]:.6g} <= 1 at t={t}, x={pts[i]}; "
+                    "increase obs_scale")
+        _sample_paths(self, 3, k, make_rng(seed, 902), make_rng(seed, 903), tilde=True)
+        if self.kernel.density is not None:
+            _check_density_mass(self, pts[: min(4, k)], tol=1e-6)
+
+
+# Panel counts of the mass quadrature in ``_check_density_mass``: the first
+# one, and the cap of the doubling.
+_MASS_PANELS = (64, 2**14)
 
 
 def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> None:
     """Unit mass of the transition density from each source and, when the
     kernel declares ``increment_density``, a density-to-hook ratio constant
     to 1e-9 relative over the nodes where the density is positive (subnormal
-    values, which carry no relative precision, are skipped)."""
-    # Gauss-Legendre over the box, 64 panels of order 8 per dimension.
+    values, which carry no relative precision, are skipped).
+
+    The mass is integrated with 8-node Gauss-Legendre panels over the box.
+    The panel count doubles from 64 until two successive masses agree to
+    ``tol / 10`` (a step much narrower than a panel needs finer panels), up
+    to 2^14 panels, whose mass is then checked as it stands.
+    """
     if spec.space.dim != 1:
         return
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(spec.space.lower[0], spec.space.upper[0], 65)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()[:, None]
-    ws = (half[:, None] * weights[None, :]).ravel()
+    lo, hi = spec.space.lower[0], spec.space.upper[0]
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(8)
     hook = spec.kernel.increment_density
     for x_prev in sources:
-        dens = np.asarray(spec.kernel.density(1, x_prev, xs), dtype=float).ravel()
-        mass = float(dens @ ws)
+        panels, mass = _MASS_PANELS[0], None
+        while True:
+            edges = np.linspace(lo, hi, panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * np.diff(edges)
+            xs = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()[:, None]
+            ws = (half[:, None] * base_weights[None, :]).ravel()
+            dens = np.asarray(spec.kernel.density(1, x_prev, xs), dtype=float).reshape(len(xs))
+            last, mass = mass, float(dens @ ws)
+            if (last is not None and abs(mass - last) <= tol / 10) or panels >= _MASS_PANELS[1]:
+                break
+            panels *= 2
         if abs(mass - 1.0) > tol:
             raise ModelDefinitionError(
                 f"transition density mass {mass:.8f} != 1 from x_prev={x_prev}")
         if hook is None:
             continue
-        inc = np.asarray(hook(xs - x_prev), dtype=float).ravel()
+        inc = np.asarray(hook(xs - x_prev), dtype=float).reshape(len(xs))
         pos = dens >= np.finfo(float).tiny
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = dens[pos] / inc[pos]
-        lo, hi = np.min(ratio), np.max(ratio)
-        if not (np.isfinite(hi) and lo > 0.0 and hi - lo <= 1e-9 * hi):
+        lo_r, hi_r = np.min(ratio), np.max(ratio)
+        if not (np.isfinite(hi_r) and lo_r > 0.0 and hi_r - lo_r <= 1e-9 * hi_r):
             raise ModelDefinitionError(
                 f"density is not proportional to increment_density from "
-                f"x_prev={x_prev}: density/increment ratio spans [{lo:.8g}, {hi:.8g}]")
+                f"x_prev={x_prev}: density/increment ratio spans [{lo_r:.8g}, {hi_r:.8g}]")
 
 
 @dataclass
@@ -323,37 +353,66 @@ def _probe_points(space: StateSpace, n_probe: int, rng: np.random.Generator) -> 
     return np.concatenate([space.corners(), mid[None, :], u], axis=0)
 
 
-def _simulate(spec: SystemSpec, horizon: int, seed: int, tilde: bool,
-              state_stream: tuple = (), obs_stream: tuple = ()) -> Trajectory:
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    rng_state = make_rng(seed, 0, *state_stream)
-    rng_obs = make_rng(seed, 1, *obs_stream)
-    m, n = spec.space.dim, spec.obs.n
-    states = np.empty((horizon + 1, m))
-    obs = np.empty((horizon + 1, n))
-    x = np.asarray(spec.kernel.initial_sampler(rng_state), dtype=float).reshape(m)
-    for t in range(horizon + 1):
-        if t > 0:
-            x = np.asarray(spec.kernel.sampler(t, x, rng_state), dtype=float).reshape(m)
-        if not spec.space.contains(x):
-            raise ModelDefinitionError(f"kernel left the box at t={t}: x={x}")
-        states[t] = x
-        u = rng_obs.standard_normal(n)
-        if tilde:
-            obs[t] = u
-        else:
-            raw_cov = np.asarray(spec.obs.cov_fn(t, x), dtype=float) \
-                + spec.obs.sigma_xi_sq * np.eye(n)
+def _cholesky_at(covs: np.ndarray, t: int, points: np.ndarray) -> np.ndarray:
+    """Cholesky factors of covariances (B, N, N) evaluated at ``points``
+    (B, M); raises ModelDefinitionError naming ``t`` and the first point
+    whose covariance has none."""
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        for c, x in zip(covs, points):
             try:
-                chol = np.linalg.cholesky(raw_cov)
-            except np.linalg.LinAlgError as exc:
+                np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
                 raise ModelDefinitionError(
                     f"total covariance not positive definite at t={t}, x={x}") from exc
-            raw_mean = np.asarray(spec.obs.mean_fn(t, x), dtype=float).reshape(n)
-            # Factoring obs_scale out keeps y exactly linear in the scale.
-            obs[t] = spec.obs.obs_scale * (raw_mean + chol @ u)
-    return Trajectory(states=states, observations=obs, seed=seed)
+        raise
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every ``a[i]`` taken as one flat vector; equal bit
+    for bit to ``np.linalg.norm(a[i])`` (a vector) or its Frobenius norm (a
+    matrix), which ``np.linalg.norm(a, axis=...)`` is not."""
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+
+
+def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state: np.random.Generator,
+                  rng_obs: np.random.Generator, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``n_paths`` paths together: states (n_paths, T+1, M) and
+    observations (n_paths, T+1, N), the raw draws ``u_t`` when ``tilde``."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    m, n = spec.space.dim, spec.obs.n
+    lo, hi = spec.space.lower, spec.space.upper
+    states = np.empty((n_paths, horizon + 1, m))
+    obs = np.empty((n_paths, horizon + 1, n))
+    x = spec.kernel.initial_sampler(rng_state, n_paths)
+    for t in range(horizon + 1):
+        if t > 0:
+            x = spec.kernel.sampler(t, x, rng_state)
+        x = _checked(x, (n_paths, m), "sampler", t)
+        outside = ~np.all((x >= lo) & (x <= hi), axis=1)
+        if np.any(outside):
+            b = int(np.argmax(outside))
+            raise ModelDefinitionError(f"kernel left the box at t={t}: path {b}, x={x[b]}")
+        states[:, t] = x
+        u = rng_obs.standard_normal((n_paths, n))
+        if tilde:
+            obs[:, t] = u
+            continue
+        raw_cov = _checked(spec.obs.cov_fn(t, x), (n_paths, n, n), "cov_fn", t)
+        chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, x)
+        raw_mean = _checked(spec.obs.mean_fn(t, x), (n_paths, n), "mean_fn", t)
+        # Factoring obs_scale out keeps y exactly linear in the scale; the
+        # stacked matmul applies each factor exactly as ``chol @ u`` would.
+        obs[:, t] = spec.obs.obs_scale * (raw_mean + (chol @ u[..., None])[..., 0])
+    return states, obs
+
+
+def _simulate(spec: SystemSpec, horizon: int, seed: int, tilde: bool) -> Trajectory:
+    states, obs = _sample_paths(spec, horizon, 1, make_rng(seed, 0), make_rng(seed, 1), tilde)
+    return Trajectory(states=states[0], observations=obs[0], seed=seed)
 
 
 def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
@@ -376,42 +435,10 @@ def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,
     """Draw ``n_traj`` independent paths at once.
 
     Returns (states, observations) with shapes (n_traj, T+1, M) and
-    (n_traj, T+1, N).  Uses the kernel/observation batch callbacks when both
-    are flagged vectorized, else falls back to a per-trajectory loop with
-    derived seeds.  Deterministic in (seed, n_traj); the batched draws are not
-    element-wise equal to per-trajectory ``simulate`` calls.
+    (n_traj, T+1, N).  Deterministic in (seed, n_traj); the paths use their
+    own streams, so they are not element-wise equal to ``simulate`` calls.
     """
-    if not (spec.kernel.vectorized and spec.obs.vectorized):
-        out_s = np.empty((n_traj, horizon + 1, spec.space.dim))
-        out_y = np.empty((n_traj, horizon + 1, spec.obs.n))
-        for i in range(n_traj):
-            traj = _simulate(spec, horizon, seed, tilde, state_stream=(i,), obs_stream=(i,))
-            out_s[i], out_y[i] = traj.states, traj.observations
-        return out_s, out_y
-
-    rng_state = make_rng(seed, 2)
-    rng_obs = make_rng(seed, 3)
-    m, n = spec.space.dim, spec.obs.n
-    states = np.empty((n_traj, horizon + 1, m))
-    obs = np.empty((n_traj, horizon + 1, n))
-    x = np.asarray(spec.kernel.initial_sampler(rng_state, size=n_traj), dtype=float).reshape(n_traj, m)
-    eye = np.eye(n)
-    for t in range(horizon + 1):
-        if t > 0:
-            x = np.asarray(spec.kernel.sampler(t, x, rng_state), dtype=float).reshape(n_traj, m)
-        states[:, t, :] = x
-        u = rng_obs.standard_normal((n_traj, n))
-        if tilde:
-            obs[:, t, :] = u
-        else:
-            raw_cov = np.asarray(spec.obs.cov_fn(t, x), dtype=float) + spec.obs.sigma_xi_sq * eye
-            chol = np.linalg.cholesky(raw_cov)
-            raw_mean = np.asarray(spec.obs.mean_fn(t, x), dtype=float).reshape(n_traj, n)
-            obs[:, t, :] = spec.obs.obs_scale * (raw_mean + np.einsum("bij,bj->bi", chol, u))
-    lo, hi = spec.space.lower, spec.space.upper
-    if np.any(states < lo) or np.any(states > hi):
-        raise ModelDefinitionError("batched kernel left the box")
-    return states, obs
+    return _sample_paths(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3), tilde)
 
 
 def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
@@ -424,60 +451,59 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
     Lipschitz quotients of mean (l2 over l1) and covariance entries (max
     entry over l1) across all probe pairs.  Returns the empirical constants.
 
-    Raises AssumptionViolationError, naming the constant, the probe pair and
-    the measured quotient, if the empirical eigenvalue floor is <= 1 or any
-    declared constant is contradicted beyond a 1e-9 relative slack.
+    Raises AssumptionViolationError, naming the constant, the probe point or
+    pair and the measured value, if the empirical eigenvalue floor is <= 1 or
+    any declared constant is contradicted beyond a 1e-9 relative slack.
     """
     if n_probe < 2:
         raise ValueError("need n_probe >= 2")
-    rng = make_rng(seed, 4)
-    pts = _probe_points(spec.space, n_probe, rng)
+    pts = _probe_points(spec.space, n_probe, make_rng(seed, 4))
     k = len(pts)
     rtol = 1e-9
+    decl = spec.constants
+    lim_mu = decl.k_mu * (1 + rtol) + 1e-12
+    lim_sigma = decl.k_sigma * (1 + rtol) + 1e-12
+    noise = spec.obs.obs_scale**2 * spec.obs.sigma_xi_sq * np.eye(spec.obs.n)
 
     lam_lo, lam_hi, mu_hi = np.inf, -np.inf, 0.0
     k_mu_emp, k_sigma_emp = 0.0, 0.0
-    decl = spec.constants
     for t in range(horizon + 1):
-        means = np.empty((k, spec.obs.n))
-        covs = np.empty((k, spec.obs.n, spec.obs.n))
-        for i, x in enumerate(pts):
-            c = spec.obs.total_cov(t, x)
-            ev = np.linalg.eigvalsh(c)
-            means[i] = spec.obs.mean(t, x)
-            covs[i] = c - spec.obs.obs_scale**2 * spec.obs.sigma_xi_sq * np.eye(spec.obs.n)
-            lam_lo, lam_hi = min(lam_lo, ev[0]), max(lam_hi, ev[-1])
-            mu = float(np.linalg.norm(means[i]))
-            mu_hi = max(mu_hi, mu)
-            if ev[0] < decl.lambda_inf * (1 - rtol):
+        c = spec.obs.total_cov(t, pts)
+        ev = np.linalg.eigvalsh(c)
+        means = spec.obs.mean(t, pts)
+        covs = c - noise
+        mu = _row_norms(means)
+        lam_lo, lam_hi = min(lam_lo, ev[:, 0].min()), max(lam_hi, ev[:, -1].max())
+        mu_hi = max(mu_hi, mu.max())
+        for name, declared, label, value, bad in (
+                ("lambda_inf", decl.lambda_inf, "lambda_min(C)", ev[:, 0],
+                 ev[:, 0] < decl.lambda_inf * (1 - rtol)),
+                ("lambda_sup", decl.lambda_sup, "lambda_max(C)", ev[:, -1],
+                 ev[:, -1] > decl.lambda_sup * (1 + rtol)),
+                ("mu_sup", decl.mu_sup, "||mean||", mu,
+                 mu > decl.mu_sup * (1 + rtol) + 1e-12)):
+            if np.any(bad):
+                i = int(np.argmax(bad))
                 raise AssumptionViolationError(
-                    f"lambda_inf: declared {decl.lambda_inf:.6g} but "
-                    f"lambda_min(C)={ev[0]:.6g} at t={t}, x={x}")
-            if ev[-1] > decl.lambda_sup * (1 + rtol):
+                    f"{name}: declared {declared:.6g} but {label}={value[i]:.6g} "
+                    f"at t={t}, x={pts[i]}")
+        # Row i against every j > i keeps memory O(k) per row.
+        for i in range(k - 1):
+            d = np.sum(np.abs(pts[i] - pts[i + 1:]), axis=1)
+            keep = d != 0.0
+            j, d = np.arange(i + 1, k)[keep], d[keep]
+            qm = _row_norms(means[i] - means[j]) / d
+            qs = np.max(np.abs(covs[i] - covs[j]), axis=(1, 2), initial=0.0) / d
+            k_mu_emp = max(k_mu_emp, np.max(qm, initial=0.0))
+            k_sigma_emp = max(k_sigma_emp, np.max(qs, initial=0.0))
+            bad = (qm > lim_mu) | (qs > lim_sigma)
+            if np.any(bad):
+                b = int(np.argmax(bad))
+                name, declared, q = (("k_mu", decl.k_mu, qm[b]) if qm[b] > lim_mu
+                                     else ("k_sigma", decl.k_sigma, qs[b]))
                 raise AssumptionViolationError(
-                    f"lambda_sup: declared {decl.lambda_sup:.6g} but "
-                    f"lambda_max(C)={ev[-1]:.6g} at t={t}, x={x}")
-            if mu > decl.mu_sup * (1 + rtol) + 1e-12:
-                raise AssumptionViolationError(
-                    f"mu_sup: declared {decl.mu_sup:.6g} but ||mean||={mu:.6g} "
-                    f"at t={t}, x={x}")
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = float(np.sum(np.abs(pts[i] - pts[j])))
-                if d == 0.0:
-                    continue
-                qm = float(np.linalg.norm(means[i] - means[j])) / d
-                qs = float(np.max(np.abs(covs[i] - covs[j]))) / d
-                k_mu_emp = max(k_mu_emp, qm)
-                k_sigma_emp = max(k_sigma_emp, qs)
-                if qm > decl.k_mu * (1 + rtol) + 1e-12:
-                    raise AssumptionViolationError(
-                        f"k_mu: declared {decl.k_mu:.6g} but quotient {qm:.6g} "
-                        f"between x={pts[i]} and x'={pts[j]} at t={t}")
-                if qs > decl.k_sigma * (1 + rtol) + 1e-12:
-                    raise AssumptionViolationError(
-                        f"k_sigma: declared {decl.k_sigma:.6g} but quotient {qs:.6g} "
-                        f"between x={pts[i]} and x'={pts[j]} at t={t}")
+                    f"{name}: declared {declared:.6g} but quotient {q:.6g} "
+                    f"between x={pts[i]} and x'={pts[j[b]]} at t={t}")
     if lam_lo <= 1.0:
         raise AssumptionViolationError(
             f"lambda_inf: empirical eigenvalue floor {lam_lo:.6g} <= 1; "

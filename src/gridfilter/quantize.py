@@ -191,19 +191,6 @@ def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return nodes, weights, owner
 
 
-def _eval_density(fn, t, x_prev, nodes, vectorized):
-    if vectorized:
-        if x_prev is None:
-            vals = fn(nodes)
-        else:
-            vals = fn(t, x_prev, nodes)
-        return np.asarray(vals, dtype=float).reshape(len(nodes))
-    out = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        out[i] = fn(node) if x_prev is None else fn(t, x_prev, node)
-    return out
-
-
 def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
                 seed: int = 0, n_samples: int = 100_000,
                 quad_order: int = 8) -> QuantizedChain:
@@ -237,6 +224,7 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
         nodes, weights, owner = _gl_cells(grid, quad_order)
 
         def cell_mass(dens):
+            dens = np.asarray(dens, dtype=float).reshape(len(nodes))
             return np.bincount(owner, weights=dens * weights, minlength=k)
 
         hook = spec.kernel.increment_density
@@ -248,38 +236,23 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
             # Offsets from the last center give the cell masses d = -(k-1)..0
             # cells from the source, offsets from the first center d = 0..k-1;
             # row r of the chain is profile[k-1-r : 2k-1-r].
-            back, fwd = (cell_mass(np.asarray(hook(nodes - src), dtype=float)
-                                   .reshape(len(nodes)))
-                         for src in (centers[-1], centers[0]))
+            back, fwd = (cell_mass(hook(nodes - src)) for src in (centers[-1], centers[0]))
             profile = np.concatenate([back, fwd[1:]])
             transition[:] = sliding_window_view(profile, k)[::-1]
         else:
             for row in range(k):
-                transition[row] = cell_mass(_eval_density(
-                    spec.kernel.density, 1, centers[row], nodes, spec.kernel.vectorized))
-        initial = cell_mass(_eval_density(spec.kernel.initial_density, None, None,
-                                          nodes, spec.kernel.vectorized))
+                transition[row] = cell_mass(spec.kernel.density(1, centers[row], nodes))
+        initial = cell_mass(spec.kernel.initial_density(nodes))
         label = "quadrature"
     elif method == "monte_carlo":
+        m = grid.space.dim
         for row in range(k):
-            rng = make_rng(seed, 5, row)
-            if spec.kernel.vectorized:
-                src = np.broadcast_to(centers[row], (n_samples, grid.space.dim))
-                draws = np.asarray(spec.kernel.sampler(1, src, rng), dtype=float)
-            else:
-                draws = np.stack([
-                    np.asarray(spec.kernel.sampler(1, centers[row], rng), dtype=float).ravel()
-                    for _ in range(n_samples)])
-            idx = quantize_points(grid, draws.reshape(n_samples, grid.space.dim))
+            src = np.broadcast_to(centers[row], (n_samples, m))
+            draws = spec.kernel.sampler(1, src, make_rng(seed, 5, row))
+            idx = quantize_points(grid, np.asarray(draws, dtype=float).reshape(n_samples, m))
             transition[row] = np.bincount(idx, minlength=k) / n_samples
-        rng = make_rng(seed, 6)
-        if spec.kernel.vectorized:
-            draws0 = np.asarray(spec.kernel.initial_sampler(rng, size=n_samples), dtype=float)
-        else:
-            draws0 = np.stack([
-                np.asarray(spec.kernel.initial_sampler(rng), dtype=float).ravel()
-                for _ in range(n_samples)])
-        idx0 = quantize_points(grid, draws0.reshape(n_samples, grid.space.dim))
+        draws0 = spec.kernel.initial_sampler(make_rng(seed, 6), n_samples)
+        idx0 = quantize_points(grid, np.asarray(draws0, dtype=float).reshape(n_samples, m))
         initial = np.bincount(idx0, minlength=k) / n_samples
         label = f"monte_carlo({n_samples})"
     else:

@@ -60,29 +60,23 @@ class FiniteStateKernel(TransitionKernel):
         self._cdf = np.cumsum(p, axis=1)
         self._init_cdf = np.cumsum(pi)
         super().__init__(sampler=self._sample, initial_sampler=self._sample_initial,
-                         density=None, initial_density=None, order=1, vectorized=True)
+                         density=None, initial_density=None, order=1)
 
     def _index_of(self, pts: np.ndarray) -> np.ndarray:
         d = np.sum(np.abs(pts[:, None, :] - self.states[None, :, :]), axis=2)
         return np.argmin(d, axis=1)
 
     def _sample(self, t: int, x_prev, rng: np.random.Generator):
-        xp = np.asarray(x_prev, dtype=float)
-        batched = xp.ndim == 2
-        pts = xp if batched else xp[None, :]
-        rows = self._cdf[self._index_of(pts)]
-        u = rng.random(len(pts))
+        rows = self._cdf[self._index_of(np.asarray(x_prev, dtype=float))]
+        u = rng.random(len(rows))
         nxt = np.minimum((u[:, None] > rows).sum(axis=1), len(self.states) - 1)
-        out = self.states[nxt]
-        return out if batched else out[0]
+        return self.states[nxt]
 
-    def _sample_initial(self, rng: np.random.Generator, size=None):
-        n = 1 if size is None else int(size)
-        u = rng.random(n)
+    def _sample_initial(self, rng: np.random.Generator, size: int):
+        u = rng.random(int(size))
         idx = np.minimum((u[:, None] > self._init_cdf[None, :]).sum(axis=1),
                          len(self.states) - 1)
-        out = self.states[idx]
-        return out if size is not None else out[0]
+        return self.states[idx]
 
 
 def _interval_space(lower: float, upper: float) -> StateSpace:
@@ -110,16 +104,15 @@ def _linear_obs(n: int, alpha: float, beta_fn, beta_deriv_bound: float,
 
     def mean_fn(t, x):
         x = np.asarray(x, dtype=float)
-        return alpha * np.repeat(x[..., :1], n, axis=-1)
+        return alpha * np.repeat(x[:, :1], n, axis=1)
 
     def cov_fn(t, x):
         x = np.asarray(x, dtype=float)
-        s = beta_fn(x[..., 0])
-        return s[..., None, None] * np.eye(n) if np.ndim(s) else s * np.eye(n)
+        return beta_fn(x[:, 0])[:, None, None] * np.eye(n)
 
     return ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
                             sigma_xi_sq=sigma_xi_sq, obs_scale=scale,
-                            stationary=True, vectorized=True)
+                            stationary=True)
 
 
 def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
@@ -141,20 +134,15 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         return ndtr(za), ndtr(zb)
 
     def sampler(t, x_prev, rng):
-        xp = np.asarray(x_prev, dtype=float)
-        batched = xp.ndim == 2
-        loc = (xp if batched else xp[None, :])[:, 0]
+        loc = np.asarray(x_prev, dtype=float)[:, 0]
         fa, fb = _trunc_bounds(loc)
         u = rng.random(len(loc))
         draw = loc + step_sigma * ndtri(fa + u * (fb - fa))
-        draw = np.clip(draw, a, b)
-        out = draw[:, None]
-        return out if batched else out[0]
+        return np.clip(draw, a, b)[:, None]
 
-    def density(t, x_prev, x_next):
-        loc = float(np.asarray(x_prev, dtype=float).ravel()[0])
-        xs = np.asarray(x_next, dtype=float)
-        xs1 = xs[..., 0] if xs.ndim > 1 else xs
+    def density(t, x_prev, xs):
+        loc = float(x_prev[0])
+        xs1 = np.asarray(xs, dtype=float)[:, 0]
         fa, fb = _trunc_bounds(loc)
         z = (xs1 - loc) / step_sigma
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -165,20 +153,16 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         z = np.asarray(dx, dtype=float)[:, 0] / step_sigma
         return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * step_sigma)
 
-    def initial_sampler(rng, size=None):
-        n_draw = 1 if size is None else int(size)
-        out = rng.uniform(a, b, size=(n_draw, 1))
-        return out if size is not None else out[0]
+    def initial_sampler(rng, size):
+        return rng.uniform(a, b, size=(int(size), 1))
 
-    def initial_density(x):
-        xs = np.asarray(x, dtype=float)
-        xs1 = xs[..., 0] if xs.ndim > 1 else xs
+    def initial_density(xs):
+        xs1 = np.asarray(xs, dtype=float)[:, 0]
         return np.where((xs1 >= a) & (xs1 <= b), 1.0 / (b - a), 0.0)
 
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
-                              order=1, vectorized=True,
-                              increment_density=increment_density)
+                              order=1, increment_density=increment_density)
     obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, 2.0 * hi2,
                       sigma_xi_sq, scale)
     constants = AssumptionConstants(
@@ -224,8 +208,8 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
     lo2, hi2 = _abs_extremes(lower, upper)
     raw_floor = beta + sigma_xi_sq
     scale = _scale_for_target(raw_floor, obs_scale, lambda_inf_target)
-    obs = _linear_obs(n, alpha, lambda x1: np.broadcast_to(beta, np.shape(x1)).astype(float)
-                      if np.ndim(x1) else float(beta), 0.0, sigma_xi_sq, scale)
+    obs = _linear_obs(n, alpha, lambda x1: np.full(x1.shape, float(beta)), 0.0,
+                      sigma_xi_sq, scale)
     constants = AssumptionConstants(
         lambda_inf=scale**2 * raw_floor,
         lambda_sup=scale**2 * raw_floor,
@@ -254,29 +238,21 @@ def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,
     point = np.array([float(value)])
 
     def sampler(t, x_prev, rng):
-        xp = np.asarray(x_prev, dtype=float)
-        return np.broadcast_to(point, xp.shape).copy()
+        return np.tile(point, (len(x_prev), 1))
 
-    def initial_sampler(rng, size=None):
-        if size is None:
-            return point.copy()
-        return np.broadcast_to(point, (int(size), 1)).copy()
+    def initial_sampler(rng, size):
+        return np.tile(point, (int(size), 1))
 
     def mean_fn(t, x):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1] + (n,)
-        return np.broadcast_to(float(mean_const), shape).copy()
+        return np.full((len(x), n), float(mean_const))
 
     def cov_fn(t, x):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1] + (n, n)
-        return np.broadcast_to(float(cov_const) * np.eye(n), shape).copy()
+        return np.tile(float(cov_const) * np.eye(n), (len(x), 1, 1))
 
-    kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
-                              order=1, vectorized=True)
+    kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler, order=1)
     obs = ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
                            sigma_xi_sq=sigma_xi_sq, obs_scale=obs_scale,
-                           stationary=True, vectorized=True)
+                           stationary=True)
     lam = obs_scale**2 * (cov_const + sigma_xi_sq)
     constants = AssumptionConstants(
         lambda_inf=lam, lambda_sup=lam,

@@ -96,10 +96,10 @@ def test_scalar_covariance_closed_form_constants():
     # |1/cx - 1/cy| = |cx - cy| / (cx cy) <= |x - y| / 1.5^2
     space = gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0]))
     kernel = gf.TransitionKernel(
-        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=1),
-        initial_sampler=lambda rng: rng.uniform(0.0, 1.0, size=1))
-    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros(1),
-                              cov_fn=lambda t, x: (1.0 + float(x[0])) * np.eye(1),
+        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=x.shape),
+        initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 1)))
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
+                              cov_fn=lambda t, x: (1.0 + x[:, 0])[:, None, None] * np.eye(1),
                               sigma_xi_sq=0.5)
     constants = gf.AssumptionConstants(lambda_inf=1.5, lambda_sup=2.5,
                                        mu_sup=0.0, k_mu=0.0, k_sigma=1.0)

@@ -172,6 +172,25 @@ def test_verify_bounds_passes_on_demo(workdir, capsys):
     assert (tmp / "out" / "bounds.csv").exists()
 
 
+def test_verify_bounds_runs_the_lipschitz_suite_once(workdir, monkeypatch):
+    tmp, cfg = workdir
+    calls = []
+    suite = gf.bounds.check_lipschitz_suite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr("gridfilter.bounds.check_lipschitz_suite", counted)
+    monkeypatch.setattr("gridfilter.cli.check_lipschitz_suite", counted)
+    assert main(["verify-bounds", "--config", cfg]) == 0
+    assert len(calls) == 1
+    _, header, data = gf.read_csv(str(tmp / "out" / "bounds.csv"), numeric=False)
+    assert [row[0] for row in data] == [
+        "product-difference-fro", "adjugate-norm-2d", "adjugate-norm-3d",
+        "adjugate-norm-5d", "covariance-lipschitz-suite", "quadform-difference"]
+
+
 def test_verify_concentration_passes_on_demo(workdir, capsys):
     tmp, cfg = workdir
     assert main(["verify-concentration", "--config", cfg]) == 0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import gridfilter as gf
+from gridfilter.filtering import _logsumexp
 
 
 def interval_spec(lower=0.5, upper=2.5, n=2):
@@ -330,3 +333,55 @@ def test_exact_filter_stack_matches_single_runs():
     for b in range(4):
         np.testing.assert_allclose(stacked[b], gf.exact_forward_filter(fspec, obs[b]),
                                    rtol=0, atol=1e-12)
+
+
+# Property tests on random injected chains: B <= 4 trajectories, K <= 6
+# cells, horizon T <= 4.
+
+def random_stack(b, k, horizon, seed):
+    spec = interval_spec()
+    rng = gf.make_rng(seed)
+    chain = random_chain(gf.Grid(spec.space, k), rng)
+    return spec, chain, 1.5 * rng.standard_normal((b, horizon + 1, spec.obs.n))
+
+
+stacks = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(0, 4),
+                   st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks, st.randoms(use_true_random=False))
+def test_permuting_a_stack_permutes_its_estimates(case, random):
+    spec, chain, obs = random_stack(*case)
+    perm = list(range(len(obs)))
+    random.shuffle(perm)
+    res = gf.run_grid_filter(spec, chain, obs)
+    shuffled = gf.run_grid_filter(spec, chain, obs[perm])
+    assert np.array_equal(shuffled.estimates, res.estimates[perm])
+    assert np.array_equal(shuffled.log_norms, res.log_norms[perm])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks)
+def test_estimates_stay_inside_the_grid_centers(case):
+    spec, chain, obs = random_stack(*case)
+    centers = chain.grid.centers
+    est = gf.run_grid_filter(spec, chain, obs).estimates
+    assert np.all(est >= centers.min(axis=0)) and np.all(est <= centers.max(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks)
+def test_log_norm_increments_are_the_step_normalizers(case):
+    spec, chain, obs = random_stack(*case)
+    log_norms = gf.run_grid_filter(spec, chain, obs).log_norms
+    log_weights = np.log(chain.initial)
+    for t in range(obs.shape[1]):
+        if t > 0:
+            log_weights = np.log(np.exp(log_weights) @ chain.transition)
+        unnormalized = log_weights + gf.log_lambda_hat_at_points(
+            spec, t, chain.grid.centers, obs[:, t])
+        increment = _logsumexp(unnormalized)
+        previous = log_norms[:, t - 1] if t > 0 else 0.0
+        assert np.allclose(log_norms[:, t] - previous, increment, rtol=0, atol=1e-12)
+        log_weights = unnormalized - increment[:, None]

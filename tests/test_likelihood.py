@@ -9,8 +9,8 @@ import gridfilter as gf
 def make_spec(n, mean_fn, cov_fn, sigma_xi_sq=1.0, lam=(1.5, 4.0)):
     space = gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0]))
     kernel = gf.TransitionKernel(
-        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=1),
-        initial_sampler=lambda rng: rng.uniform(0.0, 1.0, size=1))
+        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=x.shape),
+        initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 1)))
     obs = gf.ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
                               sigma_xi_sq=sigma_xi_sq)
     constants = gf.AssumptionConstants(lambda_inf=lam[0], lambda_sup=lam[1],
@@ -18,12 +18,18 @@ def make_spec(n, mean_fn, cov_fn, sigma_xi_sq=1.0, lam=(1.5, 4.0)):
     return gf.SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants)
 
 
+def constant(value):
+    """Batched callback returning ``value`` at every state."""
+    value = np.asarray(value, dtype=float)
+    return lambda t, x: np.broadcast_to(value, (len(x),) + value.shape)
+
+
 X = np.array([0.5])
 
 
 def test_frozen_unit_covariance_value():
     # C = I, mean 0, y = 2: full ratio is exactly 1, reduced form is -||y||^2/2.
-    spec = make_spec(1, lambda t, x: np.zeros(1), lambda t, x: 0.5 * np.eye(1),
+    spec = make_spec(1, constant(np.zeros(1)), constant(0.5 * np.eye(1)),
                      sigma_xi_sq=0.5)
     y = np.array([2.0])
     assert gf.log_lambda(spec, 0, X, y) == pytest.approx(0.0, abs=1e-13)
@@ -32,8 +38,8 @@ def test_frozen_unit_covariance_value():
 
 def test_frozen_scalar_log_det_value():
     # C = e, y = 0: only the -log(det)/2 term survives.
-    spec = make_spec(1, lambda t, x: np.zeros(1),
-                     lambda t, x: (math.e - 1.0) * np.eye(1), sigma_xi_sq=1.0)
+    spec = make_spec(1, constant(np.zeros(1)),
+                     constant((math.e - 1.0) * np.eye(1)), sigma_xi_sq=1.0)
     y = np.array([0.0])
     assert gf.log_lambda(spec, 0, X, y) == pytest.approx(-0.5, abs=1e-13)
     assert gf.log_lambda_hat(spec, 0, X, y) == pytest.approx(-0.5, abs=1e-13)
@@ -42,8 +48,8 @@ def test_frozen_scalar_log_det_value():
 def test_frozen_two_dim_value():
     # mean (1,0), C = diag(2,4), y = (1,2): residual (0,2),
     # log ratio = 5/2 - 1/2 - log(8)/2.
-    spec = make_spec(2, lambda t, x: np.array([1.0, 0.0]),
-                     lambda t, x: np.diag([1.0, 3.0]), sigma_xi_sq=1.0)
+    spec = make_spec(2, constant([1.0, 0.0]), constant(np.diag([1.0, 3.0])),
+                     sigma_xi_sq=1.0)
     y = np.array([1.0, 2.0])
     expected = 2.0 - 0.5 * math.log(8.0)
     assert gf.log_lambda(spec, 0, X, y) == pytest.approx(expected, abs=1e-13)
@@ -64,10 +70,7 @@ def test_matches_dense_two_by_two_formula():
     # oracle: explicit inverse and determinant of a 2x2
     a, b, c = 3.0, 0.7, 2.0
 
-    def cov_fn(t, x):
-        return np.array([[a, b], [b, c]]) - np.eye(2)
-
-    spec = make_spec(2, lambda t, x: np.array([0.2, -0.1]), cov_fn,
+    spec = make_spec(2, constant([0.2, -0.1]), constant(np.array([[a, b], [b, c]]) - np.eye(2)),
                      sigma_xi_sq=1.0)
     y = np.array([0.9, -1.3])
     resid = y - np.array([0.2, -0.1])
@@ -79,12 +82,18 @@ def test_matches_dense_two_by_two_formula():
 
 
 def test_degenerate_covariance_is_reported_with_location():
-    spec = make_spec(1, lambda t, x: np.zeros(1),
-                     lambda t, x: -1.0 * np.eye(1), sigma_xi_sq=0.5)
+    spec = make_spec(1, constant(np.zeros(1)), constant(-1.0 * np.eye(1)),
+                     sigma_xi_sq=0.5)
     with pytest.raises(gf.ModelDefinitionError, match="t=0"):
         gf.log_lambda(spec, 0, X, np.array([1.0]))
     with pytest.raises(gf.ModelDefinitionError, match="t=0"):
         gf.log_lambda_hat_at_points(spec, 0, X[None], np.array([1.0]))
+
+
+def test_callback_without_batch_axis_is_named():
+    spec = make_spec(2, lambda t, x: np.zeros(2), constant(np.eye(2)))
+    with pytest.raises(gf.ModelDefinitionError, match=r"mean_fn shape \(2,\) at t=0"):
+        gf.log_lambda_hat_at_points(spec, 0, np.array([[0.2], [0.7]]), np.zeros(2))
 
 
 def test_reduced_product_decays_with_eigenvalue_floor():
@@ -118,11 +127,16 @@ def test_batched_evaluation_matches_pointwise():
 def test_whitened_batch_matches_pointwise_for_time_varying_full_covariance():
     # non-diagonal covariance that moves with t and x: the inverse Cholesky
     # factors are recomputed per step and must whiten like a triangular solve
-    def cov_fn(t, x):
-        u = np.array([1.0, x[0], 0.5 * t])
-        return np.outer(u, u) + np.diag([0.3, 0.2 + x[0], 0.1 * (t + 1)])
+    def mean_fn(t, x):
+        return np.stack([x[:, 0], -t * x[:, 0], np.full(len(x), 0.2)], axis=1)
 
-    spec = make_spec(3, lambda t, x: np.array([x[0], -t * x[0], 0.2]), cov_fn)
+    def cov_fn(t, x):
+        u = np.stack([np.ones(len(x)), x[:, 0], np.full(len(x), 0.5 * t)], axis=1)
+        diag = np.stack([np.full(len(x), 0.3), 0.2 + x[:, 0],
+                         np.full(len(x), 0.1 * (t + 1))], axis=1)
+        return u[:, :, None] * u[:, None, :] + diag[:, :, None] * np.eye(3)
+
+    spec = make_spec(3, mean_fn, cov_fn)
     pts = gf.Grid(spec.space, 9).centers
     ws = gf.QuadFormWorkspace(spec, pts)
     rng = gf.make_rng(14)
@@ -147,7 +161,7 @@ def test_workspace_reuse_is_transparent():
 
 def test_rotation_invariance_of_isotropic_model():
     # isotropic covariance, zero mean: the value depends on y only through ||y||
-    spec = make_spec(3, lambda t, x: np.zeros(3), lambda t, x: 2.0 * np.eye(3),
+    spec = make_spec(3, constant(np.zeros(3)), constant(2.0 * np.eye(3)),
                      sigma_xi_sq=1.0)
     rng = gf.make_rng(21)
     y = rng.standard_normal(3)
@@ -158,7 +172,7 @@ def test_rotation_invariance_of_isotropic_model():
 
 
 def test_long_horizon_high_dim_stays_finite():
-    spec = make_spec(8, lambda t, x: np.zeros(8), lambda t, x: np.eye(8),
+    spec = make_spec(8, constant(np.zeros(8)), constant(np.eye(8)),
                      sigma_xi_sq=1.0)
     rng = gf.make_rng(30)
     total = 0.0

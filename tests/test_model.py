@@ -109,12 +109,27 @@ def test_validate_accepts_demo_and_rejects_bad_density():
         sampler=spec.kernel.sampler,
         initial_sampler=spec.kernel.initial_sampler,
         density=lambda t, x, xn: 0.5 * spec.kernel.density(t, x, xn),
-        initial_density=spec.kernel.initial_density,
-        vectorized=spec.kernel.vectorized)
+        initial_density=spec.kernel.initial_density)
     bad = gf.SystemSpec(space=spec.space, kernel=bad_kernel, obs=spec.obs,
                         constants=spec.constants, model_id="bad")
     with pytest.raises(gf.ModelDefinitionError):
         bad.validate()
+
+
+@pytest.mark.parametrize("scale, accepted", [(1.0, True), (0.5, False)])
+def test_validate_resolves_the_mass_of_a_narrow_step(scale, accepted):
+    # sigma = 0.01 is a tenth of a 64-panel width on [-3, 3]; the mass
+    # quadrature must refine until it resolves the step, and still reject a
+    # density of half the mass
+    spec = gf.build_model("gauss_walk", lower=-3.0, upper=3.0, step_sigma=0.01)
+    density = spec.kernel.density
+    scaled = dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, density=lambda t, x, xs: scale * density(t, x, xs)))
+    if accepted:
+        scaled.validate()
+    else:
+        with pytest.raises(gf.ModelDefinitionError, match="mass 0.5"):
+            scaled.validate()
 
 
 def test_validate_rejects_increment_density_of_another_step():
@@ -124,6 +139,14 @@ def test_validate_rejects_increment_density_of_another_step():
         spec, kernel=dataclasses.replace(spec.kernel, increment_density=wrong))
     with pytest.raises(gf.ModelDefinitionError, match="x_prev="):
         bad.validate()
+
+
+def test_validate_rejects_a_sampler_that_drops_the_state_axis():
+    spec = gf.build_model("gauss_walk")
+    flat = dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, sampler=lambda t, x, rng: spec.kernel.sampler(t, x, rng)[:, 0]))
+    with pytest.raises(gf.ModelDefinitionError, match="sampler shape"):
+        flat.validate()
 
 
 def test_validate_rejects_eigenvalue_floor_at_one():
@@ -137,8 +160,8 @@ def test_verify_assumptions_quadratic_cov_is_tight():
     space = gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0]))
     obs = gf.ObservationModel(
         n=2,
-        mean_fn=lambda t, x: np.zeros(2),
-        cov_fn=lambda t, x: (1.0 + float(x[0]) ** 2) * np.eye(2),
+        mean_fn=lambda t, x: np.zeros((len(x), 2)),
+        cov_fn=lambda t, x: (1.0 + x[:, 0] ** 2)[:, None, None] * np.eye(2),
         sigma_xi_sq=1.0)
     base = gf.build_model("gauss_walk")
     constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=3.0,

@@ -75,9 +75,9 @@ def test_identity_kernel_gives_identity_chain():
     space = gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0]))
     kernel = gf.TransitionKernel(
         sampler=lambda t, x, rng: x,
-        initial_sampler=lambda rng: rng.uniform(0.0, 1.0, size=1))
-    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros(1),
-                              cov_fn=lambda t, x: np.eye(1), sigma_xi_sq=1.0)
+        initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 1)))
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
+                              cov_fn=lambda t, x: np.ones((len(x), 1, 1)), sigma_xi_sq=1.0)
     constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0,
                                        mu_sup=0.0, k_mu=0.0, k_sigma=0.0)
     spec = gf.SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants)
@@ -89,10 +89,10 @@ def test_identity_kernel_gives_identity_chain():
 def test_uniform_kernel_rows_are_flat():
     space = gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0]))
     kernel = gf.TransitionKernel(
-        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=1),
-        initial_sampler=lambda rng: rng.uniform(0.0, 1.0, size=1))
-    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros(1),
-                              cov_fn=lambda t, x: np.eye(1), sigma_xi_sq=1.0)
+        sampler=lambda t, x, rng: rng.uniform(0.0, 1.0, size=x.shape),
+        initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 1)))
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
+                              cov_fn=lambda t, x: np.ones((len(x), 1, 1)), sigma_xi_sq=1.0)
     constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0,
                                        mu_sup=0.0, k_mu=0.0, k_sigma=0.0)
     spec = gf.SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants)
@@ -139,7 +139,7 @@ def test_second_order_kernel_is_refused():
                              initial_sampler=spec.kernel.initial_sampler,
                              density=spec.kernel.density,
                              initial_density=spec.kernel.initial_density,
-                             order=2, vectorized=spec.kernel.vectorized)
+                             order=2)
     spec2 = gf.SystemSpec(space=spec.space, kernel=k2, obs=spec.obs,
                           constants=spec.constants)
     with pytest.raises(gf.ChainConstructionError):
@@ -214,13 +214,12 @@ def test_increment_density_on_two_dim_box_is_refused():
     space = gf.StateSpace(lower=np.zeros(2), upper=np.ones(2))
     kernel = gf.TransitionKernel(
         sampler=lambda t, x, rng: x,
-        initial_sampler=lambda rng, size=None: rng.uniform(0.0, 1.0, size=(size or 1, 2)),
+        initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 2)),
         density=lambda t, x_prev, xs: np.ones(len(xs)),
         initial_density=lambda xs: np.ones(len(xs)),
-        vectorized=True,
         increment_density=lambda dx: np.ones(len(dx)))
-    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros(1),
-                              cov_fn=lambda t, x: np.eye(1), sigma_xi_sq=1.0)
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
+                              cov_fn=lambda t, x: np.ones((len(x), 1, 1)), sigma_xi_sq=1.0)
     constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0,
                                        mu_sup=0.0, k_mu=0.0, k_sigma=0.0)
     spec = gf.SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants)
