@@ -112,7 +112,11 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     """Advance the posterior by one observation, for one trajectory or a stack.
 
     ``y`` is (N,) or (B, N) and ``state.log_weights`` is (K,) or (B, K); the
-    two broadcast, so a single initial state can start a whole stack.
+    two broadcast, so a single initial state can start a whole stack.  The
+    prediction is ``chain.predict``: a direct convolution with the chain's
+    offset profile for one trajectory when the chain has one, the matrix
+    product otherwise; log-weights whose last axis is not K raise
+    ``DomainError``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -121,7 +125,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
     weights = np.exp(state.log_weights)
-    predicted = weights if state.t == -1 else weights @ chain.transition
+    predicted = weights if state.t == -1 else chain.predict(weights)
     with np.errstate(divide="ignore"):
         log_predicted = np.log(predicted)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)

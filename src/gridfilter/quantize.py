@@ -126,12 +126,22 @@ def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], flo
 
 @dataclass
 class QuantizedChain:
-    """Finite chain on grid-cell centers: row-stochastic transition + initial law."""
+    """Finite chain on grid-cell centers: row-stochastic transition + initial law.
+
+    A chain whose rows are one shifted offset profile (``build_chain`` with
+    an ``increment_density`` kernel) also carries that profile and its row
+    masses: ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``,
+    with ``profile`` of shape (2K-1,) and ``row_mass`` of shape (K,).  Both
+    are given together or not at all; ``transition`` stays the full matrix
+    either way and is the oracle ``predict`` is tested against.
+    """
 
     grid: Grid
     transition: np.ndarray
     initial: np.ndarray
     build_method: str = "direct"
+    profile: Optional[np.ndarray] = None
+    row_mass: Optional[np.ndarray] = None
 
     def __post_init__(self):
         k = self.grid.total_points
@@ -153,6 +163,66 @@ class QuantizedChain:
         if abs(self.initial.sum() - 1.0) > 1e-12:
             raise ChainConstructionError(
                 f"initial law sums to {self.initial.sum()!r}, not 1")
+        if (self.profile is None) != (self.row_mass is None):
+            raise ChainConstructionError(
+                "profile and row_mass must be given together")
+        if self.profile is not None:
+            self._check_profile(k)
+
+    def _check_profile(self, k: int) -> None:
+        """O(K) consistency of profile and row_mass with the matrix: shapes,
+        signs, and the first and last rows, which between them read every
+        profile entry."""
+        self.profile = np.asarray(self.profile, dtype=float)
+        self.row_mass = np.asarray(self.row_mass, dtype=float)
+        if self.profile.shape != (2 * k - 1,):
+            raise ChainConstructionError(
+                f"profile shape {self.profile.shape}, expected {(2 * k - 1,)}")
+        bad = ~(np.isfinite(self.profile) & (self.profile >= 0))
+        if np.any(bad):
+            d = int(np.argmax(bad))
+            raise ChainConstructionError(
+                f"profile entry {d} is {self.profile[d]}, not finite and >= 0")
+        if self.row_mass.shape != (k,):
+            raise ChainConstructionError(
+                f"row_mass shape {self.row_mass.shape}, expected {(k,)}")
+        bad = ~(np.isfinite(self.row_mass) & (self.row_mass > 0))
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            raise ChainConstructionError(
+                f"row_mass entry {r} is {self.row_mass[r]}, not finite and > 0")
+        for row, window in ((0, self.profile[k - 1:]), (k - 1, self.profile[:k])):
+            expected = window / self.row_mass[row]
+            given = self.transition[row]
+            off = ~(np.abs(given - expected) <= 1e-12 * expected)
+            if np.any(off):
+                c = int(np.argmax(off))
+                raise ChainConstructionError(
+                    f"transition row {row} differs from profile / row_mass[{row}] "
+                    f"at column {c}: {given[c]} vs {expected[c]}")
+
+    def predict(self, weights: np.ndarray) -> np.ndarray:
+        """One step of the chain: ``weights @ transition`` for (K,) or (B, K)
+        weights.
+
+        A single trajectory (K,) or (1, K) on a chain with a profile is
+        summed directly as ``convolve(profile, weights / row_mass, "valid")``:
+        O(K) memory traffic instead of the K×K matrix, and a sum of
+        non-negative terms, so small predicted masses keep their relative
+        precision (an FFT convolution would not).  Stacks of two or more
+        keep the matrix product, which is faster for them.
+        """
+        k = self.grid.total_points
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim == 0 or weights.shape[-1] != k:
+            given = weights.shape[-1] if weights.ndim else "a scalar"
+            raise DomainError(
+                f"weights have length {given} along the last axis, the chain "
+                f"has K={k} cells")
+        if self.profile is None or weights.size != k:
+            return weights @ self.transition
+        flat = weights.reshape(k) / self.row_mass
+        return np.convolve(self.profile, flat, "valid").reshape(weights.shape)
 
     def to_csv(self, path: str, extra_meta: Optional[dict] = None) -> None:
         meta = {
@@ -207,8 +277,11 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     integrates that profile once, relative to the first and the last center
     (2 * quad_order * K evaluations instead of quad_order * K^2), and
     copies it into the matrix as a Toeplitz view before the renormalization.
-    Kernels without the hook take the row-by-row path, which is also the
-    reference the profile path is tested against.
+    The chain keeps that profile and the row masses it was divided by, so
+    ``QuantizedChain.predict`` can convolve with them instead of reading
+    the matrix.  Kernels without the hook take the row-by-row path, which is
+    also the reference the profile path is tested against; their chains,
+    like monte_carlo ones, carry no profile.
     """
     if spec.kernel.order != 1:
         raise ChainConstructionError(
@@ -216,6 +289,7 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     k = grid.total_points
     centers = grid.centers
     transition = np.empty((k, k))
+    profile = None
 
     if method == "quadrature":
         if spec.kernel.density is None or spec.kernel.initial_density is None:
@@ -269,4 +343,5 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
         raise ChainConstructionError("initial law received zero mass")
     initial = initial / init_mass
     return QuantizedChain(grid=grid, transition=transition, initial=initial,
-                          build_method=label)
+                          build_method=label, profile=profile,
+                          row_mass=None if profile is None else row_mass)

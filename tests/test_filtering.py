@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,3 +387,65 @@ def test_log_norm_increments_are_the_step_normalizers(case):
         previous = log_norms[:, t - 1] if t > 0 else 0.0
         assert np.allclose(log_norms[:, t] - previous, increment, rtol=0, atol=1e-12)
         log_weights = unnormalized - increment[:, None]
+
+
+# Chains with an offset profile predict a single trajectory by direct
+# convolution; the dense product and stacks of two or more stay the oracle.
+# The walk is random: box [lower, lower + width] in K cells, step sigma of
+# 10^log_sigma cell widths.
+
+def walk(lower, width, log_sigma, k, n=2):
+    spec = gf.build_model("gauss_walk", lower=lower, upper=lower + width,
+                          step_sigma=width / k * 10.0**log_sigma, n=n)
+    chain = gf.build_chain(spec, gf.Grid(spec.space, k), "quadrature")
+    assert chain.profile is not None
+    return spec, chain
+
+
+boxes = (st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-0.7, 3.5))
+
+
+def assert_runs_agree(a, b, index=()):
+    for field in ("estimates", "log_norms"):
+        np.testing.assert_allclose(getattr(a, field), getattr(b, field)[index],
+                                   rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(*boxes, st.integers(0, 2**16))
+def test_profile_run_matches_dense_run(lower, width, log_sigma, seed):
+    spec, chain = walk(lower, width, log_sigma, 512)
+    obs = gf.simulate(spec, 200, seed=seed).observations
+    dense = dataclasses.replace(chain, profile=None, row_mass=None)
+    assert_runs_agree(gf.run_grid_filter(spec, chain, obs),
+                      gf.run_grid_filter(spec, dense, obs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(*boxes, st.integers(1, 300), st.integers(0, 2**16))
+def test_single_profile_run_matches_a_stack_of_two(lower, width, log_sigma, k, seed):
+    spec, chain = walk(lower, width, log_sigma, k)
+    obs = gf.simulate(spec, 200, seed=seed).observations
+    single = gf.run_grid_filter(spec, chain, obs)
+    stacked = gf.run_grid_filter(spec, chain, np.stack([obs, obs]))
+    for b in range(2):
+        assert_runs_agree(single, stacked, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*boxes, st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**16))
+def test_profile_run_matches_path_sum(lower, width, log_sigma, k, horizon, seed):
+    spec, chain = walk(lower, width, log_sigma, k, n=1)
+    obs = gf.simulate(spec, horizon, seed=seed).observations
+    est = gf.run_grid_filter(spec, chain, obs).estimates
+    oracle = gf.path_sum_oracle(spec, chain, obs)
+    np.testing.assert_allclose(est, oracle, rtol=1e-12, atol=0)
+
+
+def test_state_of_another_length_is_a_domain_error():
+    spec = interval_spec()
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 8), "quadrature")
+    other = gf.build_chain(spec, gf.Grid(spec.space, 6), "quadrature")
+    state = gf.run_grid_filter(spec, other, np.zeros((1, 2))).final_state
+    with pytest.raises(gf.DomainError, match="length 6 .*K=8"):
+        gf.grid_filter_step(chain, spec, state, np.zeros(2))

@@ -228,3 +228,96 @@ def test_increment_density_on_two_dim_box_is_refused():
     # the row-by-row path still handles the same density on the same box
     chain = gf.build_chain(without_hook(spec), gf.Grid(space, 3), "quadrature")
     assert np.allclose(chain.transition, 1.0 / 9.0)
+
+
+# Chains that carry their offset profile: transition[r, c] equals
+# profile[c - r + K - 1] / row_mass[r], and predict convolves with it.
+
+def profile_chain():
+    spec = gf.build_model("gauss_walk")
+    return gf.build_chain(spec, gf.Grid(spec.space, 8), "quadrature")
+
+
+def test_only_profile_chains_carry_a_profile():
+    chain = profile_chain()
+    assert chain.profile.shape == (15,) and chain.row_mass.shape == (8,)
+    rows = gf.build_chain(without_hook(gf.build_model("gauss_walk")),
+                          gf.Grid(chain.grid.space, 8), "quadrature")
+    assert rows.profile is None and rows.row_mass is None
+    # a relative mismatch within 1e-12 is accepted
+    dataclasses.replace(chain, row_mass=chain.row_mass * (1 + 1e-14))
+
+
+def _scaled(array, index, factor):
+    out = array.copy()
+    out[index] *= factor
+    return out
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: {"profile": c.profile[:-1]}, r"profile shape \(14,\), expected \(15,\)"),
+    (lambda c: {"profile": _scaled(c.profile, 3, np.nan)}, "profile entry 3 is nan"),
+    (lambda c: {"profile": _scaled(c.profile, 5, np.inf)}, "profile entry 5 is inf"),
+    (lambda c: {"profile": _scaled(c.profile, 0, -1.0)}, "profile entry 0 is -"),
+    (lambda c: {"row_mass": c.row_mass[1:]}, r"row_mass shape \(7,\), expected \(8,\)"),
+    (lambda c: {"row_mass": _scaled(c.row_mass, 2, 0.0)}, "row_mass entry 2 is 0.0"),
+    (lambda c: {"row_mass": None}, "given together"),
+    (lambda c: {"profile": None}, "given together"),
+    (lambda c: {"row_mass": _scaled(c.row_mass, 0, 1 + 1e-9)}, "transition row 0 "),
+    (lambda c: {"row_mass": _scaled(c.row_mass, 7, 1 + 1e-9)}, "transition row 7 "),
+    (lambda c: {"profile": _scaled(c.profile, 10, 1 + 1e-9)}, "transition row 0 .* column 3"),
+    (lambda c: {"profile": _scaled(c.profile, 2, 1 + 1e-9)}, "transition row 7 .* column 2"),
+], ids=["profile-shape", "profile-nan", "profile-inf", "profile-negative",
+        "row-mass-shape", "row-mass-zero", "profile-alone", "row-mass-alone",
+        "row-0", "row-K-1", "profile-in-row-0", "profile-in-row-K-1"])
+def test_inconsistent_profile_is_refused(change, message):
+    chain = profile_chain()
+    with pytest.raises(gf.ChainConstructionError, match=message):
+        dataclasses.replace(chain, **change(chain))
+
+
+@pytest.mark.parametrize("with_profile", [True, False])
+def test_predict_rejects_weights_of_another_length(with_profile):
+    chain = profile_chain()
+    if not with_profile:
+        chain = dataclasses.replace(chain, profile=None, row_mass=None)
+    with pytest.raises(gf.DomainError, match="length 7 .*K=8"):
+        chain.predict(np.full(7, 1 / 7))
+    with pytest.raises(gf.DomainError, match="length 9 .*K=8"):
+        chain.predict(np.full((3, 9), 1 / 9))
+    with pytest.raises(gf.DomainError, match="a scalar .*K=8"):
+        chain.predict(1.0)
+
+
+# A random walk with drift: box [lower, lower + width] in K cells, step
+# sigma of 10^log_sigma cell widths, mean step of drift * sigma (a drift
+# makes the profile and the row masses asymmetric).  Steps much narrower than
+# a fifth of a cell fall between the quadrature nodes and leave rows without
+# mass.
+walks = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-0.7, 3.5),
+                  st.integers(1, 300), st.floats(-2.0, 2.0))
+
+
+def drifting_walk_chain(lower, width, log_sigma, k, drift):
+    sigma = width / k * 10.0**log_sigma
+    spec = gf.build_model("gauss_walk", lower=lower, upper=lower + width,
+                          step_sigma=sigma)
+    spec = without_hook(spec, increment_density=lambda dx: np.exp(
+        -0.5 * ((dx[:, 0] - drift * sigma) / sigma) ** 2))
+    return gf.build_chain(spec, gf.Grid(spec.space, k), "quadrature")
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks, st.integers(0, 2**16))
+def test_structured_predict_matches_the_matrix_product(walk, seed):
+    chain = drifting_walk_chain(*walk)
+    k = chain.grid.total_points
+    rng = gf.make_rng(seed)
+    # mass spread over 300 decades, with exact zeros
+    weights = rng.random(k) * 10.0 ** -rng.integers(0, 301, k)
+    weights[rng.random(k) < 0.3] = 0.0
+    dense = weights @ chain.transition
+    # relative precision holds down to the smallest normal float; below it
+    # products are subnormal in both sums and carry fewer digits
+    for fast in (chain.predict(weights), chain.predict(weights[None])[0]):
+        assert np.all(np.abs(fast - dense) <= 1e-13 * dense + np.finfo(float).tiny)
