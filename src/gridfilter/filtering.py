@@ -113,10 +113,10 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 
     ``y`` is (N,) or (B, N) and ``state.log_weights`` is (K,) or (B, K); the
     two broadcast, so a single initial state can start a whole stack.  The
-    prediction is ``chain.predict``: a direct convolution with the chain's
-    offset profile for one trajectory when the chain has one, the matrix
-    product otherwise; log-weights whose last axis is not K raise
-    ``DomainError``.
+    prediction is ``chain.predict``: on a chain with an offset profile a
+    direct convolution for one trajectory and Toeplitz blocks for a stack,
+    the matrix product otherwise; log-weights whose last axis is not K
+    raise ``DomainError``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -178,8 +178,9 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
                     use_full_likelihood: bool = False) -> FilterRunResult:
     """Fold the step over observations of shape (T+1, N) or (B, T+1, N).
 
-    A stack of B trajectories shares the chain and advances in one matrix
-    product per step; its estimates are (B, T+1, M) and its log-normalizers
+    A stack of B trajectories shares the chain and advances in one
+    ``chain.predict`` call per step, which never reads a profile chain's
+    dense matrix; its estimates are (B, T+1, M) and its log-normalizers
     (B, T+1).  Inputs are validated here, once, with ``DomainError``.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))

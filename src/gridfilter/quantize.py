@@ -124,20 +124,56 @@ def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], flo
     return dev
 
 
+class _DenseOnDemand:
+    """``QuantizedChain.transition``: the matrix as given, or, for a chain
+    given only its profile, ``sliding_window_view(profile, K)[::-1] /
+    row_mass[:, None]`` built on first read and kept.  No class-level
+    default, so the dataclass field stays a required argument."""
+
+    def __get__(self, chain, owner=None):
+        if chain is None:
+            raise AttributeError("transition")
+        if chain._transition is None:
+            k = chain.grid.total_points
+            chain._transition = (sliding_window_view(chain.profile, k)[::-1]
+                                 / chain.row_mass[:, None])
+        return chain._transition
+
+    def __set__(self, chain, value):
+        chain._transition = None if value is None else np.asarray(value, dtype=float)
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = at[0] if len(at) == 1 else at
+        raise ChainConstructionError(
+            f"{name} entry {where} is {values[at]}, not finite")
+
+
+# Stacks are predicted in b x b blocks, b = min(_BLOCK, K): every block on
+# one block-diagonal of a Toeplitz matrix is the same.
+_BLOCK = 64
+
+
 @dataclass
 class QuantizedChain:
     """Finite chain on grid-cell centers: row-stochastic transition + initial law.
 
     A chain whose rows are one shifted offset profile (``build_chain`` with
-    an ``increment_density`` kernel) also carries that profile and its row
-    masses: ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``,
-    with ``profile`` of shape (2K-1,) and ``row_mass`` of shape (K,).  Both
-    are given together or not at all; ``transition`` stays the full matrix
-    either way and is the oracle ``predict`` is tested against.
+    an ``increment_density`` kernel) is stored as that profile and its row
+    masses alone: ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``,
+    with ``profile`` of shape (2K-1,) and ``row_mass`` of shape (K,), and
+    ``transition`` given as None.  Reading ``transition`` on such a chain
+    builds the K x K matrix once and keeps it; only the oracles
+    (``path_sum_oracle``, ``to_csv``, the tests) do, never ``predict``.
+    ``profile`` and ``row_mass`` are given together or not at all; a chain
+    given both a matrix and a profile is checked for their agreement.
     """
 
     grid: Grid
-    transition: np.ndarray
+    transition: np.ndarray = _DenseOnDemand()
     initial: np.ndarray
     build_method: str = "direct"
     profile: Optional[np.ndarray] = None
@@ -145,34 +181,42 @@ class QuantizedChain:
 
     def __post_init__(self):
         k = self.grid.total_points
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.initial = np.asarray(self.initial, dtype=float)
-        if self.transition.shape != (k, k):
-            raise ChainConstructionError(
-                f"transition shape {self.transition.shape}, expected {(k, k)}")
-        if self.initial.shape != (k,):
-            raise ChainConstructionError(
-                f"initial shape {self.initial.shape}, expected {(k,)}")
-        if np.any(self.transition < 0) or np.any(self.initial < 0):
-            raise ChainConstructionError("negative probability entry")
-        sums = self.transition.sum(axis=1)
-        bad = np.argmax(np.abs(sums - 1.0))
-        if abs(sums[bad] - 1.0) > 1e-12:
-            raise ChainConstructionError(
-                f"transition row {bad} sums to {sums[bad]!r}, not 1")
-        if abs(self.initial.sum() - 1.0) > 1e-12:
-            raise ChainConstructionError(
-                f"initial law sums to {self.initial.sum()!r}, not 1")
         if (self.profile is None) != (self.row_mass is None):
             raise ChainConstructionError(
                 "profile and row_mass must be given together")
         if self.profile is not None:
             self._check_profile(k)
+        if self._transition is not None:
+            if self._transition.shape != (k, k):
+                raise ChainConstructionError(
+                    f"transition shape {self._transition.shape}, expected {(k, k)}")
+            _check_finite("transition", self._transition)
+            if np.any(self._transition < 0):
+                raise ChainConstructionError("negative probability entry")
+            sums = self._transition.sum(axis=1)
+        elif self.profile is not None:
+            sums = sliding_window_view(self.profile, k)[::-1].sum(axis=1) / self.row_mass
+        else:
+            raise ChainConstructionError("a chain needs a transition matrix or a profile")
+        bad = np.argmax(np.abs(sums - 1.0))
+        if abs(sums[bad] - 1.0) > 1e-12:
+            raise ChainConstructionError(
+                f"transition row {bad} sums to {sums[bad]!r}, not 1")
+        self.initial = np.asarray(self.initial, dtype=float)
+        if self.initial.shape != (k,):
+            raise ChainConstructionError(
+                f"initial shape {self.initial.shape}, expected {(k,)}")
+        _check_finite("initial", self.initial)
+        if np.any(self.initial < 0):
+            raise ChainConstructionError("negative probability entry")
+        if abs(self.initial.sum() - 1.0) > 1e-12:
+            raise ChainConstructionError(
+                f"initial law sums to {self.initial.sum()!r}, not 1")
+        if self.profile is not None and self._transition is not None:
+            self._check_against_matrix(k)
 
     def _check_profile(self, k: int) -> None:
-        """O(K) consistency of profile and row_mass with the matrix: shapes,
-        signs, and the first and last rows, which between them read every
-        profile entry."""
+        """Shapes and signs of profile and row_mass, at O(K)."""
         self.profile = np.asarray(self.profile, dtype=float)
         self.row_mass = np.asarray(self.row_mass, dtype=float)
         if self.profile.shape != (2 * k - 1,):
@@ -191,9 +235,13 @@ class QuantizedChain:
             r = int(np.argmax(bad))
             raise ChainConstructionError(
                 f"row_mass entry {r} is {self.row_mass[r]}, not finite and > 0")
+
+    def _check_against_matrix(self, k: int) -> None:
+        """A given matrix agrees with profile / row_mass in its first and
+        last rows, which between them read every profile entry."""
         for row, window in ((0, self.profile[k - 1:]), (k - 1, self.profile[:k])):
             expected = window / self.row_mass[row]
-            given = self.transition[row]
+            given = self._transition[row]
             off = ~(np.abs(given - expected) <= 1e-12 * expected)
             if np.any(off):
                 c = int(np.argmax(off))
@@ -201,16 +249,30 @@ class QuantizedChain:
                     f"transition row {row} differs from profile / row_mass[{row}] "
                     f"at column {c}: {given[c]} vs {expected[c]}")
 
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """The 2n-1 distinct b x b blocks of the Toeplitz matrix
+        profile[c - r + K - 1] (rows and columns zero-padded to n*b), in
+        block-diagonal order: ``_blocks[D + n - 1]`` multiplies block
+        column J - D into block column J."""
+        k = self.grid.total_points
+        b = min(_BLOCK, k)
+        n = -(-k // b)
+        windows = sliding_window_view(np.pad(self.profile, n * b - k), b)
+        return windows[np.arange(2 * n - 1)[:, None] * b + np.arange(b - 1, -1, -1)]
+
     def predict(self, weights: np.ndarray) -> np.ndarray:
         """One step of the chain: ``weights @ transition`` for (K,) or (B, K)
         weights.
 
-        A single trajectory (K,) or (1, K) on a chain with a profile is
-        summed directly as ``convolve(profile, weights / row_mass, "valid")``:
-        O(K) memory traffic instead of the K×K matrix, and a sum of
-        non-negative terms, so small predicted masses keep their relative
-        precision (an FFT convolution would not).  Stacks of two or more
-        keep the matrix product, which is faster for them.
+        On a chain with a profile, with u = weights / row_mass, one
+        trajectory (K,) or (1, K) is ``convolve(profile, u, "valid")`` and a
+        stack is one GEMM per block-diagonal of the Toeplitz matrix, on the
+        chain's 2n-1 distinct b x b blocks (b = min(64, K), n = ceil(K/b);
+        2Kb numbers built on the first stacked call).  Neither reads the
+        K x K matrix, and both sum non-negative terms directly, with no FFT,
+        so small predicted masses keep their relative precision.  Chains
+        without a profile use the matrix product.
         """
         k = self.grid.total_points
         weights = np.asarray(weights, dtype=float)
@@ -219,10 +281,29 @@ class QuantizedChain:
             raise DomainError(
                 f"weights have length {given} along the last axis, the chain "
                 f"has K={k} cells")
-        if self.profile is None or weights.size != k:
+        if self.profile is None:
             return weights @ self.transition
-        flat = weights.reshape(k) / self.row_mass
-        return np.convolve(self.profile, flat, "valid").reshape(weights.shape)
+        if weights.size == k:
+            flat = weights.reshape(k) / self.row_mass
+            return np.convolve(self.profile, flat, "valid").reshape(weights.shape)
+        blocks = self._blocks
+        n, b = (len(blocks) + 1) // 2, blocks.shape[-1]
+        stack = weights.reshape(-1, k)
+        rows = len(stack)
+        # block-major layout: block I of every trajectory is one (rows, b)
+        # slab, so a block-diagonal is a single 2-D GEMM
+        padded = np.zeros((rows, n * b))
+        padded[:, :k] = stack / self.row_mass
+        u = padded.reshape(rows, n, b).transpose(1, 0, 2).reshape(n * rows, b)
+        out = np.zeros_like(u)
+        for d in range(1 - n, n):
+            shift = abs(d) * rows
+            if d >= 0:
+                out[shift:] += u[:len(u) - shift] @ blocks[d + n - 1]
+            else:
+                out[:len(u) - shift] += u[shift:] @ blocks[d + n - 1]
+        out = out.reshape(n, rows, b).transpose(1, 0, 2).reshape(rows, n * b)
+        return out[:, :k].reshape(weights.shape)
 
     def to_csv(self, path: str, extra_meta: Optional[dict] = None) -> None:
         meta = {
@@ -275,21 +356,19 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     A kernel declaring ``increment_density`` (1-D boxes only) has rows that
     are one shifted step profile up to a per-row constant.  Quadrature then
     integrates that profile once, relative to the first and the last center
-    (2 * quad_order * K evaluations instead of quad_order * K^2), and
-    copies it into the matrix as a Toeplitz view before the renormalization.
-    The chain keeps that profile and the row masses it was divided by, so
-    ``QuantizedChain.predict`` can convolve with them instead of reading
-    the matrix.  Kernels without the hook take the row-by-row path, which is
-    also the reference the profile path is tested against; their chains,
-    like monte_carlo ones, carry no profile.
+    (2 * quad_order * K evaluations instead of quad_order * K^2).  The
+    chain is stored as that profile and its row masses (the window sums,
+    at O(K) memory); no K x K matrix is made unless an oracle reads
+    ``transition``.  Kernels without the hook take the row-by-row path,
+    which is also the reference the profile path is tested against; their
+    chains, like monte_carlo ones, are dense and carry no profile.
     """
     if spec.kernel.order != 1:
         raise ChainConstructionError(
             f"chain construction needs an order-1 kernel, got order {spec.kernel.order}")
     k = grid.total_points
     centers = grid.centers
-    transition = np.empty((k, k))
-    profile = None
+    transition = profile = None
 
     if method == "quadrature":
         if spec.kernel.density is None or spec.kernel.initial_density is None:
@@ -312,14 +391,15 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
             # row r of the chain is profile[k-1-r : 2k-1-r].
             back, fwd = (cell_mass(hook(nodes - src)) for src in (centers[-1], centers[0]))
             profile = np.concatenate([back, fwd[1:]])
-            transition[:] = sliding_window_view(profile, k)[::-1]
         else:
+            transition = np.empty((k, k))
             for row in range(k):
                 transition[row] = cell_mass(spec.kernel.density(1, centers[row], nodes))
         initial = cell_mass(spec.kernel.initial_density(nodes))
         label = "quadrature"
     elif method == "monte_carlo":
         m = grid.space.dim
+        transition = np.empty((k, k))
         for row in range(k):
             src = np.broadcast_to(centers[row], (n_samples, m))
             draws = spec.kernel.sampler(1, src, make_rng(seed, 5, row))
@@ -332,16 +412,18 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     else:
         raise ValueError(f"unknown build method {method!r}")
 
-    row_mass = transition.sum(axis=1)
+    rows = transition if profile is None else sliding_window_view(profile, k)[::-1]
+    row_mass = rows.sum(axis=1)
     if np.any(row_mass <= 0.0):
         row = int(np.argmax(row_mass <= 0.0))
         raise ChainConstructionError(
             f"row {row} (center {centers[row]}) received zero transition mass")
-    transition /= row_mass[:, None]
+    if profile is None:
+        transition /= row_mass[:, None]
+        row_mass = None
     init_mass = initial.sum()
     if init_mass <= 0.0:
         raise ChainConstructionError("initial law received zero mass")
     initial = initial / init_mass
     return QuantizedChain(grid=grid, transition=transition, initial=initial,
-                          build_method=label, profile=profile,
-                          row_mass=None if profile is None else row_mass)
+                          build_method=label, profile=profile, row_mass=row_mass)

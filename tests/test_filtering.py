@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,7 +391,8 @@ def test_log_norm_increments_are_the_step_normalizers(case):
 
 
 # Chains with an offset profile predict a single trajectory by direct
-# convolution; the dense product and stacks of two or more stay the oracle.
+# convolution and a stack by Toeplitz blocks; the dense product stays the
+# oracle.
 # The walk is random: box [lower, lower + width] in K cells, step sigma of
 # 10^log_sigma cell widths.
 
@@ -449,3 +451,18 @@ def test_state_of_another_length_is_a_domain_error():
     state = gf.run_grid_filter(spec, other, np.zeros((1, 2))).final_state
     with pytest.raises(gf.DomainError, match="length 6 .*K=8"):
         gf.grid_filter_step(chain, spec, state, np.zeros(2))
+
+
+def test_profile_chain_filters_without_its_dense_matrix():
+    # one dense K x K matrix at K = 4096 takes 128 MiB
+    spec = gf.build_model("gauss_walk")
+    _, obs = gf.simulate_batch(spec, 20, 4, seed=0)
+    tracemalloc.start()
+    try:
+        chain = gf.build_chain(spec, gf.Grid(spec.space, 4096), "quadrature")
+        gf.run_grid_filter(spec, chain, obs)
+        gf.run_grid_filter(spec, chain, obs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import gridfilter as gf
 
@@ -308,16 +309,74 @@ def drifting_walk_chain(lower, width, log_sigma, k, drift):
 
 
 @settings(max_examples=60, deadline=None)
-@given(walks, st.integers(0, 2**16))
-def test_structured_predict_matches_the_matrix_product(walk, seed):
+@given(walks, st.integers(1, 5), st.integers(0, 2**16))
+def test_structured_predict_matches_the_matrix_product(walk, stack, seed):
     chain = drifting_walk_chain(*walk)
     k = chain.grid.total_points
     rng = gf.make_rng(seed)
     # mass spread over 300 decades, with exact zeros
-    weights = rng.random(k) * 10.0 ** -rng.integers(0, 301, k)
-    weights[rng.random(k) < 0.3] = 0.0
+    weights = rng.random((stack, k)) * 10.0 ** -rng.integers(0, 301, (stack, k))
+    weights[rng.random((stack, k)) < 0.3] = 0.0
     dense = weights @ chain.transition
     # relative precision holds down to the smallest normal float; below it
     # products are subnormal in both sums and carry fewer digits
-    for fast in (chain.predict(weights), chain.predict(weights[None])[0]):
-        assert np.all(np.abs(fast - dense) <= 1e-13 * dense + np.finfo(float).tiny)
+    for fast, exact in ((chain.predict(weights), dense),
+                        (chain.predict(weights[0]), dense[0])):
+        assert np.all(np.abs(fast - exact) <= 1e-13 * exact + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 129])
+def test_stacked_predict_across_block_boundaries(k):
+    # stacks are predicted in 64 x 64 blocks: one partial block, exactly
+    # one, one plus a single cell, two plus a single cell
+    chain = drifting_walk_chain(-1.0, 3.0, 0.8, k, 0.5)
+    weights = gf.make_rng(k).dirichlet(np.ones(k), size=3)
+    dense = weights @ chain.transition
+    assert np.all(np.abs(chain.predict(weights) - dense) <= 1e-13 * dense)
+
+
+# A chain built from a profile stores no K x K matrix; reading
+# ``transition`` builds it once, for the oracles.
+
+def test_profile_chain_builds_its_matrix_on_demand():
+    chain = profile_chain()
+    k = chain.grid.total_points
+    expected = sliding_window_view(chain.profile, k)[::-1] / chain.row_mass[:, None]
+    assert np.array_equal(chain.transition, expected)
+    assert chain.transition is chain.transition
+
+
+def test_profile_chain_writes_the_csv_of_its_matrix(tmp_path):
+    chain = profile_chain()
+    dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial,
+                              chain.build_method)
+    chain.to_csv(str(tmp_path / "profile.csv"))
+    dense.to_csv(str(tmp_path / "dense.csv"))
+    assert ((tmp_path / "profile.csv").read_bytes()
+            == (tmp_path / "dense.csv").read_bytes())
+
+
+def test_profile_only_chain_checks_every_row_sum():
+    chain = profile_chain()
+
+    def profile_only(row_mass):
+        return gf.QuantizedChain(chain.grid, None, chain.initial,
+                                 chain.build_method, chain.profile, row_mass)
+
+    profile_only(chain.row_mass)
+    with pytest.raises(gf.ChainConstructionError, match="row 3 sums to"):
+        profile_only(_scaled(chain.row_mass, 3, 1 + 1e-9))
+    with pytest.raises(gf.ChainConstructionError, match="matrix or a profile"):
+        gf.QuantizedChain(chain.grid, None, chain.initial)
+
+
+@pytest.mark.parametrize("transition, initial, message", [
+    ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5], r"transition entry \(0, 0\) is nan"),
+    ([[1.0, 0.0], [0.5, 0.5]], [np.nan, 0.5], "initial entry 0 is nan"),
+    ([[1.0, 0.0], [0.5, np.inf]], [0.5, 0.5], r"transition entry \(1, 1\) is inf"),
+    ([[1.0, 0.0], [0.5, 0.5]], [0.5, -np.inf], "initial entry 1 is -inf"),
+], ids=["transition-nan", "initial-nan", "transition-inf", "initial-inf"])
+def test_non_finite_chain_entries_are_refused(transition, initial, message):
+    with pytest.raises(gf.ChainConstructionError, match=message):
+        gf.QuantizedChain(unit_interval_grid(2), np.array(transition),
+                          np.array(initial))
