@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, ModelDefinitionError
 from .model import SystemSpec, _cholesky_at
@@ -38,17 +37,15 @@ __all__ = [
 
 def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = spec.obs.total_cov(t, x[None])[0]
+    c = spec.obs.total_cov(t, x[None])
+    if not np.all(np.isfinite(c)):
+        raise ModelDefinitionError(f"total covariance not finite at t={t}, x={x}")
     y = np.asarray(y, dtype=float).reshape(spec.obs.n)
     resid = y - spec.obs.mean(t, x[None])[0]
-    try:
-        factor = cho_factor(c, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ModelDefinitionError(
-            f"total covariance not positive definite at t={t}, x={x}") from exc
-    quad = float(resid @ cho_solve(factor, resid))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return quad, logdet, y
+    chol = _cholesky_at(c, t, x[None])[0]
+    z = np.linalg.solve(chol, resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return float(z @ z), logdet, y
 
 
 def log_lambda_hat(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:

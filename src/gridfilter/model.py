@@ -441,6 +441,15 @@ def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,
     return _sample_paths(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3), tilde)
 
 
+def _reference_observations(spec: SystemSpec, horizon: int, n_traj: int,
+                            seed: int) -> np.ndarray:
+    """``simulate_batch(spec, horizon, n_traj, seed, tilde=True)[1]`` without
+    simulating the states: its observation stream drawn as one (T+1, B, N)
+    block, which holds the per-step (B, N) draws in order."""
+    u = make_rng(seed, 3).standard_normal((horizon + 1, n_traj, spec.obs.n))
+    return u.transpose(1, 0, 2)
+
+
 def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
                        horizon: int = 0) -> AssumptionConstants:
     """Audit the declared constants against probed model evaluations.

@@ -11,7 +11,7 @@ the serialized metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -127,8 +127,9 @@ def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], flo
 class _DenseOnDemand:
     """``QuantizedChain.transition``: the matrix as given, or, for a chain
     given only its profile, ``sliding_window_view(profile, K)[::-1] /
-    row_mass[:, None]`` built on first read and kept.  No class-level
-    default, so the dataclass field stays a required argument."""
+    row_mass[:, None]`` built on first read and kept.  It is attached
+    after ``@dataclass`` runs, so the field stays a required argument that
+    the generated ``__repr__`` and ``__eq__`` never read."""
 
     def __get__(self, chain, owner=None):
         if chain is None:
@@ -173,7 +174,7 @@ class QuantizedChain:
     """
 
     grid: Grid
-    transition: np.ndarray = _DenseOnDemand()
+    transition: np.ndarray = field(repr=False, compare=False)
     initial: np.ndarray
     build_method: str = "direct"
     profile: Optional[np.ndarray] = None
@@ -317,6 +318,9 @@ class QuantizedChain:
         k = self.grid.total_points
         header = [f"p{j}" for j in range(k)]
         write_csv(path, meta, header, self.transition)
+
+
+QuantizedChain.transition = _DenseOnDemand()
 
 
 def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

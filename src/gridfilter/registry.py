@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import ConfigError, ModelDefinitionError
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, TransitionKernel)
@@ -129,9 +129,7 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
     a, b = float(lower), float(upper)
 
     def _trunc_bounds(loc):
-        za = (a - loc) / step_sigma
-        zb = (b - loc) / step_sigma
-        return ndtr(za), ndtr(zb)
+        return ndtr(np.stack((a - loc, b - loc)) / step_sigma)
 
     def sampler(t, x_prev, rng):
         loc = np.asarray(x_prev, dtype=float)[:, 0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter.model import _reference_observations
 
 
 def test_chi2_deep_tail_is_empty():
@@ -95,6 +96,13 @@ def test_membership_bound_is_clamped_to_a_probability():
     assert gf.membership_bound(0.01, 1, 10**6) == 0.0
     for c, n, t in [(0.01, 1, 0), (0.5, 1, 100), (1.0, 8, 10**6), (3.0, 4, 0)]:
         assert 0.0 <= gf.membership_bound(c, n, t) <= 1.0
+
+
+@pytest.mark.parametrize("n_traj, horizon", [(1000, 9), (3, 0), (1, 4)])
+def test_reference_observations_are_the_tilde_batch_observations(n_traj, horizon):
+    spec = gf.build_model("gauss_walk", n=3)
+    _, obs = gf.simulate_batch(spec, horizon, n_traj, 5, tilde=True)
+    assert np.array_equal(_reference_observations(spec, horizon, n_traj, 5), obs)
 
 
 def test_concentration_experiment_on_demo_model():

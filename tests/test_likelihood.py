@@ -90,6 +90,16 @@ def test_degenerate_covariance_is_reported_with_location():
         gf.log_lambda_hat_at_points(spec, 0, X[None], np.array([1.0]))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_is_refused(entry, value):
+    cov = np.eye(2)
+    cov[entry] = value
+    spec = make_spec(2, constant(np.zeros(2)), constant(cov))
+    with pytest.raises(gf.ModelDefinitionError, match=r"not finite at t=3, x=\[0.5\]"):
+        gf.log_lambda_hat(spec, 3, X, np.ones(2))
+
+
 def test_callback_without_batch_axis_is_named():
     spec = make_spec(2, lambda t, x: np.zeros(2), constant(np.eye(2)))
     with pytest.raises(gf.ModelDefinitionError, match=r"mean_fn shape \(2,\) at t=0"):

@@ -346,6 +346,14 @@ def test_profile_chain_builds_its_matrix_on_demand():
     assert chain.transition is chain.transition
 
 
+def test_repr_and_eq_do_not_build_the_matrix():
+    spec = gf.build_model("gauss_walk")
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 64), "quadrature")
+    assert "transition" not in repr(chain)
+    assert chain == chain
+    assert chain._transition is None
+
+
 def test_profile_chain_writes_the_csv_of_its_matrix(tmp_path):
     chain = profile_chain()
     dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial,
