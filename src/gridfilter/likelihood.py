@@ -100,11 +100,13 @@ def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
 
     ``y`` is one observation (N,) or a stack (B, N); the result is (K,) or
     (B, K) for K points.  Matches per-point ``log_lambda_hat`` up to floating
-    point roundoff; the workspace, when given, must have been built for the
-    same point set.
+    point roundoff; a workspace, when given, must have been built for the
+    same point set (the same array, or an equal one), else DomainError.
     """
     if workspace is None:
         workspace = QuadFormWorkspace(spec, points)
+    elif workspace.points is not points and not np.array_equal(workspace.points, points):
+        raise DomainError("the workspace was built for another point set")
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (spec.obs.n,):
         raise DomainError(f"observation shape {y.shape}, the model expects N={spec.obs.n}")

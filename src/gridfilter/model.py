@@ -281,6 +281,16 @@ class SystemSpec:
 _MASS_PANELS = (64, 2**14)
 
 
+def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``order`` per panel, on the panels
+    between successive ``edges``; both (panels * order,), panel by panel."""
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * base_nodes[None, :]).ravel(),
+            (half[:, None] * base_weights[None, :]).ravel())
+
+
 def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> None:
     """Unit mass of the transition density from each source and, when the
     kernel declares ``increment_density``, a density-to-hook ratio constant
@@ -295,16 +305,12 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
     if spec.space.dim != 1:
         return
     lo, hi = spec.space.lower[0], spec.space.upper[0]
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(8)
     hook = spec.kernel.increment_density
     for x_prev in sources:
         panels, mass = _MASS_PANELS[0], None
         while True:
-            edges = np.linspace(lo, hi, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            xs = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()[:, None]
-            ws = (half[:, None] * base_weights[None, :]).ravel()
+            xs, ws = _gl_panels(np.linspace(lo, hi, panels + 1), 8)
+            xs = xs[:, None]
             dens = np.asarray(spec.kernel.density(1, x_prev, xs), dtype=float).reshape(len(xs))
             last, mass = mass, float(dens @ ws)
             if (last is not None and abs(mass - last) <= tol / 10) or panels >= _MASS_PANELS[1]:

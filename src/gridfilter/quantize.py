@@ -11,7 +11,7 @@ the serialized metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvio import write_csv
 from .errors import ChainConstructionError, DomainError
-from .model import StateSpace, SystemSpec, Trajectory, make_rng
+from .model import StateSpace, SystemSpec, Trajectory, _gl_panels, make_rng
 
 __all__ = [
     "Grid",
@@ -86,7 +86,7 @@ def quantize_points(grid: Grid, xs: np.ndarray) -> np.ndarray:
     """Linear cell indices for points ``xs`` of shape (n, M)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     lo, hi = grid.space.lower, grid.space.upper
-    bad = np.any((xs < lo) | (xs > hi), axis=1)
+    bad = ~np.all((xs >= lo) & (xs <= hi), axis=1)
     if np.any(bad):
         raise DomainError(f"point {xs[np.argmax(bad)]} outside the box "
                           f"[{lo}, {hi}]")
@@ -124,26 +124,6 @@ def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], flo
     return dev
 
 
-class _DenseOnDemand:
-    """``QuantizedChain.transition``: the matrix as given, or, for a chain
-    given only its profile, ``sliding_window_view(profile, K)[::-1] /
-    row_mass[:, None]`` built on first read and kept.  It is attached
-    after ``@dataclass`` runs, so the field stays a required argument that
-    the generated ``__repr__`` and ``__eq__`` never read."""
-
-    def __get__(self, chain, owner=None):
-        if chain is None:
-            raise AttributeError("transition")
-        if chain._transition is None:
-            k = chain.grid.total_points
-            chain._transition = (sliding_window_view(chain.profile, k)[::-1]
-                                 / chain.row_mass[:, None])
-        return chain._transition
-
-    def __set__(self, chain, value):
-        chain._transition = None if value is None else np.asarray(value, dtype=float)
-
-
 def _check_finite(name: str, values: np.ndarray) -> None:
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -153,57 +133,71 @@ def _check_finite(name: str, values: np.ndarray) -> None:
             f"{name} entry {where} is {values[at]}, not finite")
 
 
+def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """Sums of a chain's unnormalized rows; a row without mass is refused
+    by name."""
+    mass = rows.sum(axis=1)
+    if np.any(mass <= 0.0):
+        row = int(np.argmax(mass <= 0.0))
+        raise ChainConstructionError(
+            f"row {row} (center {grid.centers[row]}) received zero transition mass")
+    return mass
+
+
 # Stacks are predicted in b x b blocks, b = min(_BLOCK, K): every block on
 # one block-diagonal of a Toeplitz matrix is the same.
 _BLOCK = 64
 
 
-@dataclass
 class QuantizedChain:
-    """Finite chain on grid-cell centers: row-stochastic transition + initial law.
+    """Finite chain on grid-cell centers: one transition operator + initial law.
 
-    A chain whose rows are one shifted offset profile (``build_chain`` with
-    an ``increment_density`` kernel) is stored as that profile and its row
-    masses alone: ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``,
-    with ``profile`` of shape (2K-1,) and ``row_mass`` of shape (K,), and
-    ``transition`` given as None.  Reading ``transition`` on such a chain
-    builds the K x K matrix once and keeps it; only the oracles
-    (``path_sum_oracle``, ``to_csv``, the tests) do, never ``predict``.
-    ``profile`` and ``row_mass`` are given together or not at all; a chain
-    given both a matrix and a profile is checked for their agreement.
+    The operator is given in exactly one of two forms.  ``transition`` is a
+    row-stochastic K x K matrix.  ``profile``, shape (2K-1,), is a
+    non-negative offset profile whose rows are its windows:
+    ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``, where the
+    chain derives ``row_mass`` (K,) from the profile as the window sums.  A
+    profile chain holds no K x K matrix: reading ``transition`` builds one
+    anew on every read and does not keep it, for the oracles
+    (``path_sum_oracle``, ``to_csv``, the tests); ``predict`` never does.
+    Chains compare equal only to themselves.
     """
 
-    grid: Grid
-    transition: np.ndarray = field(repr=False, compare=False)
-    initial: np.ndarray
-    build_method: str = "direct"
-    profile: Optional[np.ndarray] = None
-    row_mass: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        k = self.grid.total_points
-        if (self.profile is None) != (self.row_mass is None):
+    def __init__(self, grid: Grid, transition: Optional[np.ndarray],
+                 initial: np.ndarray, build_method: str = "direct",
+                 profile: Optional[np.ndarray] = None):
+        if (transition is None) == (profile is None):
             raise ChainConstructionError(
-                "profile and row_mass must be given together")
-        if self.profile is not None:
-            self._check_profile(k)
-        if self._transition is not None:
-            if self._transition.shape != (k, k):
+                "a chain takes a transition matrix or a profile")
+        k = grid.total_points
+        self.grid = grid
+        self.build_method = build_method
+        self.profile = self.row_mass = self._matrix = None
+        if profile is not None:
+            self.profile = np.asarray(profile, dtype=float)
+            if self.profile.shape != (2 * k - 1,):
                 raise ChainConstructionError(
-                    f"transition shape {self._transition.shape}, expected {(k, k)}")
-            _check_finite("transition", self._transition)
-            if np.any(self._transition < 0):
-                raise ChainConstructionError("negative probability entry")
-            sums = self._transition.sum(axis=1)
-        elif self.profile is not None:
-            sums = sliding_window_view(self.profile, k)[::-1].sum(axis=1) / self.row_mass
+                    f"profile shape {self.profile.shape}, expected {(2 * k - 1,)}")
+            bad = ~(np.isfinite(self.profile) & (self.profile >= 0))
+            if np.any(bad):
+                d = int(np.argmax(bad))
+                raise ChainConstructionError(
+                    f"profile entry {d} is {self.profile[d]}, not finite and >= 0")
+            self.row_mass = _row_mass(grid, sliding_window_view(self.profile, k)[::-1])
         else:
-            raise ChainConstructionError("a chain needs a transition matrix or a profile")
-        bad = np.argmax(np.abs(sums - 1.0))
-        if abs(sums[bad] - 1.0) > 1e-12:
-            raise ChainConstructionError(
-                f"transition row {bad} sums to {sums[bad]!r}, not 1")
-        self.initial = np.asarray(self.initial, dtype=float)
+            self._matrix = np.asarray(transition, dtype=float)
+            if self._matrix.shape != (k, k):
+                raise ChainConstructionError(
+                    f"transition shape {self._matrix.shape}, expected {(k, k)}")
+            _check_finite("transition", self._matrix)
+            if np.any(self._matrix < 0):
+                raise ChainConstructionError("negative probability entry")
+            sums = self._matrix.sum(axis=1)
+            bad = np.argmax(np.abs(sums - 1.0))
+            if abs(sums[bad] - 1.0) > 1e-12:
+                raise ChainConstructionError(
+                    f"transition row {bad} sums to {sums[bad]!r}, not 1")
+        self.initial = np.asarray(initial, dtype=float)
         if self.initial.shape != (k,):
             raise ChainConstructionError(
                 f"initial shape {self.initial.shape}, expected {(k,)}")
@@ -213,42 +207,14 @@ class QuantizedChain:
         if abs(self.initial.sum() - 1.0) > 1e-12:
             raise ChainConstructionError(
                 f"initial law sums to {self.initial.sum()!r}, not 1")
-        if self.profile is not None and self._transition is not None:
-            self._check_against_matrix(k)
 
-    def _check_profile(self, k: int) -> None:
-        """Shapes and signs of profile and row_mass, at O(K)."""
-        self.profile = np.asarray(self.profile, dtype=float)
-        self.row_mass = np.asarray(self.row_mass, dtype=float)
-        if self.profile.shape != (2 * k - 1,):
-            raise ChainConstructionError(
-                f"profile shape {self.profile.shape}, expected {(2 * k - 1,)}")
-        bad = ~(np.isfinite(self.profile) & (self.profile >= 0))
-        if np.any(bad):
-            d = int(np.argmax(bad))
-            raise ChainConstructionError(
-                f"profile entry {d} is {self.profile[d]}, not finite and >= 0")
-        if self.row_mass.shape != (k,):
-            raise ChainConstructionError(
-                f"row_mass shape {self.row_mass.shape}, expected {(k,)}")
-        bad = ~(np.isfinite(self.row_mass) & (self.row_mass > 0))
-        if np.any(bad):
-            r = int(np.argmax(bad))
-            raise ChainConstructionError(
-                f"row_mass entry {r} is {self.row_mass[r]}, not finite and > 0")
-
-    def _check_against_matrix(self, k: int) -> None:
-        """A given matrix agrees with profile / row_mass in its first and
-        last rows, which between them read every profile entry."""
-        for row, window in ((0, self.profile[k - 1:]), (k - 1, self.profile[:k])):
-            expected = window / self.row_mass[row]
-            given = self._transition[row]
-            off = ~(np.abs(given - expected) <= 1e-12 * expected)
-            if np.any(off):
-                c = int(np.argmax(off))
-                raise ChainConstructionError(
-                    f"transition row {row} differs from profile / row_mass[{row}] "
-                    f"at column {c}: {given[c]} vs {expected[c]}")
+    @property
+    def transition(self) -> np.ndarray:
+        """The K x K matrix: as given, or built from the profile on this read."""
+        if self.profile is None:
+            return self._matrix
+        k = self.grid.total_points
+        return sliding_window_view(self.profile, k)[::-1] / self.row_mass[:, None]
 
     @cached_property
     def _blocks(self) -> np.ndarray:
@@ -283,7 +249,7 @@ class QuantizedChain:
                 f"weights have length {given} along the last axis, the chain "
                 f"has K={k} cells")
         if self.profile is None:
-            return weights @ self.transition
+            return weights @ self._matrix
         if weights.size == k:
             flat = weights.reshape(k) / self.row_mass
             return np.convolve(self.profile, flat, "valid").reshape(weights.shape)
@@ -320,20 +286,12 @@ class QuantizedChain:
         write_csv(path, meta, header, self.transition)
 
 
-QuantizedChain.transition = _DenseOnDemand()
-
-
 def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes over every cell: (nodes (n, M), weights (n,),
     owning cell linear index (n,))."""
     per_dim = []
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     for d in range(grid.space.dim):
-        e = grid.edges(d)
-        mid = 0.5 * (e[:-1] + e[1:])
-        half = 0.5 * (e[1:] - e[:-1])
-        nodes = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()
-        weights = (half[:, None] * base_weights[None, :]).ravel()
+        nodes, weights = _gl_panels(grid.edges(d), order)
         owner = np.repeat(np.arange(grid.a_per_dim[d]), order)
         per_dim.append((nodes, weights, owner))
     mesh_n = np.meshgrid(*[p[0] for p in per_dim], indexing="ij")
@@ -360,12 +318,12 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     A kernel declaring ``increment_density`` (1-D boxes only) has rows that
     are one shifted step profile up to a per-row constant.  Quadrature then
     integrates that profile once, relative to the first and the last center
-    (2 * quad_order * K evaluations instead of quad_order * K^2).  The
-    chain is stored as that profile and its row masses (the window sums,
-    at O(K) memory); no K x K matrix is made unless an oracle reads
+    (2 * quad_order * K evaluations instead of quad_order * K^2), and the
+    chain is that profile alone, at O(K) memory: it derives its row masses
+    itself, and no K x K matrix is made unless an oracle reads
     ``transition``.  Kernels without the hook take the row-by-row path,
     which is also the reference the profile path is tested against; their
-    chains, like monte_carlo ones, are dense and carry no profile.
+    chains, like monte_carlo ones, are dense matrices and carry no profile.
     """
     if spec.kernel.order != 1:
         raise ChainConstructionError(
@@ -416,18 +374,9 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     else:
         raise ValueError(f"unknown build method {method!r}")
 
-    rows = transition if profile is None else sliding_window_view(profile, k)[::-1]
-    row_mass = rows.sum(axis=1)
-    if np.any(row_mass <= 0.0):
-        row = int(np.argmax(row_mass <= 0.0))
-        raise ChainConstructionError(
-            f"row {row} (center {centers[row]}) received zero transition mass")
     if profile is None:
-        transition /= row_mass[:, None]
-        row_mass = None
+        transition /= _row_mass(grid, transition)[:, None]
     init_mass = initial.sum()
     if init_mass <= 0.0:
         raise ChainConstructionError("initial law received zero mass")
-    initial = initial / init_mass
-    return QuantizedChain(grid=grid, transition=transition, initial=initial,
-                          build_method=label, profile=profile, row_mass=row_mass)
+    return QuantizedChain(grid, transition, initial / init_mass, label, profile)

@@ -169,6 +169,18 @@ def test_workspace_reuse_is_transparent():
         assert np.allclose(with_ws, without, atol=1e-14)
 
 
+def test_workspace_for_another_point_set_is_refused():
+    spec = gf.build_model("gauss_walk")
+    ws = gf.QuadFormWorkspace(spec, gf.Grid(spec.space, 16).centers)
+    wide = gf.StateSpace(lower=np.array([0.0]), upper=np.array([2.0]))
+    y = np.full(spec.obs.n, 0.3)
+    with pytest.raises(gf.DomainError, match="another point set"):
+        gf.log_lambda_hat_at_points(spec, 0, gf.Grid(wide, 16).centers, y, workspace=ws)
+    assert np.array_equal(
+        gf.log_lambda_hat_at_points(spec, 0, ws.points.copy(), y, workspace=ws),
+        gf.log_lambda_hat_at_points(spec, 0, ws.points, y))
+
+
 def test_rotation_invariance_of_isotropic_model():
     # isotropic covariance, zero mean: the value depends on y only through ||y||
     spec = make_spec(3, constant(np.zeros(3)), constant(2.0 * np.eye(3)),

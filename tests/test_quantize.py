@@ -34,6 +34,16 @@ def test_single_cell_grid():
     assert grid.centers[0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [[np.nan, 0.2], [0.2, np.nan]])
+def test_nan_point_is_rejected_by_name(bad):
+    grid = gf.Grid(gf.StateSpace(lower=np.zeros(2), upper=np.ones(2)), 3)
+    with pytest.raises(gf.DomainError, match=r"point \[.*nan.*\] outside the box"):
+        gf.quantize_points(grid, np.array([[0.5, 0.5], bad]))
+    with pytest.raises(gf.DomainError, match="nan"):
+        gf.quantize_point(grid, np.array(bad))
+
+
 def test_out_of_box_point_is_rejected():
     grid = unit_interval_grid(4)
     with pytest.raises(gf.DomainError):
@@ -245,8 +255,6 @@ def test_only_profile_chains_carry_a_profile():
     rows = gf.build_chain(without_hook(gf.build_model("gauss_walk")),
                           gf.Grid(chain.grid.space, 8), "quadrature")
     assert rows.profile is None and rows.row_mass is None
-    # a relative mismatch within 1e-12 is accepted
-    dataclasses.replace(chain, row_mass=chain.row_mass * (1 + 1e-14))
 
 
 def _scaled(array, index, factor):
@@ -255,33 +263,39 @@ def _scaled(array, index, factor):
     return out
 
 
+def _zeroed(array, where):
+    out = array.copy()
+    out[where] = 0.0
+    return out
+
+
+# Row r of a K=8 profile chain is the window profile[7 - r : 15 - r].
 @pytest.mark.parametrize("change, message", [
     (lambda c: {"profile": c.profile[:-1]}, r"profile shape \(14,\), expected \(15,\)"),
     (lambda c: {"profile": _scaled(c.profile, 3, np.nan)}, "profile entry 3 is nan"),
     (lambda c: {"profile": _scaled(c.profile, 5, np.inf)}, "profile entry 5 is inf"),
     (lambda c: {"profile": _scaled(c.profile, 0, -1.0)}, "profile entry 0 is -"),
-    (lambda c: {"row_mass": c.row_mass[1:]}, r"row_mass shape \(7,\), expected \(8,\)"),
-    (lambda c: {"row_mass": _scaled(c.row_mass, 2, 0.0)}, "row_mass entry 2 is 0.0"),
-    (lambda c: {"row_mass": None}, "given together"),
-    (lambda c: {"profile": None}, "given together"),
-    (lambda c: {"row_mass": _scaled(c.row_mass, 0, 1 + 1e-9)}, "transition row 0 "),
-    (lambda c: {"row_mass": _scaled(c.row_mass, 7, 1 + 1e-9)}, "transition row 7 "),
-    (lambda c: {"profile": _scaled(c.profile, 10, 1 + 1e-9)}, "transition row 0 .* column 3"),
-    (lambda c: {"profile": _scaled(c.profile, 2, 1 + 1e-9)}, "transition row 7 .* column 2"),
+    (lambda c: {"profile": _zeroed(c.profile, slice(7, None))},
+     r"row 0 \(center \[0.0625\]\) received zero transition mass"),
+    (lambda c: {"profile": _zeroed(c.profile, slice(None, 8))},
+     r"row 7 \(center \[0.9375\]\) received zero transition mass"),
+    (lambda c: {"transition": c.transition}, "a transition matrix or a profile"),
+    (lambda c: {"profile": None}, "a transition matrix or a profile"),
 ], ids=["profile-shape", "profile-nan", "profile-inf", "profile-negative",
-        "row-mass-shape", "row-mass-zero", "profile-alone", "row-mass-alone",
-        "row-0", "row-K-1", "profile-in-row-0", "profile-in-row-K-1"])
+        "row-0", "row-K-1", "matrix-and-profile", "neither"])
 def test_inconsistent_profile_is_refused(change, message):
     chain = profile_chain()
+    given = {"transition": None, "profile": chain.profile, **change(chain)}
     with pytest.raises(gf.ChainConstructionError, match=message):
-        dataclasses.replace(chain, **change(chain))
+        gf.QuantizedChain(chain.grid, given["transition"], chain.initial,
+                          chain.build_method, given["profile"])
 
 
 @pytest.mark.parametrize("with_profile", [True, False])
 def test_predict_rejects_weights_of_another_length(with_profile):
     chain = profile_chain()
     if not with_profile:
-        chain = dataclasses.replace(chain, profile=None, row_mass=None)
+        chain = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
     with pytest.raises(gf.DomainError, match="length 7 .*K=8"):
         chain.predict(np.full(7, 1 / 7))
     with pytest.raises(gf.DomainError, match="length 9 .*K=8"):
@@ -336,22 +350,28 @@ def test_stacked_predict_across_block_boundaries(k):
 
 
 # A chain built from a profile stores no K x K matrix; reading
-# ``transition`` builds it once, for the oracles.
+# ``transition`` builds one for the oracles and does not keep it.
 
 def test_profile_chain_builds_its_matrix_on_demand():
     chain = profile_chain()
     k = chain.grid.total_points
     expected = sliding_window_view(chain.profile, k)[::-1] / chain.row_mass[:, None]
     assert np.array_equal(chain.transition, expected)
-    assert chain.transition is chain.transition
+    assert chain.transition is not chain.transition
+    with pytest.raises(AttributeError):
+        chain.transition = expected
 
 
-def test_repr_and_eq_do_not_build_the_matrix():
+def test_repr_and_eq_do_not_build_the_matrix(tmp_path):
     spec = gf.build_model("gauss_walk")
-    chain = gf.build_chain(spec, gf.Grid(spec.space, 64), "quadrature")
+    grid = gf.Grid(spec.space, 64)
+    chain = gf.build_chain(spec, grid, "quadrature")
     assert "transition" not in repr(chain)
     assert chain == chain
-    assert chain._transition is None
+    assert chain != gf.build_chain(spec, grid, "quadrature")
+    chain.to_csv(str(tmp_path / "chain.csv"))
+    gf.path_sum_oracle(spec, chain, gf.simulate(spec, 1, seed=0).observations)
+    assert not any(np.shape(v) == (64, 64) for v in vars(chain).values())
 
 
 def test_profile_chain_writes_the_csv_of_its_matrix(tmp_path):
@@ -367,15 +387,14 @@ def test_profile_chain_writes_the_csv_of_its_matrix(tmp_path):
 def test_profile_only_chain_checks_every_row_sum():
     chain = profile_chain()
 
-    def profile_only(row_mass):
+    def profile_only(profile):
         return gf.QuantizedChain(chain.grid, None, chain.initial,
-                                 chain.build_method, chain.profile, row_mass)
+                                 chain.build_method, profile)
 
-    profile_only(chain.row_mass)
-    with pytest.raises(gf.ChainConstructionError, match="row 3 sums to"):
-        profile_only(_scaled(chain.row_mass, 3, 1 + 1e-9))
-    with pytest.raises(gf.ChainConstructionError, match="matrix or a profile"):
-        gf.QuantizedChain(chain.grid, None, chain.initial)
+    assert np.array_equal(profile_only(chain.profile).row_mass, chain.row_mass)
+    # only row 3's window, profile[4:12], is all zero
+    with pytest.raises(gf.ChainConstructionError, match="row 3 .*zero transition mass"):
+        profile_only(_zeroed(chain.profile, slice(4, 12)))
 
 
 @pytest.mark.parametrize("transition, initial, message", [
