@@ -13,9 +13,9 @@ and the reduced form drops the observation-only term:
 The dropped factor depends on the observations alone, so it cancels from
 every filtering ratio; the reduced form is what the recursions use because
 its running sums stay uniformly bounded above.  All quadratic forms and log
-determinants go through Cholesky factors C = L L'; C^{-1} is never formed.
-The batched path whitens residuals with L^{-1}, factored once per point set
-(and per step for time-varying models), so a step is a small matmul.
+determinants go through Cholesky factors C = L L'.  The per-point functions
+solve with L and are the oracle; the batched path keeps the coefficients of
+the quadratic form per point set, so a step is one small contraction.
 """
 
 from __future__ import annotations
@@ -62,35 +62,56 @@ def log_lambda(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:
 
 
 class QuadFormWorkspace:
-    """Means, inverse Cholesky factors and log-determinants for a fixed point set.
+    """The reduced log ratio at a fixed point set as a quadratic form in y.
 
-    Stationary observation models are factorized once and reused at every
-    step; time-varying ones keep only the factors of the step asked for last,
-    so memory stays flat over long runs.
+    With P = C^{-1}, q = P m and r = m'q, log_lambda_hat(y) at point k is
+    -(y'Py - 2q'y + r + log det C) / 2 = phi(y) . A[:, k] for the features
+    phi(y) = [y_i y_j for i <= j, y, 1] (F = N(N+1)/2 + N + 1 of them) and one
+    (F, K) matrix A built from the Cholesky factors.  Stationary observation
+    models build A once; time-varying ones keep only the A of the step asked
+    for last, so memory stays flat over long runs.
     """
 
     def __init__(self, spec: SystemSpec, points: np.ndarray):
         self.spec = spec
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self._upper = np.triu_indices(spec.obs.n)
         self._cache_t: Optional[int] = None
-        self._cache = None
+        self._cache: Optional[np.ndarray] = None
 
-    def _compute(self, t: int):
+    def _compute(self, t: int) -> np.ndarray:
         spec, pts = self.spec, self.points
         means = spec.obs.mean(t, pts)
         chol = _cholesky_at(spec.obs.total_cov(t, pts), t, pts)
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        return means, np.linalg.inv(chol), logdet
+        linv = np.linalg.inv(chol)
+        linv_t = np.swapaxes(linv, 1, 2)
+        prec = linv_t @ linv
+        w = (linv @ means[..., None])[..., 0]
+        q = (linv_t @ w[..., None])[..., 0]
+        i, j = self._upper
+        quad = np.where(i == j, -0.5, -1.0)[:, None] * prec[:, i, j].T
+        const = -0.5 * (np.sum(w * w, axis=1) + logdet)
+        return np.concatenate([quad, q.T, const[None]])
 
-    def factors(self, t: int):
+    def coefficients(self, t: int) -> np.ndarray:
+        """The (F, K) coefficient matrix A at step t."""
         if self.spec.obs.stationary:
-            if self._cache is None:
-                self._cache = self._compute(0)
-            return self._cache
+            t = 0
         if self._cache_t != t:
             self._cache = self._compute(t)
             self._cache_t = t
         return self._cache
+
+    def features(self, y: np.ndarray) -> np.ndarray:
+        """phi(y), shape (F,) or (B, F), for observations (N,) or (B, N)."""
+        i, j = self._upper
+        pairs = len(i)
+        phi = np.empty(y.shape[:-1] + (pairs + y.shape[-1] + 1,))
+        phi[..., :pairs] = y[..., i] * y[..., j]
+        phi[..., pairs:-1] = y
+        phi[..., -1] = 1.0
+        return phi
 
 
 def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
@@ -99,19 +120,21 @@ def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
     """Reduced log likelihood ratio of observations at many states at once.
 
     ``y`` is one observation (N,) or a stack (B, N); the result is (K,) or
-    (B, K) for K points.  Matches per-point ``log_lambda_hat`` up to floating
-    point roundoff; a workspace, when given, must have been built for the
-    same point set (the same array, or an equal one), else DomainError.
+    (B, K) for K points.  A row of a stack equals the same observation given
+    alone, bit for bit.  Matches per-point ``log_lambda_hat`` up to roundoff
+    relative to the terms y'Py, 2q'y, r and log det C.  A workspace, when
+    given, must have been built for the same ``spec`` object and the same
+    point set (the same array, or an equal one), else DomainError.
     """
     if workspace is None:
         workspace = QuadFormWorkspace(spec, points)
+    elif workspace.spec is not spec:
+        raise DomainError("the workspace was built for another model")
     elif workspace.points is not points and not np.array_equal(workspace.points, points):
         raise DomainError("the workspace was built for another point set")
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (spec.obs.n,):
         raise DomainError(f"observation shape {y.shape}, the model expects N={spec.obs.n}")
-    means, inv_chol, logdet = workspace.factors(t)
-    resid = y[..., None, :] - means
-    z = (inv_chol @ resid[..., None])[..., 0]
-    quad = np.sum(z * z, axis=-1)
-    return -0.5 * (quad + logdet)
+    # einsum, not matmul: numpy sends one row to GEMV and a stack to GEMM,
+    # which round differently
+    return np.einsum("...f,fk->...k", workspace.features(y), workspace.coefficients(t))

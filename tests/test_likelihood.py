@@ -135,8 +135,8 @@ def test_batched_evaluation_matches_pointwise():
 
 
 def test_whitened_batch_matches_pointwise_for_time_varying_full_covariance():
-    # non-diagonal covariance that moves with t and x: the inverse Cholesky
-    # factors are recomputed per step and must whiten like a triangular solve
+    # non-diagonal covariance that moves with t and x: the quadratic-form
+    # coefficients are rebuilt per step and must match a triangular solve
     def mean_fn(t, x):
         return np.stack([x[:, 0], -t * x[:, 0], np.full(len(x), 0.2)], axis=1)
 
@@ -179,6 +179,68 @@ def test_workspace_for_another_point_set_is_refused():
     assert np.array_equal(
         gf.log_lambda_hat_at_points(spec, 0, ws.points.copy(), y, workspace=ws),
         gf.log_lambda_hat_at_points(spec, 0, ws.points, y))
+
+
+def test_workspace_for_another_model_is_refused():
+    # the workspace holds the coefficients of the model it was built for;
+    # with another spec it would answer for the first model
+    narrow = gf.build_model("gauss_walk", beta=0.25)
+    wide = gf.build_model("gauss_walk", beta=1.0)
+    centers = gf.Grid(narrow.space, 16).centers
+    ws = gf.QuadFormWorkspace(narrow, centers)
+    y = np.full(narrow.obs.n, 0.3)
+    with pytest.raises(gf.DomainError, match="another model"):
+        gf.log_lambda_hat_at_points(wide, 0, centers, y, workspace=ws)
+    gap = (gf.log_lambda_hat_at_points(wide, 0, centers, y)
+           - gf.log_lambda_hat_at_points(narrow, 0, centers, y, workspace=ws))
+    assert np.max(np.abs(gap)) > 0.5
+
+
+def time_varying_full_covariance(n):
+    """An N-dimensional model whose mean and full covariance move with t and x."""
+    def mean_fn(t, x):
+        return np.stack([(k + 1) * x[:, 0] - 0.1 * t * k for k in range(n)], axis=1)
+
+    def cov_fn(t, x):
+        cycle = (np.ones(len(x)), x[:, 0], np.full(len(x), 0.5 * t))
+        u = np.stack([cycle[k % 3] for k in range(n)], axis=1)
+        v = np.stack([np.sin(k + t + x[:, 0]) for k in range(n)], axis=1)
+        diag = np.stack([0.1 * (k + 1) + x[:, 0] for k in range(n)], axis=1)
+        return (u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
+                + diag[:, :, None] * np.eye(n))
+
+    return make_spec(n, mean_fn, cov_fn)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("model", ["gauss_walk", "time_varying"])
+def test_expanded_form_error_is_bounded_by_its_terms(n, model):
+    # the batch expands -(y - m)'P(y - m)/2 into y'Py - 2q'y + r, which
+    # cancels when ||y|| is large: its error is bounded per cell by the size
+    # of the terms, not by the size of the result
+    if model == "gauss_walk":
+        spec = gf.build_model("gauss_walk", n=n)
+    else:
+        spec = time_varying_full_covariance(n)
+    pts = gf.Grid(spec.space, 12).centers
+    ws = gf.QuadFormWorkspace(spec, pts)
+    rng = gf.make_rng(40 + n)
+    eps = np.finfo(float).eps
+    for t in range(3):
+        cov = spec.obs.total_cov(t, pts)
+        prec = np.linalg.inv(cov)
+        means = spec.obs.mean(t, pts)
+        q = np.einsum("kij,kj->ki", prec, means)
+        r = np.einsum("ki,ki->k", means, q)
+        logdet = np.linalg.slogdet(cov)[1]
+        for norm in (0.0, 1.0, 10.0, 1e3):
+            direction = rng.standard_normal(n)
+            y = norm * direction / np.linalg.norm(direction)
+            batch = gf.log_lambda_hat_at_points(spec, t, pts, y, workspace=ws)
+            oracle = np.array([gf.log_lambda_hat(spec, t, x, y) for x in pts])
+            terms = (np.abs(np.einsum("i,kij,j->k", y, prec, y))
+                     + 2.0 * np.abs(q @ y) + np.abs(r) + np.abs(logdet))
+            assert np.all(np.abs(batch - oracle) <= 16.0 * eps * terms)
 
 
 def test_rotation_invariance_of_isotropic_model():

@@ -349,6 +349,28 @@ def test_stacked_predict_across_block_boundaries(k):
     assert np.all(np.abs(chain.predict(weights) - dense) <= 1e-13 * dense)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 2048])
+def test_single_trajectory_predict_convolves_on_aligned_weights(k, monkeypatch):
+    # one trajectory is correlated with its reversed weights, which predict
+    # copies to a 64-byte boundary; the values are the convolution's
+    spec = gf.build_model("gauss_walk")
+    chain = gf.build_chain(spec, gf.Grid(spec.space, k), "quadrature")
+    weights = gf.make_rng(k).dirichlet(np.ones(k))
+    expected = np.convolve(chain.profile, weights / chain.row_mass, "valid")
+    addresses = []
+    correlate = np.correlate
+
+    def spy(a, v, mode):
+        addresses.append(v.ctypes.data)
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    assert np.array_equal(chain.predict(weights), expected)
+    assert np.array_equal(chain.predict(weights[None]), expected[None])
+    assert len(addresses) == 2
+    assert all(address % 64 == 0 for address in addresses)
+
+
 # A chain built from a profile stores no K x K matrix; reading
 # ``transition`` builds one for the oracles and does not keep it.
 
