@@ -143,8 +143,6 @@ def adjugate_cofactor(mat: np.ndarray) -> np.ndarray:
         raise ValueError("need a square matrix")
     if n > 5:
         raise ValueError("cofactor oracle limited to n <= 5")
-    if n == 1:
-        return np.array([[1.0]])
     adj = np.empty((n, n))
     for i in range(n):
         for j in range(n):
@@ -153,26 +151,37 @@ def adjugate_cofactor(mat: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _random_spd(rng: np.random.Generator, n: int, lam_lo: float, lam_hi: float) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(lam_lo, lam_hi, size=n)
-    m = (q * lam) @ q.T
-    return 0.5 * (m + m.T)
+def _minors(c: np.ndarray) -> np.ndarray:
+    """out[..., i, j] is ``c[...]`` without row i and column j: every minor
+    of the stacked (..., n, n) matrices ``c``, shape (..., n, n, n-1, n-1)."""
+    k, n = np.arange(c.shape[-1] - 1), c.shape[-1]
+    keep = k + (k >= np.arange(n)[:, None])  # keep[i]: 0..n-1 without i
+    return c[..., keep[:, None, :, None], keep[None, :, None, :]]
+
+
+def _adjugate_trials(n_dim: int, n_trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adjugate check's SPD matrices (n_trials, n, n), drawn trial by trial
+    (eigenvectors by QR of a Gaussian draw, then eigenvalues in [1.05, 4)), and
+    their adjugates from one stacked determinant over every cofactor minor."""
+    rng = make_rng(seed, 10)
+    z, lam = map(np.array, zip(*[(rng.standard_normal((n_dim, n_dim)),
+                                  rng.uniform(1.05, 4.0, size=n_dim)) for _ in range(n_trials)]))
+    q, _ = np.linalg.qr(z)
+    m = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+    c = 0.5 * (m + np.swapaxes(m, 1, 2))
+    sign = (-1.0) ** np.add.outer(np.arange(n_dim), np.arange(n_dim))
+    return c, np.swapaxes(sign * np.linalg.det(_minors(c)), 1, 2)
 
 
 def check_adjugate_bound(n_dim: int, n_trials: int, seed: int = 0) -> BoundReport:
     """||adj(C)||_F <= sqrt(n) det(C) on random SPD matrices with eigenvalues
-    above one, adjugate from the cofactor oracle."""
-    rng = make_rng(seed, 10)
-    worst = 0.0
-    for _ in range(n_trials):
-        c = _random_spd(rng, n_dim, 1.05, 4.0)
-        adj = adjugate_cofactor(c)
-        lhs = float(np.linalg.norm(adj, "fro"))
-        rhs = math.sqrt(n_dim) * float(np.linalg.det(c))
-        worst = max(worst, _ratio(lhs, rhs))
+    above one, all trials evaluated as one stack."""
+    if n_dim < 1 or n_trials < 1:
+        raise ValueError("need n_dim >= 1 and n_trials >= 1")
+    c, adj = _adjugate_trials(n_dim, n_trials, seed)
+    worst = np.max(_ratios(_row_norms(adj), math.sqrt(n_dim) * np.linalg.det(c)), initial=0.0)
     return BoundReport(check_id=f"adjugate-norm-{n_dim}d", n_trials=n_trials,
-                       worst_ratio=worst, seed=seed)
+                       worst_ratio=float(worst), seed=seed)
 
 
 def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
@@ -230,18 +239,11 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     det_diff = np.abs(np.linalg.det(cx) - np.linalg.det(cy))
     moved = cdiff > 0.0
     k_det_hat = np.max(det_diff[moved] / (n * cdiff[moved]), initial=0.0)
-    k_minor_hat = 0.0
-    if n >= 2:
-        mx, my = cx[moved], cy[moved]
-        for i in range(n):
-            for j in range(n):
-                sx = np.delete(np.delete(mx, i, axis=1), j, axis=2)
-                sy = np.delete(np.delete(my, i, axis=1), j, axis=2)
-                sdiff = _row_norms(sx - sy)
-                md = np.abs(np.linalg.det(sx) - np.linalg.det(sy))
-                ok = sdiff > 0.0
-                k_minor_hat = max(k_minor_hat,
-                                  np.max(md[ok] / ((n - 1) * sdiff[ok]), initial=0.0))
+    sx, sy = _minors(cx[moved]), _minors(cy[moved])
+    md = np.abs(np.linalg.det(sx) - np.linalg.det(sy)).ravel()
+    sdiff = _row_norms((sx - sy).reshape(md.size, n - 1, n - 1))
+    ok = sdiff > 0.0
+    k_minor_hat = np.max(md[ok] / ((n - 1) * sdiff[ok]), initial=0.0)
     inv_diff = _row_norms(np.linalg.inv(cx) - np.linalg.inv(cy))
     k_inv_emp = np.max(inv_diff / d, initial=0.0)
     if decl.k_sigma == 0.0:
@@ -302,6 +304,8 @@ def theta_bound(spec: SystemSpec, y: np.ndarray) -> float:
 def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
                       y_sigma: float = 2.0, horizon: int = 0) -> BoundReport:
     """Quadratic-form differences against Theta(y) times the state distance."""
+    if n_draws < 1:
+        raise ValueError("need n_draws >= 1")
     rng = make_rng(seed, 12)
     space, obs = spec.space, spec.obs
     m, n = space.dim, obs.n

@@ -54,6 +54,10 @@ class RunConfig:
                 "quadrature, monte_carlo")
         if not self.resolutions:
             raise ConfigError("[converge] resolutions must be nonempty")
+        for key, value in (("n_pairs", self.n_pairs), ("n_trials", self.n_trials),
+                           ("n_trajectories", self.n_conc_traj)):
+            if value < 1:
+                raise ConfigError(f"[verify] {key} must be >= 1")
 
 
 def _coerce(text: str):

@@ -383,6 +383,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
+# Paths per slice of a step's observation half in ``_sample_paths``: bounds its
+# (B, N, N) temporaries.  The sampler and the normal draws take the whole batch.
+_OBS_CHUNK = 2**13
+
+
 def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state: np.random.Generator,
                   rng_obs: np.random.Generator, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``n_paths`` paths together: states (n_paths, T+1, M) and
@@ -407,12 +412,15 @@ def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state: np.ra
         if tilde:
             obs[:, t] = u
             continue
-        raw_cov = _checked(spec.obs.cov_fn(t, x), (n_paths, n, n), "cov_fn", t)
-        chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, x)
-        raw_mean = _checked(spec.obs.mean_fn(t, x), (n_paths, n), "mean_fn", t)
-        # Factoring obs_scale out keeps y exactly linear in the scale; the
-        # stacked matmul applies each factor exactly as ``chol @ u`` would.
-        obs[:, t] = spec.obs.obs_scale * (raw_mean + (chol @ u[..., None])[..., 0])
+        for s in range(0, n_paths, _OBS_CHUNK):
+            xs, us = x[s:s + _OBS_CHUNK], u[s:s + _OBS_CHUNK]
+            raw_cov = _checked(spec.obs.cov_fn(t, xs), (len(xs), n, n), "cov_fn", t)
+            chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, xs)
+            raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
+            # Factoring obs_scale out keeps y exactly linear in the scale; the
+            # stacked matmul applies each factor exactly as ``chol @ u`` would.
+            obs[s:s + _OBS_CHUNK, t] = spec.obs.obs_scale * (
+                raw_mean + (chol @ us[..., None])[..., 0])
     return states, obs
 
 

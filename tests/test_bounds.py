@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
-from gridfilter.bounds import _random_spd
+from gridfilter.bounds import _adjugate_trials
+
+
+def _random_spd(rng, n, lam_lo, lam_hi):
+    """One random SPD matrix: eigenvectors by QR of a Gaussian draw, then
+    its eigenvalues."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(lam_lo, lam_hi, size=n)
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def test_scalar_witness_is_tight():
@@ -89,6 +98,38 @@ def test_adjugate_norm_bound_needs_eigenvalue_floor():
     assert lhs > rhs  # counterexample below the floor
     report = gf.check_adjugate_bound(3, 500, seed=0)
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_batched_adjugate_check_equals_trial_loop(n, seed):
+    rng = gf.make_rng(seed, 10)
+    cs, adjs, worst = [], [], 0.0
+    for _ in range(300):
+        c = _random_spd(rng, n, 1.05, 4.0)
+        adj = gf.adjugate_cofactor(c)
+        lhs = float(np.linalg.norm(adj, "fro"))
+        rhs = math.sqrt(n) * float(np.linalg.det(c))
+        worst = max(worst, lhs / rhs)
+        cs.append(c)
+        adjs.append(adj)
+    c, adj = _adjugate_trials(n, 300, seed)
+    assert np.array_equal(c, np.array(cs))
+    assert np.array_equal(adj, np.array(adjs))
+    assert gf.check_adjugate_bound(n, 300, seed=seed).worst_ratio == worst
+
+
+@pytest.mark.parametrize("n_dim, n_trials", [(0, 10), (2, 0)])
+def test_adjugate_check_rejects_empty_trials(n_dim, n_trials):
+    with pytest.raises(ValueError, match="n_dim >= 1 and n_trials >= 1"):
+        gf.check_adjugate_bound(n_dim, n_trials)
+
+
+def test_theta_check_rejects_zero_draws():
+    spec = gf.audit_derived_constants(gf.build_model("gauss_walk"),
+                                      n_pairs=200, seed=0)
+    with pytest.raises(ValueError, match="n_draws >= 1"):
+        gf.check_theta_bound(spec, 0)
 
 
 def test_scalar_covariance_closed_form_constants():

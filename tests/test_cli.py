@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,17 @@ def test_bad_flag_values_are_usage_errors(workdir, capsys):
     _, cfg = workdir
     assert main(["filter", "--config", cfg, "--resolution", "0"]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-3"]) == 2
+
+
+@pytest.mark.parametrize("key", ["n_pairs", "n_trials", "n_trajectories"])
+def test_zero_verify_counts_are_usage_errors(workdir, capsys, key):
+    tmp, cfg = workdir
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(re.sub(rf"^{key} = \d+$", f"{key} = 0", text,
+                                        flags=re.M))
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "[verify]" in err and key in err
 
 
 def test_config_render_parse_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter import concentration
 from gridfilter.model import _reference_observations
 
 
@@ -136,3 +137,9 @@ def test_reports_serialize(tmp_path):
     assert len(d1) == 1 and len(d2) == 1
     assert "empirical" in h1
     assert "bound" in h2
+
+
+def test_sup_norms_squared_in_place_equal_the_formula():
+    obs = gf.simulate_batch(gf.build_model("gauss_walk", n=3), 6, 50, seed=5)[1]
+    want = np.max(np.sum(obs**2, axis=2), axis=1)
+    assert np.array_equal(concentration._sup_sq(obs.copy()), want)

@@ -1,11 +1,14 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import gridfilter as gf
-from gridfilter.model import _simulate
+from gridfilter import model
+from gridfilter.model import _checked, _cholesky_at, _simulate
 
 
 def frozen_spec(n=2, mean_const=0.3, cov_const=1.0, sigma_xi_sq=0.5):
@@ -225,3 +228,71 @@ def test_constants_validation():
                                k_mu=1.0, k_sigma=1.0)
     c2 = c.with_derived(k_det=1.0, k_det_minor=0.5, k_inv=3.0)
     assert c2.k_inv == 3.0 and c.k_inv is None
+
+
+def whole_batch_paths(spec, horizon, n_paths, rng_state, rng_obs, tilde):
+    """``_sample_paths`` with every step's observation half taken over the
+    whole batch at once."""
+    m, n = spec.space.dim, spec.obs.n
+    states = np.empty((n_paths, horizon + 1, m))
+    obs = np.empty((n_paths, horizon + 1, n))
+    x = spec.kernel.initial_sampler(rng_state, n_paths)
+    for t in range(horizon + 1):
+        if t > 0:
+            x = spec.kernel.sampler(t, x, rng_state)
+        states[:, t] = x
+        u = rng_obs.standard_normal((n_paths, n))
+        if tilde:
+            obs[:, t] = u
+            continue
+        raw_cov = _checked(spec.obs.cov_fn(t, x), (n_paths, n, n), "cov_fn", t)
+        chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, x)
+        raw_mean = _checked(spec.obs.mean_fn(t, x), (n_paths, n), "mean_fn", t)
+        obs[:, t] = spec.obs.obs_scale * (raw_mean + (chol @ u[..., None])[..., 0])
+    return states, obs
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+@pytest.mark.parametrize("n_paths", [3, 4, 5])
+@pytest.mark.parametrize("model_id", ["gauss_walk", "finite_chain"])
+def test_sliced_batch_equals_whole_batch_step(monkeypatch, model_id, n_paths, tilde):
+    monkeypatch.setattr(model, "_OBS_CHUNK", 4)
+    spec = gf.build_model(model_id, n=3)
+    states, obs = gf.simulate_batch(spec, 5, n_paths, seed=8, tilde=tilde)
+    want_states, want_obs = whole_batch_paths(spec, 5, n_paths, gf.make_rng(8, 2),
+                                              gf.make_rng(8, 3), tilde)
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(obs, want_obs)
+
+
+def test_covariance_failure_in_a_later_slice_names_its_path(monkeypatch):
+    monkeypatch.setattr(model, "_OBS_CHUNK", 4)
+    starts = np.linspace(0.0, 1.0, 8)[:, None]
+    bad = starts[5]  # the second slice's second path
+
+    def cov_fn(t, x):
+        c = np.zeros((len(x), 2, 2))
+        c[(t == 1) & (x[:, 0] == bad[0])] = -10.0 * np.eye(2)
+        return c
+
+    kernel = gf.TransitionKernel(sampler=lambda t, x, rng: x,
+                                 initial_sampler=lambda rng, size: starts[:size].copy())
+    obs = gf.ObservationModel(n=2, mean_fn=lambda t, x: np.zeros((len(x), 2)),
+                              cov_fn=cov_fn, sigma_xi_sq=1.0)
+    spec = gf.SystemSpec(space=gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0])),
+                         kernel=kernel, obs=obs,
+                         constants=gf.AssumptionConstants(1.0, 1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(gf.ModelDefinitionError,
+                       match=re.escape(f"not positive definite at t=1, x={bad}")):
+        gf.simulate_batch(spec, 2, 8, seed=0)
+
+
+def test_batch_peak_memory_stays_near_its_output():
+    spec = gf.build_model("gauss_walk", n=4)
+    tracemalloc.start()
+    try:
+        states, obs = gf.simulate_batch(spec, 9, 100_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.nbytes + obs.nbytes + 16 * 2**20
