@@ -22,7 +22,6 @@ def main():
     print(f"declared: lambda_inf={c.lambda_inf:.4f} lambda_sup={c.lambda_sup:.4f} "
           f"mu_sup={c.mu_sup:.4f} k_mu={c.k_mu:.4f} k_sigma={c.k_sigma:.4f}")
 
-    spec.validate()
     empirical = gf.verify_assumptions(spec, n_probe=500, seed=0)
     print(f"audited:  lambda_inf={empirical.lambda_inf:.4f} "
           f"lambda_sup={empirical.lambda_sup:.4f} mu_sup={empirical.mu_sup:.4f}")

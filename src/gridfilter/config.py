@@ -58,6 +58,11 @@ class RunConfig:
                            ("n_trajectories", self.n_conc_traj)):
             if value < 1:
                 raise ConfigError(f"[verify] {key} must be >= 1")
+        for n, c, horizon in self.concentration_cases:
+            if n < 1 or not c > 0.0 or horizon < 0:
+                raise ConfigError(
+                    f"[verify] concentration case {n}:{c!r}:{horizon} needs "
+                    "n >= 1, c > 0 and horizon >= 0")
 
 
 def _coerce(text: str):

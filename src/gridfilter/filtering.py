@@ -2,10 +2,10 @@
 
 The grid filter tracks a weight per cell center.  Each step propagates the
 weights through the quantized chain, multiplies in the reduced likelihood
-ratio of the new observation, renormalizes, and reads the estimate off as the
-weighted mean of the centers.  Everything persistent is kept in log domain;
-the per-step normalizer increments accumulate into ``log_norm``, the log of
-the un-normalized conditional mass.
+ratio of the new observation in log domain, renormalizes, and reads the
+estimate off as the weighted mean of the centers.  The per-step normalizer
+increments accumulate into ``log_norm``, the log of the un-normalized
+conditional mass.
 
 ``path_sum_oracle`` computes the same ratio by enumerating every chain path
 and is the ground truth the recursion is tested against.
@@ -48,14 +48,14 @@ class FilterState:
     """Posterior over grid centers after absorbing observations up to time t.
 
     ``t == -1`` is the pre-observation state holding the chain's initial law.
-    ``log_weights`` are normalized along the last axis (their exponentials
-    sum to one); ``log_norm`` carries the accumulated log normalizers.  A
-    state filtering a stack of B trajectories holds (B, K) log-weights, (B, M)
-    estimates and (B,) normalizers; a single trajectory drops the B axis.
+    ``weights`` are normalized along the last axis (they sum to one);
+    ``log_norm`` carries the accumulated log normalizers.  A state filtering
+    a stack of B trajectories holds (B, K) weights, (B, M) estimates and (B,)
+    normalizers; a single trajectory drops the B axis.
     """
 
     t: int
-    log_weights: np.ndarray
+    weights: np.ndarray
     estimate: np.ndarray
     log_norm: float | np.ndarray
 
@@ -95,12 +95,9 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
-    with np.errstate(divide="ignore"):
-        logw = np.log(chain.initial)
-    logw = logw - _logsumexp(logw)
     return FilterState(
         t=-1,
-        log_weights=logw,
+        weights=chain.initial.copy(),
         estimate=chain.initial @ chain.grid.centers,
         log_norm=0.0,
     )
@@ -111,12 +108,12 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
                      use_full_likelihood: bool = False) -> FilterState:
     """Advance the posterior by one observation, for one trajectory or a stack.
 
-    ``y`` is (N,) or (B, N) and ``state.log_weights`` is (K,) or (B, K); the
+    ``y`` is (N,) or (B, N) and ``state.weights`` is (K,) or (B, K); the
     two broadcast, so a single initial state can start a whole stack.  The
     prediction is ``chain.predict``: on a chain with an offset profile a
     direct convolution for one trajectory and Toeplitz blocks for a stack,
-    the matrix product otherwise; log-weights whose last axis is not K
-    raise ``DomainError``.
+    the matrix product otherwise; weights whose last axis is not K raise
+    ``DomainError``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -124,8 +121,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
-    weights = np.exp(state.log_weights)
-    predicted = weights if state.t == -1 else chain.predict(weights)
+    predicted = state.weights if state.t == -1 else chain.predict(state.weights)
     with np.errstate(divide="ignore"):
         log_predicted = np.log(predicted)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
@@ -141,11 +137,11 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         raise DegenerateUpdateError(
             f"all weights vanished at t={t} in trajectory b={b}; max "
             f"log-likelihood was {np.max(ll_b):.6g} over reachable cells")
-    logw = logw - increment[..., None]
+    weights = np.exp(logw - increment[..., None])
     return FilterState(
         t=t,
-        log_weights=logw,
-        estimate=np.exp(logw) @ chain.grid.centers,
+        weights=weights,
+        estimate=weights @ chain.grid.centers,
         log_norm=state.log_norm + increment,
     )
 

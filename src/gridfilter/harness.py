@@ -138,7 +138,7 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
 
 def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
                max_experiment_a: Optional[int], build_method: str, seed: int,
-               n_samples: int, quad_order: int) -> tuple[np.ndarray, str, Optional[int]]:
+               n_samples: int) -> tuple[np.ndarray, str, Optional[int]]:
     """``reference_filter`` plus the surrogate resolution used (None if exact)."""
     if isinstance(spec.kernel, FiniteStateKernel):
         return exact_forward_filter(spec, observations), "exact", None
@@ -150,7 +150,7 @@ def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
             f"surrogate resolution {a_ref} is below 8x the largest "
             f"experimental resolution {max_experiment_a}")
     chain = build_chain(spec, Grid(spec.space, a_ref), build_method, seed=seed,
-                        n_samples=n_samples, quad_order=quad_order)
+                        n_samples=n_samples)
     estimates = run_grid_filter(spec, chain, observations).estimates
     return estimates, f"surrogate(a={a_ref})", a_ref
 
@@ -159,8 +159,7 @@ def reference_filter(spec: SystemSpec, observations: np.ndarray,
                      a_ref: Optional[int] = None,
                      max_experiment_a: Optional[int] = None,
                      build_method: str = "quadrature", seed: int = 0,
-                     n_samples: int = 200_000,
-                     quad_order: int = 8) -> tuple[np.ndarray, str]:
+                     n_samples: int = 200_000) -> tuple[np.ndarray, str]:
     """Best available reference estimates for observations (T+1, N) or (B, T+1, N).
 
     Finite-state dynamics get the exact filter.  Anything else gets a
@@ -169,7 +168,7 @@ def reference_filter(spec: SystemSpec, observations: np.ndarray,
     defaults to exactly eight times.
     """
     estimates, label, _ = _reference(spec, observations, a_ref, max_experiment_a,
-                                     build_method, seed, n_samples, quad_order)
+                                     build_method, seed, n_samples)
     return estimates, label
 
 
@@ -228,12 +227,16 @@ def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.max(np.sum(np.abs(estimates - reference), axis=-1), axis=-1)
 
 
+# Kept trajectories that the surrogate reference is re-filtered on at twice
+# its resolution, to measure its own gap.
+_CHECK_TRAJ = 4
+
+
 def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int],
                       n_traj: int, c_const: float, seed: int = 0,
                       a_ref: Optional[int] = None,
                       build_method: str = "quadrature",
-                      n_samples: int = 200_000, quad_order: int = 8,
-                      check_traj: int = 4) -> ConvergenceCurve:
+                      n_samples: int = 200_000) -> ConvergenceCurve:
     """Filter-error curve across resolutions against the reference filter.
 
     The kept trajectories are filtered as one stack per chain.
@@ -252,7 +255,7 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
     if not kept:
         raise GridFilterError("every sampled trajectory fell outside the tame set")
     observations = np.stack([tr.observations for tr in kept])
-    chain_args = dict(seed=seed, n_samples=n_samples, quad_order=quad_order)
+    chain_args = dict(seed=seed, n_samples=n_samples)
 
     references, label, a_ref_used = _reference(
         spec, observations, a_ref, max(resolutions), build_method, **chain_args)
@@ -269,7 +272,7 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
     converged: Optional[bool] = None
     gap: Optional[float] = None
     if a_ref_used is not None:
-        n_probe = max(1, min(check_traj, len(kept)))
+        n_probe = min(_CHECK_TRAJ, len(kept))
         chain_fine = build_chain(spec, Grid(spec.space, 2 * a_ref_used), build_method,
                                  **chain_args)
         fine = run_grid_filter(spec, chain_fine, observations[:n_probe]).estimates

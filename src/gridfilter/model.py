@@ -175,7 +175,7 @@ class TransitionKernel:
     ``x_prev``.  The per-row constant (a truncation factor, say) is free; it
     cancels when chain rows are renormalized.  With it, quadrature chain
     construction integrates one offset profile (16K evaluations for K cells)
-    instead of every row (8K^2); ``SystemSpec.validate`` checks the
+    instead of every row (8K^2); ``verify_assumptions`` checks the
     proportionality.  One-dimensional boxes only.
     """
 
@@ -242,38 +242,6 @@ class SystemSpec:
     obs: ObservationModel
     constants: AssumptionConstants
     model_id: str = "custom"
-
-    def validate(self, n_probe: int = 32, seed: int = 0, horizon: int = 0) -> None:
-        """Spot-check the callbacks: output shapes, covariance symmetry and
-        positive definiteness, eigenvalue floor above one, sampler range,
-        density mass and its proportionality to ``increment_density`` when
-        declared.
-
-        Raises ModelDefinitionError / AssumptionViolationError naming the
-        offending evaluation point.
-        """
-        pts = _probe_points(self.space, n_probe, make_rng(seed, 901))
-        k = len(pts)
-        for t in range(horizon + 1):
-            self.obs.mean(t, pts)  # checks the shape of mean_fn's output
-            c = self.obs.total_cov(t, pts)
-            asym = np.max(np.abs(c - np.swapaxes(c, 1, 2)), axis=(1, 2))
-            i = int(np.argmax(asym))
-            if asym[i] > 1e-12:
-                raise ModelDefinitionError(
-                    f"cov_fn not symmetric at t={t}, x={pts[i]}: max asymmetry {asym[i]:.3e}")
-            lam_min = np.linalg.eigvalsh(c)[:, 0]
-            i = int(np.argmin(lam_min))
-            if lam_min[i] <= 0.0:
-                raise ModelDefinitionError(
-                    f"total covariance not positive definite at t={t}, x={pts[i]}")
-            if lam_min[i] <= 1.0:
-                raise AssumptionViolationError(
-                    f"lambda_min(C)={lam_min[i]:.6g} <= 1 at t={t}, x={pts[i]}; "
-                    "increase obs_scale")
-        _sample_paths(self, 3, k, make_rng(seed, 902), make_rng(seed, 903), tilde=True)
-        if self.kernel.density is not None:
-            _check_density_mass(self, pts[: min(4, k)], tol=1e-6)
 
 
 # Panel counts of the mass quadrature in ``_check_density_mass``: the first
@@ -466,17 +434,25 @@ def _reference_observations(spec: SystemSpec, horizon: int, n_traj: int,
 
 def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
                        horizon: int = 0) -> AssumptionConstants:
-    """Audit the declared constants against probed model evaluations.
+    """Audit the model's callbacks and declared constants at probe points.
 
     Probes the box corners, midpoint and ``n_probe`` uniform points at every
     time in ``0..horizon`` (stationary models can leave horizon at 0), and
     measures: eigenvalue range of C_t, sup of the scaled mean norm, and the
     Lipschitz quotients of mean (l2 over l1) and covariance entries (max
-    entry over l1) across all probe pairs.  Returns the empirical constants.
+    entry over l1) across all probe pairs.  Then it draws three steps of as
+    many paths as there are probe points from the kernel's samplers and,
+    when the kernel declares a density, checks its unit mass and its
+    proportionality to ``increment_density`` from the first four probe
+    points.  Returns the empirical constants.
 
-    Raises AssumptionViolationError, naming the constant, the probe point or
-    pair and the measured value, if the empirical eigenvalue floor is <= 1 or
-    any declared constant is contradicted beyond a 1e-9 relative slack.
+    Raises ModelDefinitionError, naming t and the probe point, for a
+    callback output of the wrong shape, a covariance that is not symmetric
+    (beyond 1e-12) or not positive definite, a sampler that leaves the box,
+    or a density without unit mass.  Raises AssumptionViolationError, naming
+    the constant, the probe point or pair and the measured value, if the
+    empirical eigenvalue floor is <= 1 or any declared constant is
+    contradicted beyond a 1e-9 relative slack.
     """
     if n_probe < 2:
         raise ValueError("need n_probe >= 2")
@@ -492,7 +468,16 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
     k_mu_emp, k_sigma_emp = 0.0, 0.0
     for t in range(horizon + 1):
         c = spec.obs.total_cov(t, pts)
+        asym = np.max(np.abs(c - np.swapaxes(c, 1, 2)), axis=(1, 2))
+        i = int(np.argmax(asym))
+        if asym[i] > 1e-12:
+            raise ModelDefinitionError(
+                f"cov_fn not symmetric at t={t}, x={pts[i]}: max asymmetry {asym[i]:.3e}")
         ev = np.linalg.eigvalsh(c)
+        i = int(np.argmin(ev[:, 0]))
+        if ev[i, 0] <= 0.0:
+            raise ModelDefinitionError(
+                f"total covariance not positive definite at t={t}, x={pts[i]}")
         means = spec.obs.mean(t, pts)
         covs = c - noise
         mu = _row_norms(means)
@@ -531,6 +516,9 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
         raise AssumptionViolationError(
             f"lambda_inf: empirical eigenvalue floor {lam_lo:.6g} <= 1; "
             "the observation scale is too small for the error budgets to apply")
+    _sample_paths(spec, 3, k, make_rng(seed, 902), make_rng(seed, 903), tilde=True)
+    if spec.kernel.density is not None:
+        _check_density_mass(spec, pts[:4], tol=1e-6)
     return AssumptionConstants(
         lambda_inf=float(lam_lo), lambda_sup=float(lam_hi), mu_sup=float(mu_hi),
         k_mu=float(k_mu_emp), k_sigma=float(k_sigma_emp),

@@ -149,6 +149,8 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
 _BLOCK = 64
 # One trajectory's reversed weights start on an _ALIGN-byte boundary.
 _ALIGN = 64
+# Gauss-Legendre nodes per cell (per axis) in quadrature chain construction.
+_QUAD_ORDER = 8
 
 
 class QuantizedChain:
@@ -314,12 +316,11 @@ def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
-                seed: int = 0, n_samples: int = 100_000,
-                quad_order: int = 8) -> QuantizedChain:
+                seed: int = 0, n_samples: int = 100_000) -> QuantizedChain:
     """Induce a finite chain on the grid centers from the state kernel.
 
     ``method="quadrature"`` integrates the transition density over every cell
-    with fixed-order Gauss-Legendre rules (needs ``density`` and
+    with 8-node Gauss-Legendre rules (needs ``density`` and
     ``initial_density``); ``method="monte_carlo"`` histograms ``n_samples``
     kernel draws per source center.  Rows are renormalized; a row with no
     mass raises ChainConstructionError naming it.
@@ -327,10 +328,9 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     A kernel declaring ``increment_density`` (1-D boxes only) has rows that
     are one shifted step profile up to a per-row constant.  Quadrature then
     integrates that profile once, relative to the first and the last center
-    (2 * quad_order * K evaluations instead of quad_order * K^2), and the
-    chain is that profile alone, at O(K) memory: it derives its row masses
-    itself, and no K x K matrix is made unless an oracle reads
-    ``transition``.  Kernels without the hook take the row-by-row path,
+    (16K evaluations instead of 8K^2), and the chain is that profile alone,
+    at O(K) memory: it derives its row masses itself, and no K x K matrix is
+    made unless an oracle reads ``transition``.  Kernels without the hook take the row-by-row path,
     which is also the reference the profile path is tested against; their
     chains, like monte_carlo ones, are dense matrices and carry no profile.
     """
@@ -345,7 +345,7 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
         if spec.kernel.density is None or spec.kernel.initial_density is None:
             raise ChainConstructionError(
                 "quadrature construction needs density and initial_density")
-        nodes, weights, owner = _gl_cells(grid, quad_order)
+        nodes, weights, owner = _gl_cells(grid, _QUAD_ORDER)
 
         def cell_mass(dens):
             dens = np.asarray(dens, dtype=float).reshape(len(nodes))

@@ -226,6 +226,16 @@ def test_zero_verify_counts_are_usage_errors(workdir, capsys, key):
     assert "[verify]" in err and key in err
 
 
+@pytest.mark.parametrize("case", ["2:-1.0:9", "2:1.0:-1", "0:1.0:9"])
+def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
+    tmp, cfg = workdir
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(text.replace("concentration = 2:1.0:0",
+                                              f"concentration = {case}"))
+    assert main(["verify-concentration", "--config", cfg]) == 2
+    assert f"[verify] concentration case {case}" in capsys.readouterr().err
+
+
 def test_config_render_parse_identity():
     cfg = gf.RunConfig(model_id="gauss_walk",
                        model_params={"n": 3, "beta": 0.4, "lower": 0.0},

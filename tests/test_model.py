@@ -106,7 +106,7 @@ def test_batch_paths_match_scalar_simulation():
 
 def test_validate_accepts_demo_and_rejects_bad_density():
     spec = gf.build_model("gauss_walk")
-    spec.validate()
+    gf.verify_assumptions(spec, n_probe=32, seed=0)
 
     bad_kernel = gf.TransitionKernel(
         sampler=spec.kernel.sampler,
@@ -116,7 +116,7 @@ def test_validate_accepts_demo_and_rejects_bad_density():
     bad = gf.SystemSpec(space=spec.space, kernel=bad_kernel, obs=spec.obs,
                         constants=spec.constants, model_id="bad")
     with pytest.raises(gf.ModelDefinitionError):
-        bad.validate()
+        gf.verify_assumptions(bad, n_probe=32, seed=0)
 
 
 @pytest.mark.parametrize("scale, accepted", [(1.0, True), (0.5, False)])
@@ -129,10 +129,10 @@ def test_validate_resolves_the_mass_of_a_narrow_step(scale, accepted):
     scaled = dataclasses.replace(spec, kernel=dataclasses.replace(
         spec.kernel, density=lambda t, x, xs: scale * density(t, x, xs)))
     if accepted:
-        scaled.validate()
+        gf.verify_assumptions(scaled, n_probe=32, seed=0)
     else:
         with pytest.raises(gf.ModelDefinitionError, match="mass 0.5"):
-            scaled.validate()
+            gf.verify_assumptions(scaled, n_probe=32, seed=0)
 
 
 def test_validate_rejects_increment_density_of_another_step():
@@ -141,7 +141,7 @@ def test_validate_rejects_increment_density_of_another_step():
     bad = dataclasses.replace(
         spec, kernel=dataclasses.replace(spec.kernel, increment_density=wrong))
     with pytest.raises(gf.ModelDefinitionError, match="x_prev="):
-        bad.validate()
+        gf.verify_assumptions(bad, n_probe=32, seed=0)
 
 
 def test_validate_rejects_a_sampler_that_drops_the_state_axis():
@@ -149,13 +149,49 @@ def test_validate_rejects_a_sampler_that_drops_the_state_axis():
     flat = dataclasses.replace(spec, kernel=dataclasses.replace(
         spec.kernel, sampler=lambda t, x, rng: spec.kernel.sampler(t, x, rng)[:, 0]))
     with pytest.raises(gf.ModelDefinitionError, match="sampler shape"):
-        flat.validate()
+        gf.verify_assumptions(flat, n_probe=32, seed=0)
 
 
 def test_validate_rejects_eigenvalue_floor_at_one():
     spec = gf.build_model("constant")  # unit covariance, floor exactly 1
     with pytest.raises(gf.AssumptionViolationError):
-        spec.validate()
+        gf.verify_assumptions(spec, n_probe=32, seed=0)
+
+
+def with_cov(spec, cov_fn):
+    return dataclasses.replace(spec, obs=dataclasses.replace(spec.obs, cov_fn=cov_fn))
+
+
+def test_audit_rejects_an_asymmetric_covariance():
+    spec = gf.build_model("gauss_walk")
+    cov_fn = spec.obs.cov_fn
+
+    def skewed(t, x):
+        c = cov_fn(t, x)
+        c[:, 0, 1] += 0.05
+        return c
+
+    with pytest.raises(gf.ModelDefinitionError,
+                       match=r"cov_fn not symmetric at t=0, x=\[0\.\]: max asymmetry 1\.250e-01"):
+        gf.verify_assumptions(with_cov(spec, skewed), n_probe=32, seed=0)
+
+
+def test_audit_rejects_a_covariance_that_is_not_positive_definite():
+    # indefinite at the upper box face only; this check runs before the
+    # declared floor would be compared
+    spec = gf.build_model("gauss_walk")
+    cov_fn = spec.obs.cov_fn
+
+    def indefinite(t, x):
+        c = cov_fn(t, x)
+        off = np.where(x[:, 0] == 1.0, 10.0, 0.0)
+        c[:, 0, 1] += off
+        c[:, 1, 0] += off
+        return c
+
+    with pytest.raises(gf.ModelDefinitionError,
+                       match=r"total covariance not positive definite at t=0, x=\[1\.\]"):
+        gf.verify_assumptions(with_cov(spec, indefinite), n_probe=32, seed=0)
 
 
 def test_verify_assumptions_quadratic_cov_is_tight():
@@ -228,6 +264,49 @@ def test_constants_validation():
                                k_mu=1.0, k_sigma=1.0)
     c2 = c.with_derived(k_det=1.0, k_det_minor=0.5, k_inv=3.0)
     assert c2.k_inv == 3.0 and c.k_inv is None
+
+
+def observation_model(**changes):
+    return lambda: gf.ObservationModel(**{
+        "n": 2, "mean_fn": None, "cov_fn": None, "sigma_xi_sq": 0.5, **changes})
+
+
+def constants(**changes):
+    return lambda: gf.AssumptionConstants(**{
+        "lambda_inf": 1.5, "lambda_sup": 2.0, "mu_sup": 1.0, "k_mu": 1.0,
+        "k_sigma": 1.0, **changes})
+
+
+def escaping_walk():
+    spec = gf.build_model("gauss_walk")
+    return dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, sampler=lambda t, x, rng: x + 2.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gf.StateSpace(lower=np.zeros(2), upper=np.ones(3)),
+     "bounds must be 1-d arrays of equal length"),
+    (lambda: gf.StateSpace(lower=np.zeros(1), upper=np.array([np.inf])),
+     "bounds must be finite"),
+    (lambda: gf.StateSpace(lower=np.ones(1), upper=np.ones(1)),
+     "need lower < upper in every coordinate"),
+    (observation_model(n=0), "observation dimension must be >= 1"),
+    (observation_model(sigma_xi_sq=0.0), "sigma_xi_sq must be positive"),
+    (observation_model(obs_scale=-1.0), "obs_scale must be positive"),
+    (lambda: gf.TransitionKernel(sampler=None, initial_sampler=None, order=0),
+     "Markov order must be >= 1"),
+    (constants(mu_sup=np.nan), "constants must be finite"),
+    (constants(k_mu=-1.0), "norm bounds must be nonnegative"),
+    (lambda: gf.Trajectory(states=np.zeros((3, 1)), observations=np.zeros((2, 2)),
+                           seed=0),
+     "states and observations must share a time axis"),
+    (lambda: gf.simulate(escaping_walk(), 2, seed=0), r"kernel left the box at t=1"),
+], ids=["box_lengths", "box_infinite", "box_empty", "obs_n", "obs_sigma_xi",
+        "obs_scale", "kernel_order", "constants_nan", "constants_negative",
+        "trajectory_lengths", "kernel_left_box"])
+def test_model_refusals(make, message):
+    with pytest.raises(gf.ModelDefinitionError, match=message):
+        make()
 
 
 def whole_batch_paths(spec, horizon, n_paths, rng_state, rng_obs, tilde):

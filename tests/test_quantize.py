@@ -429,3 +429,37 @@ def test_non_finite_chain_entries_are_refused(transition, initial, message):
     with pytest.raises(gf.ChainConstructionError, match=message):
         gf.QuantizedChain(unit_interval_grid(2), np.array(transition),
                           np.array(initial))
+
+
+def gauss_walk_with(**kernel_changes):
+    spec = gf.build_model("gauss_walk")
+    return dataclasses.replace(
+        spec, kernel=dataclasses.replace(spec.kernel, **kernel_changes))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gf.Grid(unit_interval_grid(1).space, (4, 4)), ValueError,
+     "a_per_dim length must match the state dimension"),
+    (lambda: unit_interval_grid(0), ValueError, "need at least one cell per dimension"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), np.eye(3), np.full(2, 0.5)),
+     gf.ChainConstructionError, r"transition shape \(3, 3\), expected \(2, 2\)"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), np.eye(2), np.ones(1)),
+     gf.ChainConstructionError, r"initial shape \(1,\), expected \(2,\)"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), [[1.5, -0.5], [0.0, 1.0]],
+                               np.full(2, 0.5)),
+     gf.ChainConstructionError, "negative probability entry"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), np.eye(2), [1.5, -0.5]),
+     gf.ChainConstructionError, "negative probability entry"),
+    (lambda: gf.build_chain(gf.build_model("constant"), unit_interval_grid(4)),
+     gf.ChainConstructionError, "quadrature construction needs density and initial_density"),
+    (lambda: gf.build_chain(gf.build_model("gauss_walk"), unit_interval_grid(4), "simpson"),
+     ValueError, "unknown build method 'simpson'"),
+    (lambda: gf.build_chain(gauss_walk_with(initial_density=lambda xs: np.zeros(len(xs))),
+                            unit_interval_grid(4)),
+     gf.ChainConstructionError, "initial law received zero mass"),
+], ids=["grid_length", "grid_zero_cells", "transition_shape", "initial_shape",
+        "negative_transition", "negative_initial", "no_density", "unknown_method",
+        "zero_initial_mass"])
+def test_quantize_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -1,0 +1,40 @@
+"""Refusals of the model registry and the finite-state kernel."""
+
+import numpy as np
+import pytest
+
+import gridfilter as gf
+
+
+def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5)):
+    return lambda: gf.FiniteStateKernel(states, matrix, initial)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (finite_kernel(states=np.zeros((2, 1, 1))), gf.ModelDefinitionError,
+     r"states must be a \(K, M\) array"),
+    (finite_kernel(matrix=np.eye(3)), gf.ModelDefinitionError,
+     "transition matrix / initial law shape mismatch"),
+    (finite_kernel(matrix=[[0.5, 0.4], [0.0, 1.0]]), gf.ModelDefinitionError,
+     "transition matrix must be row-stochastic"),
+    (finite_kernel(initial=(0.6, 0.6)), gf.ModelDefinitionError,
+     "initial law must be a distribution"),
+    (lambda: gf.build_model("gauss_walk", step_sigma=0.0), gf.ConfigError,
+     "step_sigma must be positive"),
+    (lambda: gf.build_model("gauss_walk", beta=-0.25), gf.ConfigError,
+     "cannot derive obs_scale for a singular covariance floor"),
+    (lambda: gf.build_model("finite_chain", n_states=0), gf.ConfigError,
+     "n_states must be >= 1"),
+    (lambda: gf.build_model("finite_chain", stick_prob=1.0), gf.ConfigError,
+     r"stick_prob must lie in \(0, 1\)"),
+    (lambda: gf.build_model("finite_chain", kind="cyclic"), gf.ConfigError,
+     "unknown chain kind 'cyclic'"),
+    (lambda: gf.build_model("constant", value=2.0), gf.ConfigError,
+     "value must lie inside the interval"),
+    (lambda: gf.build_model("gauss_walk", sigma=1.0), gf.ConfigError,
+     "bad parameters for model 'gauss_walk'"),
+], ids=["states_ndim", "shapes", "row_stochastic", "initial_law", "step_sigma",
+        "singular_floor", "n_states", "stick_prob", "kind", "value", "parameter"])
+def test_registry_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
