@@ -52,8 +52,14 @@ class RunConfig:
             raise ConfigError(
                 f"[filter] build_method {self.build_method!r} is not one of "
                 "quadrature, monte_carlo")
+        if self.n_samples < 1:
+            raise ConfigError("[filter] n_samples must be >= 1")
         if not self.resolutions:
             raise ConfigError("[converge] resolutions must be nonempty")
+        if min(self.resolutions) < 1:
+            raise ConfigError("[converge] resolutions must all be >= 1")
+        if not self.c_const > 0.0:
+            raise ConfigError("[converge] c must be > 0")
         for key, value in (("n_pairs", self.n_pairs), ("n_trials", self.n_trials),
                            ("n_trajectories", self.n_conc_traj)):
             if value < 1:

@@ -49,25 +49,33 @@ class FilterState:
 
     ``t == -1`` is the pre-observation state holding the chain's initial law.
     ``weights`` are normalized along the last axis (they sum to one);
-    ``log_norm`` carries the accumulated log normalizers.  A state filtering
-    a stack of B trajectories holds (B, K) weights, (B, M) estimates and (B,)
-    normalizers; a single trajectory drops the B axis.
+    ``log_norm`` carries the accumulated log normalizers.  ``predict_tau``
+    is this step's certificate from ``QuantizedChain.certified_predict``: a
+    bound on the posterior's total variation error from the prediction,
+    above 1e-13 where the row fell back to the direct sum, and 0 at t=0.
+    A state filtering a stack of B trajectories holds (B, K) weights, (B, M)
+    estimates, (B,) normalizers and (B,) certificates; a single trajectory
+    drops the B axis.
     """
 
     t: int
     weights: np.ndarray
     estimate: np.ndarray
     log_norm: float | np.ndarray
+    predict_tau: float | np.ndarray = 0.0
 
 
 @dataclass
 class FilterRunResult:
-    """Estimates (.., T+1, M) and normalizers (.., T+1) of a full filtering pass."""
+    """Estimates (.., T+1, M), normalizers (.., T+1) and prediction
+    certificates (.., T+1) of a full filtering pass; ``to_csv`` writes no
+    certificate."""
 
     estimates: np.ndarray
     log_norms: np.ndarray
     resolution: tuple[int, ...]
     final_state: Optional[FilterState] = None
+    predict_tau: Optional[np.ndarray] = None
 
     def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
         """Write one trajectory's estimates and normalizers, one row per t."""
@@ -110,9 +118,11 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 
     ``y`` is (N,) or (B, N) and ``state.weights`` is (K,) or (B, K); the
     two broadcast, so a single initial state can start a whole stack.  The
-    prediction is ``chain.predict``: on a chain with an offset profile a
-    direct convolution for one trajectory and Toeplitz blocks for a stack,
-    the matrix product otherwise; weights whose last axis is not K raise
+    likelihood is evaluated first, and the prediction is
+    ``chain.certified_predict`` against it: on a chain with an offset
+    profile one batched FFT convolution, with each row whose certificate
+    ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
+    matrix product otherwise.  Weights whose last axis is not K raise
     ``DomainError``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
@@ -121,13 +131,17 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
-    predicted = state.weights if state.t == -1 else chain.predict(state.weights)
-    with np.errstate(divide="ignore"):
-        log_predicted = np.log(predicted)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
         y = np.asarray(y, dtype=float)
         ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
+    if state.t == -1:
+        predicted = state.weights
+        tau = np.zeros(np.broadcast_shapes(predicted.shape, ll.shape)[:-1])[()]
+    else:
+        predicted, tau = chain.certified_predict(state.weights, ll)
+    with np.errstate(divide="ignore"):
+        log_predicted = np.log(predicted)
     logw = log_predicted + ll
     increment = _logsumexp(logw)
     vanished = np.isneginf(increment) | np.isnan(increment)
@@ -143,6 +157,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         weights=weights,
         estimate=weights @ chain.grid.centers,
         log_norm=state.log_norm + increment,
+        predict_tau=tau,
     )
 
 
@@ -175,9 +190,11 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
     """Fold the step over observations of shape (T+1, N) or (B, T+1, N).
 
     A stack of B trajectories shares the chain and advances in one
-    ``chain.predict`` call per step, which never reads a profile chain's
-    dense matrix; its estimates are (B, T+1, M) and its log-normalizers
-    (B, T+1).  Inputs are validated here, once, with ``DomainError``.
+    ``chain.certified_predict`` call per step, which never reads a profile
+    chain's dense matrix; its estimates are (B, T+1, M), and its
+    log-normalizers and prediction certificates (B, T+1).  A certificate
+    above 1e-13 marks a step whose row was predicted by the direct sum.
+    Inputs are validated here, once, with ``DomainError``.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)
@@ -186,14 +203,17 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
     state = initial_filter_state(chain)
     estimates = np.empty((*lead, steps, chain.grid.space.dim))
     log_norms = np.empty((*lead, steps))
+    predict_tau = np.empty((*lead, steps))
     for t in range(steps):
         state = grid_filter_step(chain, spec, state, observations[..., t, :],
                                  workspace, use_full_likelihood)
         estimates[..., t, :] = state.estimate
         log_norms[..., t] = state.log_norm
+        predict_tau[..., t] = state.predict_tau
     return FilterRunResult(
         estimates=estimates, log_norms=log_norms,
-        resolution=chain.grid.a_per_dim, final_state=state)
+        resolution=chain.grid.a_per_dim, final_state=state,
+        predict_tau=predict_tau)
 
 
 def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,

@@ -144,11 +144,11 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
     return mass
 
 
-# Stacks are predicted in b x b blocks, b = min(_BLOCK, K): every block on
-# one block-diagonal of a Toeplitz matrix is the same.
-_BLOCK = 64
-# One trajectory's reversed weights start on an _ALIGN-byte boundary.
-_ALIGN = 64
+# An FFT-predicted entry errs by at most delta = _FFT_C eps log2(L) ||profile||
+# ||u|| (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+# ch. 24); rows certified worse than _TAU_MAX are summed directly.
+_FFT_C = 4.0
+_TAU_MAX = 1e-13
 # Gauss-Legendre nodes per cell (per axis) in quadrature chain construction.
 _QUAD_ORDER = 8
 
@@ -221,31 +221,12 @@ class QuantizedChain:
         return sliding_window_view(self.profile, k)[::-1] / self.row_mass[:, None]
 
     @cached_property
-    def _blocks(self) -> np.ndarray:
-        """The 2n-1 distinct b x b blocks of the Toeplitz matrix
-        profile[c - r + K - 1] (rows and columns zero-padded to n*b), in
-        block-diagonal order: ``_blocks[D + n - 1]`` multiplies block
-        column J - D into block column J."""
-        k = self.grid.total_points
-        b = min(_BLOCK, k)
-        n = -(-k // b)
-        windows = sliding_window_view(np.pad(self.profile, n * b - k), b)
-        return windows[np.arange(2 * n - 1)[:, None] * b + np.arange(b - 1, -1, -1)]
+    def _spectrum(self) -> tuple[np.ndarray, int, float]:
+        """rfft of the profile at L = 2^ceil(log2(2K-1)), L, and ||profile||_2."""
+        n_fft = 1 << (len(self.profile) - 1).bit_length()
+        return np.fft.rfft(self.profile, n_fft), n_fft, float(np.linalg.norm(self.profile))
 
-    def predict(self, weights: np.ndarray) -> np.ndarray:
-        """One step of the chain: ``weights @ transition`` for (K,) or (B, K)
-        weights.
-
-        On a chain with a profile, with u = weights / row_mass, one
-        trajectory (K,) or (1, K) is ``convolve(profile, u, "valid")``,
-        computed as a correlation with a 64-byte-aligned reversed u, and a
-        stack is one GEMM per block-diagonal of the Toeplitz matrix, on the
-        chain's 2n-1 distinct b x b blocks (b = min(64, K), n = ceil(K/b);
-        2Kb numbers built on the first stacked call).  Neither reads the
-        K x K matrix, and both sum non-negative terms directly, with no FFT,
-        so small predicted masses keep their relative precision.  Chains
-        without a profile use the matrix product.
-        """
+    def _checked(self, weights: np.ndarray) -> np.ndarray:
         k = self.grid.total_points
         weights = np.asarray(weights, dtype=float)
         if weights.ndim == 0 or weights.shape[-1] != k:
@@ -253,35 +234,55 @@ class QuantizedChain:
             raise DomainError(
                 f"weights have length {given} along the last axis, the chain "
                 f"has K={k} cells")
+        return weights
+
+    def predict(self, weights: np.ndarray) -> np.ndarray:
+        """One exact step of the chain, ``weights @ transition`` for (K,) or
+        (B, K) weights: the oracle and the fallback of ``certified_predict``.
+        On a profile chain each row of u = weights / row_mass is the direct
+        sum ``np.correlate(profile, u[::-1], "valid")``, so small predicted
+        masses keep their relative precision, and no K x K matrix is read.
+        """
+        weights = self._checked(weights)
         if self.profile is None:
             return weights @ self._matrix
-        if weights.size == k:
-            # convolve(profile, u) is correlate(profile, u[::-1]); build the
-            # reversed copy ourselves, on a 64-byte boundary, where the dot
-            # products run about 30% faster than at the other 8-byte offsets
-            buf = np.empty(k + _ALIGN // 8)
-            start = (-buf.ctypes.data % _ALIGN) // 8
-            rev = np.divide(weights.reshape(k)[::-1], self.row_mass[::-1],
-                            out=buf[start:start + k])
-            return np.correlate(self.profile, rev, "valid").reshape(weights.shape)
-        blocks = self._blocks
-        n, b = (len(blocks) + 1) // 2, blocks.shape[-1]
-        stack = weights.reshape(-1, k)
-        rows = len(stack)
-        # block-major layout: block I of every trajectory is one (rows, b)
-        # slab, so a block-diagonal is a single 2-D GEMM
-        padded = np.zeros((rows, n * b))
-        padded[:, :k] = stack / self.row_mass
-        u = padded.reshape(rows, n, b).transpose(1, 0, 2).reshape(n * rows, b)
-        out = np.zeros_like(u)
-        for d in range(1 - n, n):
-            shift = abs(d) * rows
-            if d >= 0:
-                out[shift:] += u[:len(u) - shift] @ blocks[d + n - 1]
-            else:
-                out[:len(u) - shift] += u[shift:] @ blocks[d + n - 1]
-        out = out.reshape(n, rows, b).transpose(1, 0, 2).reshape(rows, n * b)
-        return out[:, :k].reshape(weights.shape)
+        rows = (weights / self.row_mass).reshape(-1, self.grid.total_points)
+        return np.array([np.correlate(self.profile, u[::-1], "valid")
+                         for u in rows]).reshape(weights.shape)
+
+    def certified_predict(self, weights: np.ndarray,
+                          log_lik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``predict`` for (K,) or (B, K) weights and the step's log-likelihood
+        (they broadcast), and tau, (B,) or a scalar: a bound on the total
+        variation distance between the posteriors ``predicted * exp(log_lik)``
+        of this and of ``predict``.
+
+        A profile chain predicts all rows by one batched real FFT of
+        u = weights / row_mass at length L = 2^ceil(log2(2K-1)), clamped at 0;
+        each entry is within delta = 4 eps log2(max(L, 2)) ||profile|| ||u||
+        of the direct sum.  With a = exp(log_lik - max log_lik), tau =
+        delta sum(a) / sum(max(predicted - delta, 0) a).  A row with tau
+        above 1e-13 (or not finite) is recomputed by ``predict`` and equals
+        it bit for bit.  A matrix chain returns the product and tau = 0.
+        """
+        weights, log_lik = np.broadcast_arrays(self._checked(weights), log_lik)
+        if self.profile is None:
+            return weights @ self._matrix, np.zeros(weights.shape[:-1])[()]
+        k = self.grid.total_points
+        spectrum, n_fft, profile_norm = self._spectrum
+        u = weights / self.row_mass
+        full = np.fft.irfft(np.fft.rfft(u, n_fft) * spectrum, n_fft)
+        predicted = np.maximum(full[..., k - 1:2 * k - 1], 0.0)
+        delta = (_FFT_C * np.finfo(float).eps * np.log2(max(n_fft, 2)) * profile_norm
+                 * np.linalg.norm(u, axis=-1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.exp(log_lik - np.max(log_lik, axis=-1, keepdims=True))
+            tau = (delta[..., 0] * np.sum(a, axis=-1)
+                   / np.sum(np.maximum(predicted - delta, 0.0) * a, axis=-1))
+        refused = ~(tau <= _TAU_MAX)
+        if np.any(refused):
+            predicted[refused] = self.predict(weights[refused])
+        return predicted, tau[()]
 
     def to_csv(self, path: str, extra_meta: Optional[dict] = None) -> None:
         meta = {
@@ -305,9 +306,7 @@ def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         nodes, weights = _gl_panels(grid.edges(d), order)
         owner = np.repeat(np.arange(grid.a_per_dim[d]), order)
         per_dim.append((nodes, weights, owner))
-    mesh_n = np.meshgrid(*[p[0] for p in per_dim], indexing="ij")
-    mesh_w = np.meshgrid(*[p[1] for p in per_dim], indexing="ij")
-    mesh_o = np.meshgrid(*[p[2] for p in per_dim], indexing="ij")
+    mesh_n, mesh_w, mesh_o = (np.meshgrid(*axes, indexing="ij") for axes in zip(*per_dim))
     nodes = np.stack([g.ravel() for g in mesh_n], axis=-1)
     weights = np.prod(np.stack([g.ravel() for g in mesh_w], axis=-1), axis=1)
     owner = np.ravel_multi_index(tuple(g.ravel() for g in mesh_o),

@@ -236,6 +236,25 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
     assert f"[verify] concentration case {case}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, command, message", [
+    ("c = 1.0", "c = -1.0", "converge", "[converge] c must be > 0"),
+    ("c = 1.0", "c = 0.0", "converge", "[converge] c must be > 0"),
+    ("c = 1.0", "c = nan", "converge", "[converge] c must be > 0"),
+    ("resolutions = 4 8", "resolutions = 0 8", "converge",
+     "[converge] resolutions must all be >= 1"),
+    ("resolution = 16", "resolution = 16\nbuild_method = monte_carlo\nn_samples = 0",
+     "filter", "[filter] n_samples must be >= 1"),
+], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero"])
+def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
+    tmp, cfg = workdir
+    # the filter needs a trajectory on disk to get as far as building its chain
+    assert main(["simulate", "--config", cfg]) == 0
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(text.replace(old, new))
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_render_parse_identity():
     cfg = gf.RunConfig(model_id="gauss_walk",
                        model_params={"n": 3, "beta": 0.4, "lower": 0.0},

@@ -388,9 +388,9 @@ def test_log_norm_increments_are_the_step_normalizers(case):
         log_weights = unnormalized - increment[:, None]
 
 
-# Chains with an offset profile predict a single trajectory by direct
-# convolution and a stack by Toeplitz blocks; the dense product stays the
-# oracle.
+# Chains with an offset profile predict every trajectory by one batched FFT,
+# certified per row against the step's likelihood, with the direct sum as the
+# fallback; the dense product stays the oracle.
 # The walk is random: box [lower, lower + width] in K cells, step sigma of
 # 10^log_sigma cell widths.
 
@@ -464,3 +464,63 @@ def test_profile_chain_filters_without_its_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_run_records_the_prediction_certificates(tmp_path):
+    spec, chain = walk(0.0, 1.0, 0.5, 256)
+    _, obs = gf.simulate_batch(spec, 12, 3, seed=4)
+    stacked = gf.run_grid_filter(spec, chain, obs)
+    single = gf.run_grid_filter(spec, chain, obs[0])
+    assert stacked.predict_tau.shape == (3, 13) and single.predict_tau.shape == (13,)
+    assert np.all(stacked.predict_tau[:, 0] == 0.0) and single.predict_tau[0] == 0.0
+    assert np.all(stacked.predict_tau[:, 1:] > 0.0)
+    assert np.array_equal(stacked.final_state.predict_tau, stacked.predict_tau[:, -1])
+    # a matrix chain's product carries no certificate
+    dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
+    assert np.all(gf.run_grid_filter(spec, dense, obs).predict_tau == 0.0)
+    # the certificates stay out of the CSV
+    single.to_csv(str(tmp_path / "est.csv"))
+    assert gf.read_csv(str(tmp_path / "est.csv"))[1] == ["t", "estimate_0", "log_norm"]
+
+
+def test_outlier_observation_falls_back_and_matches_the_dense_run():
+    # an outlier drives the posterior to the edge of the box, where the next
+    # prediction's FFT error swamps the mass the likelihood weighs
+    spec, chain = walk(0.0, 1.0, 0.5, 512)
+    obs = gf.simulate(spec, 10, seed=0).observations
+    obs[5] = 100.0
+    run = gf.run_grid_filter(spec, chain, obs)
+    assert np.sum(run.predict_tau > 1e-13) >= 1
+    dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
+    assert_runs_agree(run, gf.run_grid_filter(spec, dense, obs))
+
+
+@pytest.fixture(scope="module")
+def k2048():
+    spec = gf.build_model("gauss_walk", n=2, beta=0.25, step_sigma=0.15)
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 2048), "quadrature")
+    _, obs = gf.simulate_batch(spec, 20, 4, seed=1)
+    obs[2, 8] = 100.0  # one trajectory takes the fallback
+    return spec, chain, obs
+
+
+def test_stack_of_one_is_bit_identical_to_the_single_run(k2048):
+    spec, chain, obs = k2048
+    for b in (0, 2):
+        single = gf.run_grid_filter(spec, chain, obs[b])
+        one = gf.run_grid_filter(spec, chain, obs[b:b + 1])
+        for field in ("estimates", "log_norms", "predict_tau"):
+            assert np.array_equal(getattr(one, field)[0], getattr(single, field))
+
+
+def test_permuted_stack_predicts_bit_identically(k2048):
+    spec, chain, obs = k2048
+    perm = [2, 0, 3, 1]
+    run = gf.run_grid_filter(spec, chain, obs)
+    permuted = gf.run_grid_filter(spec, chain, obs[perm])
+    assert np.any(run.predict_tau[2] > 1e-13) and np.all(run.predict_tau[0] <= 1e-13)
+    # estimates are a GEMM against the centers, whose rows may round
+    # differently by position; the weights they come from do not
+    for field in ("log_norms", "predict_tau"):
+        assert np.array_equal(getattr(permuted, field), getattr(run, field)[perm])
+    assert np.array_equal(permuted.final_state.weights, run.final_state.weights[perm])

@@ -302,6 +302,8 @@ def test_predict_rejects_weights_of_another_length(with_profile):
         chain.predict(np.full((3, 9), 1 / 9))
     with pytest.raises(gf.DomainError, match="a scalar .*K=8"):
         chain.predict(1.0)
+    with pytest.raises(gf.DomainError, match="length 7 .*K=8"):
+        chain.certified_predict(np.full(7, 1 / 7), np.zeros(7))
 
 
 # A random walk with drift: box [lower, lower + width] in K cells, step
@@ -339,36 +341,94 @@ def test_structured_predict_matches_the_matrix_product(walk, stack, seed):
         assert np.all(np.abs(fast - exact) <= 1e-13 * exact + np.finfo(float).tiny)
 
 
-@pytest.mark.parametrize("k", [63, 64, 65, 129])
-def test_stacked_predict_across_block_boundaries(k):
-    # stacks are predicted in 64 x 64 blocks: one partial block, exactly
-    # one, one plus a single cell, two plus a single cell
+def _posterior(predicted, log_lik):
+    w = predicted * np.exp(log_lik - np.max(log_lik, axis=-1, keepdims=True))
+    return w / np.sum(w, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 512, 513, 1025])
+def test_stacked_predict_across_fft_length_boundaries(k):
+    # the FFT length is L = 2^ceil(log2(2K - 1)): L = 1, 4 and 8 at K = 1, 2, 3;
+    # 2K - 1 = 1023 fits L = 1024 at K = 512, and 2K - 1 is one past a power
+    # of two at K = 513 (L = 2048) and K = 1025 (L = 4096)
     chain = drifting_walk_chain(-1.0, 3.0, 0.8, k, 0.5)
-    weights = gf.make_rng(k).dirichlet(np.ones(k), size=3)
+    rng = gf.make_rng(k)
+    weights = rng.dirichlet(np.ones(k), size=3)
+    log_lik = -0.5 * ((chain.grid.centers[:, 0] - rng.uniform(-1.0, 2.0, (3, 1))) / 0.5) ** 2
     dense = weights @ chain.transition
     assert np.all(np.abs(chain.predict(weights) - dense) <= 1e-13 * dense)
+    predicted, tau = chain.certified_predict(weights, log_lik)
+    accepted = tau <= 1e-13
+    assert tau.shape == (3,) and np.all(np.isfinite(tau))
+    exact, approx = (_posterior(p, log_lik) for p in (dense, predicted))
+    tv = 0.5 * np.sum(np.abs(exact - approx), axis=1)
+    assert np.all(tv[accepted] <= tau[accepted])
+    assert np.array_equal(predicted[~accepted], chain.predict(weights[~accepted]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 2048])
 def test_single_trajectory_predict_convolves_on_aligned_weights(k, monkeypatch):
-    # one trajectory is correlated with its reversed weights, which predict
-    # copies to a 64-byte boundary; the values are the convolution's
+    # the direct predict correlates each row with its reversed weights, once
+    # per row; the values are the convolution's
     spec = gf.build_model("gauss_walk")
     chain = gf.build_chain(spec, gf.Grid(spec.space, k), "quadrature")
     weights = gf.make_rng(k).dirichlet(np.ones(k))
     expected = np.convolve(chain.profile, weights / chain.row_mass, "valid")
-    addresses = []
+    calls = []
     correlate = np.correlate
 
     def spy(a, v, mode):
-        addresses.append(v.ctypes.data)
+        calls.append(len(v))
         return correlate(a, v, mode)
 
     monkeypatch.setattr(np, "correlate", spy)
     assert np.array_equal(chain.predict(weights), expected)
     assert np.array_equal(chain.predict(weights[None]), expected[None])
-    assert len(addresses) == 2
-    assert all(address % 64 == 0 for address in addresses)
+    assert calls == [k, k]
+
+
+# certified_predict: one batched FFT, each row certified against the step's
+# likelihood, and a row that fails its certificate predicted directly.
+
+@settings(max_examples=60, deadline=None)
+@given(walks, st.integers(1, 5), st.integers(0, 2**16))
+def test_certified_predict_bounds_the_posterior_error(walk, stack, seed):
+    chain = drifting_walk_chain(*walk)
+    k = chain.grid.total_points
+    rng = gf.make_rng(seed)
+    # mass spread over 300 decades, with exact zeros
+    weights = rng.random((stack, k)) * 10.0 ** -rng.integers(0, 301, (stack, k))
+    weights[rng.random((stack, k)) < 0.3] = 0.0
+    weights[:, rng.integers(k)] = 1.0  # no row without mass
+    x = chain.grid.centers[:, 0]
+    peak = rng.uniform(x[0], x[-1], (stack, 1))
+    log_lik = -0.5 * ((x - peak) / (rng.uniform(0.01, 2.0, (stack, 1)) * (x[-1] - x[0] + 1e-3))) ** 2
+    predicted, tau = chain.certified_predict(weights, log_lik)
+    exact = chain.predict(weights)
+    assert tau.shape == (stack,) and np.all(predicted >= 0.0)
+    accepted = tau <= 1e-13
+    tv = 0.5 * np.sum(np.abs(_posterior(predicted, log_lik) - _posterior(exact, log_lik)),
+                      axis=1)
+    assert np.all(tv[accepted] <= tau[accepted])
+    assert np.array_equal(predicted[~accepted], exact[~accepted])
+
+
+def test_outlier_observation_takes_the_direct_fallback():
+    spec = gf.build_model("gauss_walk")
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 512), "quadrature")
+    x = chain.grid.centers[:, 0]
+    weights = np.zeros((2, 512))
+    weights[:, :8] = 1.0 / 8
+    # the second likelihood peaks at the far end of the box, where the
+    # predicted masses sit far below the FFT's absolute error
+    log_lik = np.stack([-0.5 * ((x - 0.05) / 0.1) ** 2, -0.5 * ((x - 1.0) / 0.001) ** 2])
+    predicted, tau = chain.certified_predict(weights, log_lik)
+    assert tau[0] <= 1e-13 < tau[1]
+    exact = chain.predict(weights)
+    assert np.array_equal(predicted[1], exact[1])
+    assert not np.array_equal(predicted[0], exact[0])
+    single, single_tau = chain.certified_predict(weights[1], log_lik[1])
+    assert np.array_equal(single, exact[1]) and single_tau == tau[1]
 
 
 # A chain built from a profile stores no K x K matrix; reading
