@@ -5,7 +5,9 @@ folds into the last cell).  Points map to cell centers; the state kernel maps
 to a row-stochastic matrix whose row k is the distribution of the next cell
 when the current state sits at center k.  Two constructions are available:
 quadrature against the kernel density, or Monte Carlo from the kernel
-sampler.  They agree up to sampling noise.
+sampler.  They agree up to sampling noise.  The random walk here declares its
+step's cell masses in closed form, so its "quadrature" chain is one offset
+profile of normal-CDF differences rather than integrated row by row.
 """
 
 import numpy as np

@@ -168,15 +168,14 @@ class TransitionKernel:
     integrate to one there; ``initial_density`` is the density of X_0.  Only
     order-1 kernels can be turned into a quantized chain.
 
-    ``increment_density(dx)``, optional, declares the dynamics translation
-    invariant: it maps offsets of shape (n, M) to the (n,) density of the
-    unconstrained step X_t - X_{t-1}, and on the box ``density(t, x_prev, .)``
-    must be proportional to ``increment_density(. - x_prev)`` for every
-    ``x_prev``.  The per-row constant (a truncation factor, say) is free; it
-    cancels when chain rows are renormalized.  With it, quadrature chain
-    construction integrates one offset profile (16K evaluations for K cells)
-    instead of every row (8K^2); ``verify_assumptions`` checks the
-    proportionality.  One-dimensional boxes only.
+    ``increment_cell_mass(lo, hi)``, optional, declares the dynamics
+    translation invariant: it maps (n,) offset bounds to the (n,) masses of
+    the unconstrained step X_t - X_{t-1} in [lo, hi], and on the box
+    ``density(t, x_prev, .)`` must be proportional to the step's density at
+    ``. - x_prev`` for every ``x_prev`` (a per-row constant, such as a
+    truncation factor, cancels when chain rows are renormalized).  Quadrature
+    chain construction then takes one offset profile of cell masses, and
+    ``verify_assumptions`` checks the proportionality.  1-D boxes only.
     """
 
     sampler: Callable[..., np.ndarray]
@@ -184,7 +183,7 @@ class TransitionKernel:
     density: Optional[Callable[..., np.ndarray]] = None
     initial_density: Optional[Callable[..., np.ndarray]] = None
     order: int = 1
-    increment_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    increment_cell_mass: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -260,10 +259,9 @@ def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> None:
-    """Unit mass of the transition density from each source and, when the
-    kernel declares ``increment_density``, a density-to-hook ratio constant
-    to 1e-9 relative over the nodes where the density is positive (subnormal
-    values, which carry no relative precision, are skipped).
+    """Unit mass of the transition density from each source; with
+    ``increment_cell_mass``, also the same law on the box: the cumulative
+    panel masses of density and hook, each over its total, agree to 1e-9.
 
     The mass is integrated with 8-node Gauss-Legendre panels over the box.
     The panel count doubles from 64 until two successive masses agree to
@@ -273,7 +271,7 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
     if spec.space.dim != 1:
         return
     lo, hi = spec.space.lower[0], spec.space.upper[0]
-    hook = spec.kernel.increment_density
+    hook = spec.kernel.increment_cell_mass
     for x_prev in sources:
         panels, mass = _MASS_PANELS[0], None
         while True:
@@ -289,15 +287,15 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
                 f"transition density mass {mass:.8f} != 1 from x_prev={x_prev}")
         if hook is None:
             continue
-        inc = np.asarray(hook(xs - x_prev), dtype=float).reshape(len(xs))
-        pos = dens >= np.finfo(float).tiny
+        offsets = np.linspace(lo, hi, panels + 1) - x_prev[0]
+        inc = np.asarray(hook(offsets[:-1], offsets[1:]), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = dens[pos] / inc[pos]
-        lo_r, hi_r = np.min(ratio), np.max(ratio)
-        if not (np.isfinite(hi_r) and lo_r > 0.0 and hi_r - lo_r <= 1e-9 * hi_r):
+            gap = np.max(np.abs(np.cumsum((dens * ws).reshape(panels, 8).sum(axis=1)) / mass
+                                - np.cumsum(inc) / np.sum(inc)))
+        if not gap <= 1e-9:
             raise ModelDefinitionError(
-                f"density is not proportional to increment_density from "
-                f"x_prev={x_prev}: density/increment ratio spans [{lo_r:.8g}, {hi_r:.8g}]")
+                f"density is not proportional to increment_cell_mass from "
+                f"x_prev={x_prev}: their distributions on the box differ by {gap:.3g}")
 
 
 @dataclass
@@ -443,7 +441,7 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
     entry over l1) across all probe pairs.  Then it draws three steps of as
     many paths as there are probe points from the kernel's samplers and,
     when the kernel declares a density, checks its unit mass and its
-    proportionality to ``increment_density`` from the first four probe
+    proportionality to ``increment_cell_mass`` from the first four probe
     points.  Returns the empirical constants.
 
     Raises ModelDefinitionError, naming t and the probe point, for a

@@ -324,14 +324,14 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     kernel draws per source center.  Rows are renormalized; a row with no
     mass raises ChainConstructionError naming it.
 
-    A kernel declaring ``increment_density`` (1-D boxes only) has rows that
-    are one shifted step profile up to a per-row constant.  Quadrature then
-    integrates that profile once, relative to the first and the last center
-    (16K evaluations instead of 8K^2), and the chain is that profile alone,
-    at O(K) memory: it derives its row masses itself, and no K x K matrix is
-    made unless an oracle reads ``transition``.  Kernels without the hook take the row-by-row path,
-    which is also the reference the profile path is tested against; their
-    chains, like monte_carlo ones, are dense matrices and carry no profile.
+    A kernel declaring ``increment_cell_mass`` (1-D boxes only) has rows
+    that are one shifted step profile up to a per-row constant.  One call of
+    the hook on the 2K-1 offset cells [(d - 1/2) h, (d + 1/2) h],
+    d = -(K-1)..K-1, gives that profile, and the chain is the profile alone,
+    at O(K) memory: no K x K matrix is made unless an oracle reads
+    ``transition``.  Kernels without the hook take the row-by-row path, the
+    reference for the profile path; their chains, like monte_carlo ones, are
+    dense matrices.
     """
     if spec.kernel.order != 1:
         raise ChainConstructionError(
@@ -350,17 +350,15 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
             dens = np.asarray(dens, dtype=float).reshape(len(nodes))
             return np.bincount(owner, weights=dens * weights, minlength=k)
 
-        hook = spec.kernel.increment_density
+        hook = spec.kernel.increment_cell_mass
         if hook is not None:
             if grid.space.dim != 1:
                 raise ChainConstructionError(
-                    f"increment_density needs a 1-D box, the state box has "
+                    f"increment_cell_mass needs a 1-D box, the state box has "
                     f"M={grid.space.dim} axes")
-            # Offsets from the last center give the cell masses d = -(k-1)..0
-            # cells from the source, offsets from the first center d = 0..k-1;
-            # row r of the chain is profile[k-1-r : 2k-1-r].
-            back, fwd = (cell_mass(hook(nodes - src)) for src in (centers[-1], centers[0]))
-            profile = np.concatenate([back, fwd[1:]])
+            # profile[d + k - 1] is the mass d cells from the source
+            d, h = np.arange(1 - k, k), grid.widths[0]
+            profile = hook((d - 0.5) * h, (d + 0.5) * h)
         else:
             transition = np.empty((k, k))
             for row in range(k):

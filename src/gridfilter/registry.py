@@ -147,9 +147,11 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         dens = phi / (step_sigma * (fb - fa))
         return np.where((xs1 >= a) & (xs1 <= b), dens, 0.0)
 
-    def increment_density(dx):
-        z = np.asarray(dx, dtype=float)[:, 0] / step_sigma
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * step_sigma)
+    def increment_cell_mass(lo, hi):
+        # Phi(-lo) - Phi(-hi) right of 0: both ends in ndtr's precise lower tail
+        right = lo > 0
+        return (ndtr(np.where(right, -lo, hi) / step_sigma)
+                - ndtr(np.where(right, -hi, lo) / step_sigma))
 
     def initial_sampler(rng, size):
         return rng.uniform(a, b, size=(int(size), 1))
@@ -160,7 +162,7 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
 
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
-                              order=1, increment_density=increment_density)
+                              order=1, increment_cell_mass=increment_cell_mass)
     obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, 2.0 * hi2,
                       sigma_xi_sq, scale)
     constants = AssumptionConstants(

@@ -135,12 +135,26 @@ def test_validate_resolves_the_mass_of_a_narrow_step(scale, accepted):
             gf.verify_assumptions(scaled, n_probe=32, seed=0)
 
 
-def test_validate_rejects_increment_density_of_another_step():
+def test_validate_rejects_increment_cell_mass_of_another_step():
     spec = gf.build_model("gauss_walk", step_sigma=0.15)
-    wrong = gf.build_model("gauss_walk", step_sigma=0.2).kernel.increment_density
+    wrong = gf.build_model("gauss_walk", step_sigma=0.2).kernel.increment_cell_mass
     bad = dataclasses.replace(
-        spec, kernel=dataclasses.replace(spec.kernel, increment_density=wrong))
+        spec, kernel=dataclasses.replace(spec.kernel, increment_cell_mass=wrong))
     with pytest.raises(gf.ModelDefinitionError, match="x_prev="):
+        gf.verify_assumptions(bad, n_probe=32, seed=0)
+
+
+def test_validate_rejects_increment_cell_mass_with_doubled_tails():
+    # right on [-3 sigma, 3 sigma], twice the mass beyond it
+    spec = gf.build_model("gauss_walk", step_sigma=0.15)
+    mass = spec.kernel.increment_cell_mass
+
+    def doubled(lo, hi):
+        return 2.0 * mass(lo, hi) - mass(np.clip(lo, -0.45, 0.45), np.clip(hi, -0.45, 0.45))
+
+    bad = dataclasses.replace(
+        spec, kernel=dataclasses.replace(spec.kernel, increment_cell_mass=doubled))
+    with pytest.raises(gf.ModelDefinitionError, match="increment_cell_mass from x_prev="):
         gf.verify_assumptions(bad, n_probe=32, seed=0)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import gridfilter as gf
+from gridfilter._normal import ndtr
 
 
 def unit_interval_grid(a):
@@ -187,19 +189,63 @@ def test_chain_round_trips_through_csv(tmp_path):
 
 
 def without_hook(spec, **kernel_changes):
-    """The same spec with ``increment_density`` dropped (or replaced)."""
-    kernel_changes.setdefault("increment_density", None)
+    """The same spec with ``increment_cell_mass`` dropped (or replaced)."""
+    kernel_changes.setdefault("increment_cell_mass", None)
     return dataclasses.replace(
         spec, kernel=dataclasses.replace(spec.kernel, **kernel_changes))
 
 
+EPS = np.finfo(float).eps
+
+
+def mpmath_step_masses(sigma, k, h):
+    """Masses of N(0, sigma^2) on the offset cells [(d -+ 1/2) h], d = -(k-1)..k-1,
+    at 50 digits; cells right of 0 are taken from the upper tail."""
+    d = np.arange(1 - k, k)
+    out = []
+    with mpmath.workdps(50):
+        for lo, hi in zip((d - 0.5) * h, (d + 0.5) * h):
+            lo, hi = mpmath.mpf(lo) / sigma, mpmath.mpf(hi) / sigma
+            out.append(mpmath.ncdf(-lo) - mpmath.ncdf(-hi) if lo > 0
+                       else mpmath.ncdf(hi) - mpmath.ncdf(lo))
+    return np.array([float(m) for m in out])
+
+
+def mpmath_transition(masses, k):
+    """The truncated walk's K x K chain from its step masses: row r is the
+    window masses[k-1-r : 2k-1-r] over its sum (each within eps/2 of exact)."""
+    with mpmath.workdps(50):
+        sums = [float(mpmath.fsum(masses[k - 1 - r:2 * k - 1 - r])) for r in range(k)]
+    return sliding_window_view(masses, k)[::-1] / np.array(sums)[:, None]
+
+
+@pytest.mark.parametrize("sigma, a", [(0.15, 1), (0.15, 7), (0.15, 64), (0.15, 512),
+                                      (0.15, 4096), (0.001, 1), (0.001, 2), (0.001, 7)])
+def test_profile_is_the_closed_form_cell_masses(sigma, a):
+    # an ndtr difference loses about log10(sigma / h) digits; far tails included
+    spec = gf.build_model("gauss_walk", step_sigma=sigma)
+    grid = gf.Grid(spec.space, a)
+    profile = gf.build_chain(spec, grid, "quadrature").profile
+    want = mpmath_step_masses(sigma, a, grid.widths[0])
+    bound = 8 * EPS * max(1.0, sigma / grid.widths[0])
+    assert np.all(np.abs(profile - want) <= bound * want)
+
+
 @pytest.mark.parametrize("a", [1, 2, 7, 64, 512])
 def test_profile_chain_matches_per_row_chain(a):
+    # both chains against the exact truncated walk, each at its own bound:
+    # the closed form loses log10(sigma / h) digits (5.3e-14 at a=512), and
+    # Gauss-Legendre resolves the step only from a=7 (1.8e-14 there, 2.5e-15
+    # from a=16; at a=2 it is 3e-9 off)
     spec = gf.build_model("gauss_walk")
     grid = gf.Grid(spec.space, a)
     fast = gf.build_chain(spec, grid, "quadrature")
     rows = gf.build_chain(without_hook(spec), grid, "quadrature")
-    assert np.all(np.abs(fast.transition - rows.transition) <= 1e-14 * rows.transition)
+    want = mpmath_transition(mpmath_step_masses(0.15, a, grid.widths[0]), a)
+    bound = 8 * EPS * max(1.0, 0.15 / grid.widths[0]) + 2 * EPS
+    assert np.all(np.abs(fast.transition - want) <= bound * want)
+    if a >= 7:
+        assert np.all(np.abs(rows.transition - want) <= 3e-14 * want)
     assert np.array_equal(fast.initial, rows.initial)
     assert fast.build_method == rows.build_method == "quadrature"
 
@@ -214,21 +260,29 @@ def test_profile_chain_filters_like_per_row_chain():
     assert np.allclose(fast.log_norms, rows.log_norms, rtol=1e-12, atol=1e-12)
 
 
-def test_zero_increment_density_names_row_0():
+@pytest.mark.parametrize("a", [1, 2])
+def test_step_narrower_than_a_cell_builds_the_identity_chain(a):
+    spec = gf.build_model("gauss_walk", step_sigma=0.001)
+    chain = gf.build_chain(spec, gf.Grid(spec.space, a), "quadrature")
+    assert np.array_equal(chain.transition, np.eye(a))
+    gf.verify_assumptions(spec, n_probe=32, seed=0)
+
+
+def test_zero_increment_cell_mass_names_row_0():
     spec = without_hook(gf.build_model("gauss_walk"),
-                        increment_density=lambda dx: np.zeros(len(dx)))
+                        increment_cell_mass=lambda lo, hi: np.zeros(len(lo)))
     with pytest.raises(gf.ChainConstructionError, match="row 0"):
         gf.build_chain(spec, gf.Grid(spec.space, 8), "quadrature")
 
 
-def test_increment_density_on_two_dim_box_is_refused():
+def test_increment_cell_mass_on_two_dim_box_is_refused():
     space = gf.StateSpace(lower=np.zeros(2), upper=np.ones(2))
     kernel = gf.TransitionKernel(
         sampler=lambda t, x, rng: x,
         initial_sampler=lambda rng, size: rng.uniform(0.0, 1.0, size=(size, 2)),
         density=lambda t, x_prev, xs: np.ones(len(xs)),
         initial_density=lambda xs: np.ones(len(xs)),
-        increment_density=lambda dx: np.ones(len(dx)))
+        increment_cell_mass=lambda lo, hi: hi - lo)
     obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
                               cov_fn=lambda t, x: np.ones((len(x), 1, 1)), sigma_xi_sq=1.0)
     constants = gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0,
@@ -307,11 +361,10 @@ def test_predict_rejects_weights_of_another_length(with_profile):
 
 
 # A random walk with drift: box [lower, lower + width] in K cells, step
-# sigma of 10^log_sigma cell widths, mean step of drift * sigma (a drift
-# makes the profile and the row masses asymmetric).  Steps much narrower than
-# a fifth of a cell fall between the quadrature nodes and leave rows without
-# mass.
-walks = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-0.7, 3.5),
+# sigma of 10^log_sigma cell widths, down to a thousandth of a cell, and a
+# mean step of drift * sigma (a drift makes the profile and the row masses
+# asymmetric).
+walks = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-3.0, 3.5),
                   st.integers(1, 300), st.floats(-2.0, 2.0))
 
 
@@ -319,8 +372,14 @@ def drifting_walk_chain(lower, width, log_sigma, k, drift):
     sigma = width / k * 10.0**log_sigma
     spec = gf.build_model("gauss_walk", lower=lower, upper=lower + width,
                           step_sigma=sigma)
-    spec = without_hook(spec, increment_density=lambda dx: np.exp(
-        -0.5 * ((dx[:, 0] - drift * sigma) / sigma) ** 2))
+
+    def cell_mass(lo, hi):
+        # mass of N(drift sigma, sigma^2) on [lo, hi], upper tail right of the mean
+        lo, hi = lo / sigma - drift, hi / sigma - drift
+        right = lo > 0
+        return ndtr(np.where(right, -lo, hi)) - ndtr(np.where(right, -hi, lo))
+
+    spec = without_hook(spec, increment_cell_mass=cell_mass)
     return gf.build_chain(spec, gf.Grid(spec.space, k), "quadrature")
 
 
