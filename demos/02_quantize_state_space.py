@@ -44,7 +44,7 @@ def main():
     print(f"a-priori ceiling (half cell): {grid.half_cell_l1:.4f}")
 
     # For any 1-Lipschitz statistic the induced value gap obeys the same ceiling.
-    dev = gf.cweak_diagnostic(grid, traj, lambda x: float(x[0]), modulus=1.0)
+    dev = gf.cweak_diagnostic(grid, traj, lambda x: float(x[0]))
     print(f"worst statistic gap for f(x)=x_0: {dev:.4f}")
 
 

@@ -27,7 +27,7 @@ from .filtering import (FilterRunResult, FilterState, exact_forward_filter,
                         grid_filter_step, initial_filter_state,
                         path_sum_oracle, run_grid_filter)
 from .harness import (ConvergenceCurve, KGReport, convergence_sweep,
-                      kg_evaluate, reference_filter)
+                      kg_evaluate)
 from .likelihood import (QuadFormWorkspace, log_lambda, log_lambda_hat,
                          log_lambda_hat_at_points)
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
@@ -61,7 +61,7 @@ __all__ = [
     "marginal_approximation", "matvec_difference_sides", "membership_bound",
     "omega_hat_membership", "parse_config", "path_sum_oracle",
     "product_difference_sides", "quantize_point", "quantize_points",
-    "read_csv", "reference_filter", "render_config", "run_grid_filter",
+    "read_csv", "render_config", "run_grid_filter",
     "simulate", "simulate_batch", "simulate_tilde", "tame_threshold",
     "theta_bound", "verify_assumptions", "write_bound_reports",
     "write_concentration_reports", "write_csv", "write_tail_checks",

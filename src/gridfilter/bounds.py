@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 PASS_SLACK = 1e-9
+# ``check_theta_bound`` draws its observations from N(0, _THETA_Y_SIGMA^2 I).
+_THETA_Y_SIGMA = 2.0
 
 
 @dataclass
@@ -302,7 +304,7 @@ def theta_bound(spec: SystemSpec, y: np.ndarray) -> float:
 
 
 def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
-                      y_sigma: float = 2.0, horizon: int = 0) -> BoundReport:
+                      horizon: int = 0) -> BoundReport:
     """Quadratic-form differences against Theta(y) times the state distance."""
     if n_draws < 1:
         raise ValueError("need n_draws >= 1")
@@ -317,7 +319,7 @@ def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
         ts[i] = rng.integers(0, horizon + 1)
         x1[i] = rng.uniform(space.lower, space.upper)
         x2[i] = rng.uniform(space.lower, space.upper)
-        ys[i] = y_sigma * rng.standard_normal(n)
+        ys[i] = _THETA_Y_SIGMA * rng.standard_normal(n)
     d = np.sum(np.abs(x1 - x2), axis=1)
     keep = d != 0.0
     ts, ys, d = ts[keep], ys[keep], d[keep]

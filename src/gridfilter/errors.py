@@ -20,7 +20,10 @@ class AssumptionViolationError(GridFilterError, ValueError):
 
 
 class DomainError(GridFilterError, ValueError):
-    """A point lies outside the state-space box."""
+    """An input outside what the library accepts: a point outside the
+    state-space box, weights of the wrong length, malformed or non-finite
+    observations, a chain or workspace built for another box, model or point
+    set, or a stacked filter result passed to ``to_csv``."""
 
 
 class ChainConstructionError(GridFilterError, ValueError):

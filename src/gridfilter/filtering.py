@@ -106,7 +106,7 @@ def initial_filter_state(chain: QuantizedChain) -> FilterState:
     return FilterState(
         t=-1,
         weights=chain.initial.copy(),
-        estimate=chain.initial @ chain.grid.centers,
+        estimate=np.einsum("...k,km->...m", chain.initial, chain.grid.centers),
         log_norm=0.0,
     )
 
@@ -123,7 +123,8 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     profile one batched FFT convolution, with each row whose certificate
     ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
     matrix product otherwise.  Weights whose last axis is not K raise
-    ``DomainError``.
+    ``DomainError``.  The estimate is an einsum, not a BLAS product, so each
+    row of a stack equals its single run bit for bit.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -155,7 +156,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     return FilterState(
         t=t,
         weights=weights,
-        estimate=weights @ chain.grid.centers,
+        estimate=np.einsum("...k,km->...m", weights, chain.grid.centers),
         log_norm=state.log_norm + increment,
         predict_tau=tau,
     )

@@ -38,7 +38,6 @@ __all__ = [
     "KGReport",
     "ConvergenceCurve",
     "kg_evaluate",
-    "reference_filter",
     "convergence_sweep",
 ]
 
@@ -139,7 +138,10 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
 def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
                max_experiment_a: Optional[int], build_method: str, seed: int,
                n_samples: int) -> tuple[np.ndarray, str, Optional[int]]:
-    """``reference_filter`` plus the surrogate resolution used (None if exact)."""
+    """Reference estimates for observations (T+1, N) or (B, T+1, N), their
+    label, and the surrogate resolution (None when exact): the exact filter
+    for finite-state dynamics, else a grid filter at ``a_ref``, which must be
+    at least 8x ``max_experiment_a`` (ConfigError) and defaults to 8x."""
     if isinstance(spec.kernel, FiniteStateKernel):
         return exact_forward_filter(spec, observations), "exact", None
     if a_ref is None and max_experiment_a is None:
@@ -153,23 +155,6 @@ def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
                         n_samples=n_samples)
     estimates = run_grid_filter(spec, chain, observations).estimates
     return estimates, f"surrogate(a={a_ref})", a_ref
-
-
-def reference_filter(spec: SystemSpec, observations: np.ndarray,
-                     a_ref: Optional[int] = None,
-                     max_experiment_a: Optional[int] = None,
-                     build_method: str = "quadrature", seed: int = 0,
-                     n_samples: int = 200_000) -> tuple[np.ndarray, str]:
-    """Best available reference estimates for observations (T+1, N) or (B, T+1, N).
-
-    Finite-state dynamics get the exact filter.  Anything else gets a
-    surrogate grid filter whose resolution ``a_ref`` must be at least eight
-    times the largest experimental resolution (ConfigError otherwise); it
-    defaults to exactly eight times.
-    """
-    estimates, label, _ = _reference(spec, observations, a_ref, max_experiment_a,
-                                     build_method, seed, n_samples)
-    return estimates, label
 
 
 @dataclass
@@ -200,26 +185,22 @@ class ConvergenceCurve:
         return 2.0 * miss + 3.0 * math.sqrt(max(miss * (1.0 - miss), 0.0)
                                             / max(self.n_total, 1))
 
-    def analytic_bounds(self) -> np.ndarray:
-        return self.kg.bounds()
-
-    def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
-        full_meta = {
+    def to_csv(self, path: str) -> None:
+        meta = {
             "model_id": self.model_id, "horizon": self.horizon,
             "c_const": self.c_const, "seed": self.seed,
             "reference": self.reference_label, "a_ref": self.a_ref,
             "reference_converged": self.reference_converged,
             "reference_gap": self.reference_gap, "n_total": self.n_total,
         }
-        full_meta.update(meta or {})
         header = ["a", "mean_sup_error", "max_sup_error", "analytic_bound",
                   "analytic_bound_log10", "n_traj", "n_rejected"]
-        bounds_lin = self.analytic_bounds()
+        bounds_lin = self.kg.bounds()
         rows = [[a, self.mean_sup_errors[i], self.max_sup_errors[i],
                  bounds_lin[i], self.kg.bound_log[i] / math.log(10.0),
                  self.n_kept, self.n_rejected]
                 for i, a in enumerate(self.resolutions)]
-        write_csv(path, full_meta, header, rows)
+        write_csv(path, meta, header, rows)
 
 
 def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:

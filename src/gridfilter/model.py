@@ -71,6 +71,10 @@ def _checked(a, shape: tuple, name: str, t: int) -> np.ndarray:
     return a
 
 
+# Most corners ``StateSpace.corners`` lists; a larger box gives lower and upper.
+_MAX_CORNERS = 4096
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Axis-aligned closed box ``Z = [lower_1, upper_1] x ... x [lower_M, upper_M]``."""
@@ -103,9 +107,9 @@ class StateSpace:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
-    def corners(self, cap: int = 4096) -> np.ndarray:
-        """All box corners, as a (2^M, M) array (M capped so this stays small)."""
-        if 2 ** self.dim > cap:
+    def corners(self) -> np.ndarray:
+        """All 2^M corners (2^M, M), or only the two past ``_MAX_CORNERS``."""
+        if 2 ** self.dim > _MAX_CORNERS:
             return np.stack([self.lower, self.upper])
         grids = np.meshgrid(*[(self.lower[d], self.upper[d]) for d in range(self.dim)], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
@@ -153,7 +157,7 @@ class ObservationModel:
 
 @dataclass
 class TransitionKernel:
-    """State dynamics of an order-``order`` Markov process on the box Z.
+    """State dynamics of a Markov process on the box Z.
 
     Callbacks are batched over B paths or n points with M axes::
 
@@ -165,8 +169,7 @@ class TransitionKernel:
     ``sampler`` draws X_t given X_{t-1} = x_prev row by row and
     ``initial_sampler`` draws X_0.  ``density``, when present, is the
     transition density with respect to Lebesgue measure on Z and must
-    integrate to one there; ``initial_density`` is the density of X_0.  Only
-    order-1 kernels can be turned into a quantized chain.
+    integrate to one there; ``initial_density`` is the density of X_0.
 
     ``increment_cell_mass(lo, hi)``, optional, declares the dynamics
     translation invariant: it maps (n,) offset bounds to the (n,) masses of
@@ -182,12 +185,7 @@ class TransitionKernel:
     initial_sampler: Callable[..., np.ndarray]
     density: Optional[Callable[..., np.ndarray]] = None
     initial_density: Optional[Callable[..., np.ndarray]] = None
-    order: int = 1
     increment_cell_mass: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ModelDefinitionError("Markov order must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -106,18 +106,13 @@ def marginal_approximation(grid: Grid, traj: Trajectory) -> np.ndarray:
     return quantize_points(grid, traj.states)
 
 
-def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], float],
-                     modulus: Optional[float] = None) -> float:
+def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], float]) -> float:
     """Largest gap |f(center(x_t)) - f(x_t)| along a trajectory.
 
-    ``modulus`` is the caller's declared Lipschitz bound for ``f`` (l1 domain
-    norm); it is not used in the computation but states the contract under
-    which the returned deviation is bounded by ``modulus * grid.half_cell_l1``.
+    For ``f`` Lipschitz with constant L in the l1 domain norm, the returned
+    deviation is at most L * ``grid.half_cell_l1``.
     """
-    if modulus is not None and modulus < 0:
-        raise ValueError("modulus must be nonnegative")
-    idx = marginal_approximation(grid, traj)
-    centers = grid.centers[idx]
+    centers = grid.centers[marginal_approximation(grid, traj)]
     dev = 0.0
     for t in range(traj.states.shape[0]):
         dev = max(dev, abs(float(f(centers[t])) - float(f(traj.states[t]))))
@@ -284,7 +279,7 @@ class QuantizedChain:
             predicted[refused] = self.predict(weights[refused])
         return predicted, tau[()]
 
-    def to_csv(self, path: str, extra_meta: Optional[dict] = None) -> None:
+    def to_csv(self, path: str) -> None:
         meta = {
             "a_per_dim": " ".join(str(a) for a in self.grid.a_per_dim),
             "lower": " ".join(repr(v) for v in self.grid.space.lower),
@@ -292,7 +287,6 @@ class QuantizedChain:
             "build_method": self.build_method,
             "initial": " ".join(repr(v) for v in self.initial),
         }
-        meta.update(extra_meta or {})
         k = self.grid.total_points
         header = [f"p{j}" for j in range(k)]
         write_csv(path, meta, header, self.transition)
@@ -333,9 +327,6 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     reference for the profile path; their chains, like monte_carlo ones, are
     dense matrices.
     """
-    if spec.kernel.order != 1:
-        raise ChainConstructionError(
-            f"chain construction needs an order-1 kernel, got order {spec.kernel.order}")
     k = grid.total_points
     centers = grid.centers
     transition = profile = None

@@ -60,7 +60,7 @@ class FiniteStateKernel(TransitionKernel):
         self._cdf = np.cumsum(p, axis=1)
         self._init_cdf = np.cumsum(pi)
         super().__init__(sampler=self._sample, initial_sampler=self._sample_initial,
-                         density=None, initial_density=None, order=1)
+                         density=None, initial_density=None)
 
     def _index_of(self, pts: np.ndarray) -> np.ndarray:
         d = np.sum(np.abs(pts[:, None, :] - self.states[None, :, :]), axis=2)
@@ -98,8 +98,8 @@ def _scale_for_target(raw_floor: float, obs_scale, lambda_inf_target: float) -> 
     return math.sqrt(float(lambda_inf_target) / raw_floor)
 
 
-def _linear_obs(n: int, alpha: float, beta_fn, beta_deriv_bound: float,
-                sigma_xi_sq: float, scale: float) -> ObservationModel:
+def _linear_obs(n: int, alpha: float, beta_fn, sigma_xi_sq: float,
+                scale: float) -> ObservationModel:
     """mean alpha*x in every coordinate, covariance beta_fn(x) * I."""
 
     def mean_fn(t, x):
@@ -162,9 +162,8 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
 
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
-                              order=1, increment_cell_mass=increment_cell_mass)
-    obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, 2.0 * hi2,
-                      sigma_xi_sq, scale)
+                              increment_cell_mass=increment_cell_mass)
+    obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, sigma_xi_sq, scale)
     constants = AssumptionConstants(
         lambda_inf=scale**2 * raw_floor,
         lambda_sup=scale**2 * (beta + hi2**2 + sigma_xi_sq),
@@ -205,10 +204,10 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
     pi = np.full(k, 1.0 / k)
     kernel = FiniteStateKernel(states=states, transition_matrix=p, initial_probs=pi)
 
-    lo2, hi2 = _abs_extremes(lower, upper)
+    hi2 = _abs_extremes(lower, upper)[1]
     raw_floor = beta + sigma_xi_sq
     scale = _scale_for_target(raw_floor, obs_scale, lambda_inf_target)
-    obs = _linear_obs(n, alpha, lambda x1: np.full(x1.shape, float(beta)), 0.0,
+    obs = _linear_obs(n, alpha, lambda x1: np.full(x1.shape, float(beta)),
                       sigma_xi_sq, scale)
     constants = AssumptionConstants(
         lambda_inf=scale**2 * raw_floor,
@@ -249,7 +248,7 @@ def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,
     def cov_fn(t, x):
         return np.tile(float(cov_const) * np.eye(n), (len(x), 1, 1))
 
-    kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler, order=1)
+    kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler)
     obs = ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
                            sigma_xi_sq=sigma_xi_sq, obs_scale=obs_scale,
                            stationary=True)

@@ -200,6 +200,14 @@ def test_verify_concentration_passes_on_demo(workdir, capsys):
     assert (tmp / "out" / "concentration.csv").exists()
 
 
+def test_verify_passes_on_demo_and_writes_every_report(workdir, capsys):
+    tmp, cfg = workdir
+    assert main(["verify", "--config", cfg]) == 0
+    assert "assumption audit: pass" in capsys.readouterr().out
+    for name in ("bounds.csv", "chi2.csv", "concentration.csv"):
+        assert (tmp / "out" / name).exists()
+
+
 def test_verify_fails_on_degenerate_model(tmp_path, capsys):
     # unit-covariance frozen model sits exactly at the eigenvalue floor
     cfg = tmp_path / "flat.ini"

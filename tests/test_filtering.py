@@ -499,7 +499,7 @@ def test_outlier_observation_falls_back_and_matches_the_dense_run():
 def k2048():
     spec = gf.build_model("gauss_walk", n=2, beta=0.25, step_sigma=0.15)
     chain = gf.build_chain(spec, gf.Grid(spec.space, 2048), "quadrature")
-    _, obs = gf.simulate_batch(spec, 20, 4, seed=1)
+    _, obs = gf.simulate_batch(spec, 20, 5, seed=1)
     obs[2, 8] = 100.0  # one trajectory takes the fallback
     return spec, chain, obs
 
@@ -515,12 +515,20 @@ def test_stack_of_one_is_bit_identical_to_the_single_run(k2048):
 
 def test_permuted_stack_predicts_bit_identically(k2048):
     spec, chain, obs = k2048
-    perm = [2, 0, 3, 1]
+    perm = [2, 0, 4, 3, 1]
     run = gf.run_grid_filter(spec, chain, obs)
     permuted = gf.run_grid_filter(spec, chain, obs[perm])
     assert np.any(run.predict_tau[2] > 1e-13) and np.all(run.predict_tau[0] <= 1e-13)
-    # estimates are a GEMM against the centers, whose rows may round
-    # differently by position; the weights they come from do not
-    for field in ("log_norms", "predict_tau"):
+    for field in ("estimates", "log_norms", "predict_tau"):
         assert np.array_equal(getattr(permuted, field), getattr(run, field)[perm])
     assert np.array_equal(permuted.final_state.weights, run.final_state.weights[perm])
+
+
+def test_every_row_of_a_stack_equals_its_single_run(k2048):
+    spec, chain, obs = k2048
+    stacked = gf.run_grid_filter(spec, chain, obs)
+    for b in range(len(obs)):
+        single = gf.run_grid_filter(spec, chain, obs[b])
+        for field in ("estimates", "log_norms", "predict_tau"):
+            assert np.array_equal(getattr(stacked, field)[b], getattr(single, field))
+        assert np.array_equal(stacked.final_state.weights[b], single.final_state.weights)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter.harness import _reference
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,8 @@ def test_kg_csv_layout(tmp_path, audited):
 def test_reference_filter_delegates_to_exact():
     fspec = gf.build_model("finite_chain", n_states=4)
     traj = gf.simulate(fspec, 5, seed=0)
-    est, label = gf.reference_filter(fspec, traj.observations)
+    est, label, _ = _reference(fspec, traj.observations, None, None, "quadrature", 0,
+                               200_000)
     assert label == "exact"
     assert np.allclose(est, gf.exact_forward_filter(fspec, traj.observations))
 
@@ -72,9 +74,9 @@ def test_reference_filter_enforces_resolution_margin():
     spec = gf.build_model("gauss_walk")
     traj = gf.simulate(spec, 3, seed=0)
     with pytest.raises(gf.ConfigError):
-        gf.reference_filter(spec, traj.observations, a_ref=64, max_experiment_a=16)
-    est, label = gf.reference_filter(spec, traj.observations, a_ref=128,
-                                     max_experiment_a=16)
+        _reference(spec, traj.observations, 64, 16, "quadrature", 0, 200_000)
+    est, label, _ = _reference(spec, traj.observations, 128, 16, "quadrature", 0,
+                               200_000)
     assert label == "surrogate(a=128)"
     assert est.shape == (4, 1)
 

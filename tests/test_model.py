@@ -8,7 +8,7 @@ from scipy import stats
 
 import gridfilter as gf
 from gridfilter import model
-from gridfilter.model import _checked, _cholesky_at, _simulate
+from gridfilter.model import _checked, _cholesky_at
 
 
 def frozen_spec(n=2, mean_const=0.3, cov_const=1.0, sigma_xi_sq=0.5):
@@ -108,15 +108,19 @@ def test_validate_accepts_demo_and_rejects_bad_density():
     spec = gf.build_model("gauss_walk")
     gf.verify_assumptions(spec, n_probe=32, seed=0)
 
-    bad_kernel = gf.TransitionKernel(
-        sampler=spec.kernel.sampler,
-        initial_sampler=spec.kernel.initial_sampler,
-        density=lambda t, x, xn: 0.5 * spec.kernel.density(t, x, xn),
-        initial_density=spec.kernel.initial_density)
-    bad = gf.SystemSpec(space=spec.space, kernel=bad_kernel, obs=spec.obs,
-                        constants=spec.constants, model_id="bad")
+    def without_hook(scale):
+        kernel = gf.TransitionKernel(
+            sampler=spec.kernel.sampler,
+            initial_sampler=spec.kernel.initial_sampler,
+            density=lambda t, x, xn: scale * spec.kernel.density(t, x, xn),
+            initial_density=spec.kernel.initial_density)
+        return gf.SystemSpec(space=spec.space, kernel=kernel, obs=spec.obs,
+                             constants=spec.constants, model_id="bad")
+
+    # without increment_cell_mass only the density's mass is checked
+    gf.verify_assumptions(without_hook(1.0), n_probe=32, seed=0)
     with pytest.raises(gf.ModelDefinitionError):
-        gf.verify_assumptions(bad, n_probe=32, seed=0)
+        gf.verify_assumptions(without_hook(0.5), n_probe=32, seed=0)
 
 
 @pytest.mark.parametrize("scale, accepted", [(1.0, True), (0.5, False)])
@@ -261,10 +265,24 @@ def test_simulation_does_not_disturb_global_rng():
 
 def test_trajectory_coupling_shares_state_path():
     spec = gf.build_model("gauss_walk")
-    tp = _simulate(spec, 10, 21, tilde=False)
-    tq = _simulate(spec, 10, 21, tilde=True)
+    tp = gf.simulate(spec, 10, 21)
+    tq = gf.simulate_tilde(spec, 10, 21)
     assert np.array_equal(tp.states, tq.states)
     assert not np.array_equal(tp.observations, tq.observations)
+    # the reference observations are the driving draws of stream (seed, 1)
+    assert np.array_equal(tq.observations,
+                          gf.make_rng(21, 1).standard_normal((11, spec.obs.n)))
+
+
+def test_corners_list_every_corner_up_to_4096():
+    for m in (1, 3, 12):
+        space = gf.StateSpace(lower=-np.arange(1.0, m + 1), upper=np.arange(1.0, m + 1))
+        corners = space.corners()
+        assert corners.shape == (2**m, m)
+        assert len({tuple(c) for c in corners}) == 2**m
+        assert np.all((corners == space.lower) | (corners == space.upper))
+    space = gf.StateSpace(lower=np.zeros(13), upper=np.ones(13))
+    assert np.array_equal(space.corners(), np.stack([np.zeros(13), np.ones(13)]))
 
 
 def test_constants_validation():
@@ -307,8 +325,6 @@ def escaping_walk():
     (observation_model(n=0), "observation dimension must be >= 1"),
     (observation_model(sigma_xi_sq=0.0), "sigma_xi_sq must be positive"),
     (observation_model(obs_scale=-1.0), "obs_scale must be positive"),
-    (lambda: gf.TransitionKernel(sampler=None, initial_sampler=None, order=0),
-     "Markov order must be >= 1"),
     (constants(mu_sup=np.nan), "constants must be finite"),
     (constants(k_mu=-1.0), "norm bounds must be nonnegative"),
     (lambda: gf.Trajectory(states=np.zeros((3, 1)), observations=np.zeros((2, 2)),
@@ -316,7 +332,7 @@ def escaping_walk():
      "states and observations must share a time axis"),
     (lambda: gf.simulate(escaping_walk(), 2, seed=0), r"kernel left the box at t=1"),
 ], ids=["box_lengths", "box_infinite", "box_empty", "obs_n", "obs_sigma_xi",
-        "obs_scale", "kernel_order", "constants_nan", "constants_negative",
+        "obs_scale", "constants_nan", "constants_negative",
         "trajectory_lengths", "kernel_left_box"])
 def test_model_refusals(make, message):
     with pytest.raises(gf.ModelDefinitionError, match=message):

@@ -146,19 +146,6 @@ def test_chain_validation_names_offending_row():
                           np.array([0.9, 0.2]))
 
 
-def test_second_order_kernel_is_refused():
-    spec = gf.build_model("gauss_walk")
-    k2 = gf.TransitionKernel(sampler=spec.kernel.sampler,
-                             initial_sampler=spec.kernel.initial_sampler,
-                             density=spec.kernel.density,
-                             initial_density=spec.kernel.initial_density,
-                             order=2)
-    spec2 = gf.SystemSpec(space=spec.space, kernel=k2, obs=spec.obs,
-                          constants=spec.constants)
-    with pytest.raises(gf.ChainConstructionError):
-        gf.build_chain(spec2, gf.Grid(spec.space, 4), "quadrature")
-
-
 def test_marginal_approximation_follows_trajectory():
     spec = gf.build_model("gauss_walk")
     traj = gf.simulate(spec, 25, seed=6)
@@ -173,7 +160,7 @@ def test_cweak_diagnostic_bounded_for_lipschitz_function():
     spec = gf.build_model("gauss_walk")
     traj = gf.simulate(spec, 40, seed=2)
     grid = gf.Grid(spec.space, 16)
-    dev = gf.cweak_diagnostic(grid, traj, lambda x: float(x[0]), modulus=1.0)
+    dev = gf.cweak_diagnostic(grid, traj, lambda x: float(x[0]))
     assert dev <= grid.half_cell_l1 + 1e-12
 
 
@@ -358,6 +345,18 @@ def test_predict_rejects_weights_of_another_length(with_profile):
         chain.predict(1.0)
     with pytest.raises(gf.DomainError, match="length 7 .*K=8"):
         chain.certified_predict(np.full(7, 1 / 7), np.zeros(7))
+
+
+def test_matrix_chain_predicts_by_its_matrix():
+    spec = gf.build_model("gauss_walk")
+    chain = gf.build_chain(without_hook(spec), gf.Grid(spec.space, 8), "quadrature")
+    assert chain.profile is None
+    weights = np.random.default_rng(0).dirichlet(np.ones(8), size=3)
+    for w in (weights[0], weights):
+        assert np.array_equal(chain.predict(w), w @ chain.transition)
+        predicted, tau = chain.certified_predict(w, np.zeros(8))
+        assert np.array_equal(predicted, w @ chain.transition)
+        assert np.shape(tau) == w.shape[:-1] and np.all(tau == 0.0)
 
 
 # A random walk with drift: box [lower, lower + width] in K cells, step

@@ -1,4 +1,5 @@
-"""Refusals of the model registry and the finite-state kernel."""
+"""Refusals of the model registry and the finite-state kernel, and the
+constant model's frozen dynamics."""
 
 import numpy as np
 import pytest
@@ -38,3 +39,9 @@ def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5))
 def test_registry_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_constant_demo_holds_its_state():
+    spec = gf.build_model("constant", value=0.25)
+    traj = gf.simulate(spec, 4, seed=0)
+    assert np.array_equal(traj.states, np.full((5, 1), 0.25))
