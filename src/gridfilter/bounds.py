@@ -10,7 +10,7 @@ beyond them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ class BoundReport:
     n_trials: int
     worst_ratio: float
     constants: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -125,7 +124,7 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def check_product_bound(trials: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
-                        norm: str = "fro", seed: Optional[int] = None) -> BoundReport:
+                        norm: str = "fro") -> BoundReport:
     """Worst product-difference ratio over supplied (A-sequence, B-sequence) pairs."""
     worst = 0.0
     count = 0
@@ -134,7 +133,7 @@ def check_product_bound(trials: Iterable[tuple[Sequence[np.ndarray], Sequence[np
         worst = max(worst, _ratio(lhs, rhs))
         count += 1
     return BoundReport(check_id=f"product-difference-{norm}", n_trials=count,
-                       worst_ratio=worst, seed=seed)
+                       worst_ratio=worst)
 
 
 def adjugate_cofactor(mat: np.ndarray) -> np.ndarray:
@@ -183,7 +182,7 @@ def check_adjugate_bound(n_dim: int, n_trials: int, seed: int = 0) -> BoundRepor
     c, adj = _adjugate_trials(n_dim, n_trials, seed)
     worst = np.max(_ratios(_row_norms(adj), math.sqrt(n_dim) * np.linalg.det(c)), initial=0.0)
     return BoundReport(check_id=f"adjugate-norm-{n_dim}d", n_trials=n_trials,
-                       worst_ratio=float(worst), seed=seed)
+                       worst_ratio=float(worst))
 
 
 def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
@@ -267,8 +266,7 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
             "k_det_minor": float(k_minor_hat),
             "k_inv_empirical": float(k_inv_emp),
             "k_inv_formula": formula,
-        },
-        seed=seed)
+        })
 
 
 def _with_derived(spec: SystemSpec, report: BoundReport) -> SystemSpec:
@@ -277,10 +275,9 @@ def _with_derived(spec: SystemSpec, report: BoundReport) -> SystemSpec:
         raise AssumptionViolationError(
             f"covariance regularity check failed with ratio {report.worst_ratio:.6g}")
     c = report.constants
-    constants = spec.constants.with_derived(
-        k_det=c["k_det"], k_det_minor=c["k_det_minor"], k_inv=c["k_inv_formula"])
-    return SystemSpec(space=spec.space, kernel=spec.kernel, obs=spec.obs,
-                      constants=constants, model_id=spec.model_id)
+    return replace(spec, constants=replace(
+        spec.constants, k_det=c["k_det"], k_det_minor=c["k_det_minor"],
+        k_inv=c["k_inv_formula"]))
 
 
 def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0,
@@ -331,4 +328,4 @@ def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
     theta = np.array([theta_bound(spec, y) for y in ys])
     worst = np.max(_ratios(np.abs(q[0] - q[1]), theta * d), initial=0.0)
     return BoundReport(check_id="quadform-difference", n_trials=n_draws,
-                       worst_ratio=float(worst), seed=seed)
+                       worst_ratio=float(worst))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -34,20 +35,12 @@ CHECK_FAILED = 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
+    handler, path = given.pop("handler"), given.pop("config")
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        handler = {
-            "simulate": cmd_simulate,
-            "filter": cmd_filter,
-            "converge": cmd_converge,
-            "verify-bounds": cmd_verify_bounds,
-            "verify-concentration": cmd_verify_concentration,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(cfg, args)
+        cfg = replace(load_config(path), **given)
+        cfg.validate()
+        return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -57,40 +50,28 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand with its handler; a flag's dest is the RunConfig field
+    it overrides, and a flag left out stays out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="gridfilter",
         description="Grid-based approximate filtering and its verification suite")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "draw a trajectory and write it as CSV"),
-        ("filter", "run the grid filter over a simulated trajectory"),
-        ("converge", "error-versus-resolution sweep with analytic budgets"),
-        ("verify-bounds", "randomized checks of the deterministic inequalities"),
-        ("verify-concentration", "tail and tame-set frequency checks"),
-        ("verify", "all checks: assumptions, bounds, concentration"),
+    sub = parser.add_subparsers(metavar="command", required=True)
+    for name, handler, help_text in [
+        ("simulate", cmd_simulate, "draw a trajectory and write it as CSV"),
+        ("filter", cmd_filter, "run the grid filter over a simulated trajectory"),
+        ("converge", cmd_converge, "error-versus-resolution sweep with analytic budgets"),
+        ("verify-bounds", cmd_verify_bounds, "randomized checks of the deterministic inequalities"),
+        ("verify-concentration", cmd_verify_concentration, "tail and tame-set frequency checks"),
+        ("verify", cmd_verify, "all checks: assumptions, bounds, concentration"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="path to an INI run config")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument("--out", default=None, help="override [run] out_dir")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="override [filter] resolution")
+        p.add_argument("--seed", type=int, help="override [run] seed")
+        p.add_argument("--out", dest="out_dir", help="override [run] out_dir")
+        if name == "filter":
+            p.add_argument("--resolution", type=int, help="override [filter] resolution")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    from dataclasses import replace
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.resolution is not None:
-        if args.resolution < 1:
-            raise ConfigError("--resolution must be >= 1")
-        cfg = replace(cfg, resolution=args.resolution)
-    return cfg
 
 
 def _spec_from(cfg: RunConfig):
@@ -101,7 +82,7 @@ def _traj_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, f"trajectory_seed{cfg.seed}.csv")
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     traj = simulate(spec, cfg.horizon, cfg.seed)
     path = _traj_path(cfg)
@@ -135,7 +116,7 @@ def _load_trajectory(cfg: RunConfig, spec) -> Trajectory:
                       seed=int(meta.get("seed", cfg.seed)))
 
 
-def cmd_filter(cfg: RunConfig, args) -> int:
+def cmd_filter(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     traj = _load_trajectory(cfg, spec)
     chain = build_chain(spec, Grid(spec.space, cfg.resolution), cfg.build_method,
@@ -148,7 +129,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_converge(cfg: RunConfig, args) -> int:
+def cmd_converge(cfg: RunConfig) -> int:
     spec = audit_derived_constants(_spec_from(cfg), n_pairs=cfg.n_pairs,
                                    seed=cfg.seed)
     curve = convergence_sweep(
@@ -177,11 +158,10 @@ def _product_trials(cfg: RunConfig, rng: np.random.Generator):
         yield a_seq, b_seq
 
 
-def cmd_verify_bounds(cfg: RunConfig, args) -> int:
+def cmd_verify_bounds(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     rng = make_rng(cfg.seed, 30)
-    reports = [check_product_bound(_product_trials(cfg, rng), norm="fro",
-                                   seed=cfg.seed)]
+    reports = [check_product_bound(_product_trials(cfg, rng), norm="fro")]
     for n_dim in (2, 3, 5):
         reports.append(check_adjugate_bound(n_dim, cfg.n_trials, seed=cfg.seed))
     suite = check_lipschitz_suite(spec, cfg.n_pairs, seed=cfg.seed)
@@ -202,7 +182,7 @@ def cmd_verify_bounds(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify_concentration(cfg: RunConfig, args) -> int:
+def cmd_verify_concentration(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     checks = [chi2_tail_check(n, u, cfg.n_conc_traj, seed=cfg.seed)
               for n in cfg.chi2_n for u in cfg.chi2_u]
@@ -234,7 +214,7 @@ def cmd_verify_concentration(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     try:
         verify_assumptions(spec, n_probe=64, seed=cfg.seed, horizon=0)
@@ -242,8 +222,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     except GridFilterError as exc:
         print(f"assumption audit: FAIL ({exc})", file=sys.stderr)
         return CHECK_FAILED
-    rc_bounds = cmd_verify_bounds(cfg, args)
-    rc_conc = cmd_verify_concentration(cfg, args)
+    rc_bounds = cmd_verify_bounds(cfg)
+    rc_conc = cmd_verify_concentration(cfg)
     return max(rc_bounds, rc_conc)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -40,35 +40,75 @@ class RunConfig:
     concentration_cases: tuple[tuple[int, float, int], ...] = ((2, 1.0, 0), (2, 1.0, 9), (4, 1.0, 9))
 
     def validate(self) -> None:
+        """Refuse a value that the run cannot use, naming its key."""
         if not self.model_id:
             raise ConfigError("missing [model] id")
-        if self.horizon < 0:
-            raise ConfigError("[run] horizon must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("[run] seed must be >= 0")
-        if self.resolution < 1:
-            raise ConfigError("[filter] resolution must be >= 1")
+        if not self.resolutions:
+            raise ConfigError("[converge] resolutions must be nonempty")
+        for section, option, name, _, _, least in _KEYS:
+            value = getattr(self, name)
+            many = isinstance(value, tuple)
+            if least is not None and min(value if many else (value,)) < least:
+                raise ConfigError(f"[{section}] {option} must "
+                                  f"{'all ' if many else ''}be >= {least}")
         if self.build_method not in ("quadrature", "monte_carlo"):
             raise ConfigError(
                 f"[filter] build_method {self.build_method!r} is not one of "
                 "quadrature, monte_carlo")
-        if self.n_samples < 1:
-            raise ConfigError("[filter] n_samples must be >= 1")
-        if not self.resolutions:
-            raise ConfigError("[converge] resolutions must be nonempty")
-        if min(self.resolutions) < 1:
-            raise ConfigError("[converge] resolutions must all be >= 1")
         if not self.c_const > 0.0:
             raise ConfigError("[converge] c must be > 0")
-        for key, value in (("n_pairs", self.n_pairs), ("n_trials", self.n_trials),
-                           ("n_trajectories", self.n_conc_traj)):
-            if value < 1:
-                raise ConfigError(f"[verify] {key} must be >= 1")
         for n, c, horizon in self.concentration_cases:
             if n < 1 or not c > 0.0 or horizon < 0:
                 raise ConfigError(
                     f"[verify] concentration case {n}:{c!r}:{horizon} needs "
                     "n >= 1, c > 0 and horizon >= 0")
+
+
+def _fmt(value) -> str:
+    """A value as written in the file; a tuple is a concentration case."""
+    if isinstance(value, tuple):
+        return ":".join(_fmt(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _words(values: tuple) -> str:
+    return " ".join(_fmt(v) for v in values)
+
+
+def _list_of(conv):
+    return lambda raw: tuple(conv(v) for v in raw.split())
+
+
+def _case(item: str) -> tuple[int, float, int]:
+    parts = item.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"case {item!r} is not n:c:horizon")
+    return int(parts[0]), float(parts[1]), int(parts[2])
+
+
+# Every key outside [model], once: section, option, RunConfig field, parser,
+# renderer, and the least allowed value (of each element, for a list; None
+# when only a key-specific check in ``validate`` applies).
+_KEYS = (
+    ("run", "horizon", "horizon", int, _fmt, 0),
+    ("run", "seed", "seed", int, _fmt, 0),
+    ("run", "out_dir", "out_dir", str, _fmt, None),
+    ("filter", "resolution", "resolution", int, _fmt, 1),
+    ("filter", "build_method", "build_method", str, _fmt, None),
+    ("filter", "n_samples", "n_samples", int, _fmt, 1),
+    ("converge", "resolutions", "resolutions", _list_of(int), _words, 1),
+    ("converge", "a_ref", "a_ref", int, _fmt, None),
+    ("converge", "c", "c_const", float, _fmt, None),
+    ("converge", "n_traj", "n_traj", int, _fmt, None),
+    ("verify", "n_pairs", "n_pairs", int, _fmt, 1),
+    ("verify", "n_trials", "n_trials", int, _fmt, 1),
+    ("verify", "n_trajectories", "n_conc_traj", int, _fmt, 1),
+    ("verify", "chi2_u", "chi2_u", _list_of(float), _words, None),
+    ("verify", "chi2_n", "chi2_n", _list_of(int), _words, None),
+    ("verify", "concentration", "concentration_cases", _list_of(_case), _words, None),
+)
 
 
 def _coerce(text: str):
@@ -89,88 +129,33 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
-    if not parser.has_section("model") or not parser.has_option("model", "id"):
+    if not parser.has_option("model", "id"):
         raise ConfigError("missing [model] id")
-    model_id = parser.get("model", "id")
-    model_params = {key: _coerce(val) for key, val in parser.items("model")
-                    if key != "id"}
-    cfg = RunConfig(model_id=model_id, model_params=model_params)
-
-    def take(section: str, option: str, conv, current):
+    values = {}
+    for section, option, name, parse, _, _ in _KEYS:
         if parser.has_option(section, option):
-            raw = parser.get(section, option)
             try:
-                return conv(raw)
+                values[name] = parse(parser.get(section, option))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{section}] {option}: {exc}") from exc
-        return current
-
-    ints = lambda raw: tuple(int(v) for v in raw.split())
-    floats = lambda raw: tuple(float(v) for v in raw.split())
-
-    def cases(raw: str):
-        out = []
-        for item in raw.split():
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"case {item!r} is not n:c:horizon")
-            out.append((int(parts[0]), float(parts[1]), int(parts[2])))
-        return tuple(out)
-
-    cfg = replace(
-        cfg,
-        horizon=take("run", "horizon", int, cfg.horizon),
-        seed=take("run", "seed", int, cfg.seed),
-        out_dir=take("run", "out_dir", str, cfg.out_dir),
-        resolution=take("filter", "resolution", int, cfg.resolution),
-        build_method=take("filter", "build_method", str, cfg.build_method),
-        n_samples=take("filter", "n_samples", int, cfg.n_samples),
-        resolutions=take("converge", "resolutions", ints, cfg.resolutions),
-        a_ref=take("converge", "a_ref", int, cfg.a_ref),
-        c_const=take("converge", "c", float, cfg.c_const),
-        n_traj=take("converge", "n_traj", int, cfg.n_traj),
-        n_pairs=take("verify", "n_pairs", int, cfg.n_pairs),
-        n_trials=take("verify", "n_trials", int, cfg.n_trials),
-        n_conc_traj=take("verify", "n_trajectories", int, cfg.n_conc_traj),
-        chi2_u=take("verify", "chi2_u", floats, cfg.chi2_u),
-        chi2_n=take("verify", "chi2_n", ints, cfg.chi2_n),
-        concentration_cases=take("verify", "concentration", cases,
-                                 cfg.concentration_cases),
-    )
+    cfg = RunConfig(model_id=parser.get("model", "id"),
+                    model_params={key: _coerce(val) for key, val in parser.items("model")
+                                  if key != "id"},
+                    **values)
     cfg.validate()
     return cfg
 
 
 def render_config(cfg: RunConfig) -> str:
+    sections = {"model": {"id": cfg.model_id,
+                          **{key: _fmt(val) for key, val in cfg.model_params.items()}}}
+    for section, option, name, _, render, _ in _KEYS:
+        sections.setdefault(section, {})[option] = render(getattr(cfg, name))
     parser = configparser.ConfigParser(interpolation=None)
-    parser["model"] = {"id": cfg.model_id}
-    for key, value in cfg.model_params.items():
-        parser["model"][key] = _fmt(value)
-    parser["run"] = {"horizon": str(cfg.horizon), "seed": str(cfg.seed),
-                     "out_dir": cfg.out_dir}
-    parser["filter"] = {"resolution": str(cfg.resolution),
-                        "build_method": cfg.build_method,
-                        "n_samples": str(cfg.n_samples)}
-    parser["converge"] = {"resolutions": " ".join(str(a) for a in cfg.resolutions),
-                          "a_ref": str(cfg.a_ref), "c": _fmt(cfg.c_const),
-                          "n_traj": str(cfg.n_traj)}
-    parser["verify"] = {
-        "n_pairs": str(cfg.n_pairs), "n_trials": str(cfg.n_trials),
-        "n_trajectories": str(cfg.n_conc_traj),
-        "chi2_u": " ".join(_fmt(u) for u in cfg.chi2_u),
-        "chi2_n": " ".join(str(n) for n in cfg.chi2_n),
-        "concentration": " ".join(f"{n}:{_fmt(c)}:{t}"
-                                  for n, c, t in cfg.concentration_cases),
-    }
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def load_config(path: str) -> RunConfig:

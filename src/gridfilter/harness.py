@@ -136,7 +136,7 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
 
 
 def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
-               max_experiment_a: Optional[int], build_method: str, seed: int,
+               max_experiment_a: int, build_method: str, seed: int,
                n_samples: int) -> tuple[np.ndarray, str, Optional[int]]:
     """Reference estimates for observations (T+1, N) or (B, T+1, N), their
     label, and the surrogate resolution (None when exact): the exact filter
@@ -144,10 +144,8 @@ def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
     at least 8x ``max_experiment_a`` (ConfigError) and defaults to 8x."""
     if isinstance(spec.kernel, FiniteStateKernel):
         return exact_forward_filter(spec, observations), "exact", None
-    if a_ref is None and max_experiment_a is None:
-        raise ConfigError("surrogate reference needs a_ref or max_experiment_a")
-    a_ref = 8 * int(max_experiment_a) if a_ref is None else int(a_ref)
-    if max_experiment_a is not None and a_ref < 8 * int(max_experiment_a):
+    a_ref = 8 * max_experiment_a if a_ref is None else int(a_ref)
+    if a_ref < 8 * max_experiment_a:
         raise ConfigError(
             f"surrogate resolution {a_ref} is below 8x the largest "
             f"experimental resolution {max_experiment_a}")

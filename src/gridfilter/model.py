@@ -223,12 +223,6 @@ class AssumptionConstants:
         if min(self.mu_sup, self.k_mu, self.k_sigma) < 0.0:
             raise ModelDefinitionError("norm bounds must be nonnegative")
 
-    def with_derived(self, k_det: float, k_det_minor: float, k_inv: float) -> "AssumptionConstants":
-        return AssumptionConstants(
-            self.lambda_inf, self.lambda_sup, self.mu_sup, self.k_mu, self.k_sigma,
-            k_det=k_det, k_det_minor=k_det_minor, k_inv=k_inv,
-        )
-
 
 @dataclass
 class SystemSpec:

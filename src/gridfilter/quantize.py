@@ -56,7 +56,7 @@ class Grid:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "a_per_dim", a)
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return int(np.prod(self.a_per_dim))
 

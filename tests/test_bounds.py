@@ -71,7 +71,7 @@ def test_check_product_bound_report():
     trials = [([rng.standard_normal((2, 2)) for _ in range(3)],
                [rng.standard_normal((2, 2)) for _ in range(3)])
               for _ in range(50)]
-    report = gf.check_product_bound(trials, norm="fro", seed=3)
+    report = gf.check_product_bound(trials, norm="fro")
     assert report.passed
     assert report.n_trials == 50
     assert report.check_id == "product-difference-fro"

@@ -116,6 +116,21 @@ def test_seed_override_changes_output_name(workdir):
     assert (tmp / "out" / "trajectory_seed5.csv").exists()
 
 
+def test_out_override_moves_the_output(workdir):
+    tmp, cfg = workdir
+    assert main(["simulate", "--config", cfg, "--out", str(tmp / "elsewhere")]) == 0
+    assert (tmp / "elsewhere" / "trajectory_seed2.csv").exists()
+    assert not (tmp / "out").exists()
+
+
+def test_resolution_is_a_filter_flag_only(workdir, capsys):
+    _, cfg = workdir
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", cfg, "--resolution", "8"])
+    assert exc.value.code == 2
+    assert "--resolution" in capsys.readouterr().err
+
+
 def test_missing_model_id_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "broken.ini"
     cfg.write_text("[run]\nhorizon = 3\n")
@@ -142,6 +157,17 @@ def test_corrupt_trajectory_row_is_usage_error(workdir, capsys):
     assert "row 3" in err
 
 
+def test_trajectory_of_another_model_is_usage_error(workdir, capsys):
+    tmp, cfg = workdir
+    main(["simulate", "--config", cfg])
+    other = tmp / "other.ini"
+    # same column count (state dim 1, observation dim 2), different model
+    other.write_text(BASE.format(out=tmp / "out").replace("id = gauss_walk",
+                                                          "id = constant\nn = 2"))
+    assert main(["filter", "--config", str(other)]) == 2
+    assert "simulated from model 'gauss_walk'" in capsys.readouterr().err
+
+
 def test_dimension_mismatch_is_usage_error(workdir, capsys):
     tmp, cfg = workdir
     main(["simulate", "--config", cfg])
@@ -163,6 +189,15 @@ def test_converge_writes_curve_and_budget(workdir):
     kg_meta, _, kg_data = gf.read_csv(str(tmp / "out" / "kg.csv"))
     assert kg_data.shape[0] == 2
     assert "kg_t_log_t" in kg_meta
+
+
+def test_no_tame_trajectory_is_a_failed_check(workdir, capsys):
+    tmp, cfg = workdir
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(text.replace("c = 1.0", "c = 0.001")
+                                 .replace("n_pairs = 200", "n_pairs = 50"))
+    assert main(["converge", "--config", cfg]) == 1
+    assert "every sampled trajectory fell outside the tame set" in capsys.readouterr().err
 
 
 def test_verify_bounds_passes_on_demo(workdir, capsys):
@@ -220,7 +255,9 @@ def test_verify_fails_on_degenerate_model(tmp_path, capsys):
 def test_bad_flag_values_are_usage_errors(workdir, capsys):
     _, cfg = workdir
     assert main(["filter", "--config", cfg, "--resolution", "0"]) == 2
+    assert "[filter] resolution must be >= 1" in capsys.readouterr().err
     assert main(["simulate", "--config", cfg, "--seed", "-3"]) == 2
+    assert "[run] seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["n_pairs", "n_trials", "n_trajectories"])
@@ -252,7 +289,11 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
      "[converge] resolutions must all be >= 1"),
     ("resolution = 16", "resolution = 16\nbuild_method = monte_carlo\nn_samples = 0",
      "filter", "[filter] n_samples must be >= 1"),
-], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero"])
+    ("resolution = 16", "resolution = 16\nbuild_method = simpson", "filter",
+     "[filter] build_method 'simpson' is not one of quadrature, monte_carlo"),
+    ("id = gauss_walk", "id =", "simulate", "missing [model] id"),
+], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",
+        "build_method-unknown", "model-id-empty"])
 def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain
@@ -272,6 +313,13 @@ def test_config_render_parse_identity():
                        concentration_cases=((2, 1.0, 4),))
     text = gf.render_config(cfg)
     assert gf.parse_config(text) == cfg
+
+
+def test_model_params_keep_words_as_strings():
+    cfg = gf.parse_config("[model]\nid = finite_chain\nkind = sticky\n"
+                          "n_states = 4\nstick_prob = 0.7\n")
+    assert cfg.model_params == {"kind": "sticky", "n_states": 4, "stick_prob": 0.7}
+    assert [type(v) for v in cfg.model_params.values()] == [str, int, float]
 
 
 def test_parse_rejects_malformed_values():

@@ -64,7 +64,7 @@ def test_kg_csv_layout(tmp_path, audited):
 def test_reference_filter_delegates_to_exact():
     fspec = gf.build_model("finite_chain", n_states=4)
     traj = gf.simulate(fspec, 5, seed=0)
-    est, label, _ = _reference(fspec, traj.observations, None, None, "quadrature", 0,
+    est, label, _ = _reference(fspec, traj.observations, None, 16, "quadrature", 0,
                                200_000)
     assert label == "exact"
     assert np.allclose(est, gf.exact_forward_filter(fspec, traj.observations))

@@ -294,7 +294,7 @@ def test_constants_validation():
                                k_mu=0.0, k_sigma=0.0)
     c = gf.AssumptionConstants(lambda_inf=1.5, lambda_sup=2.0, mu_sup=1.0,
                                k_mu=1.0, k_sigma=1.0)
-    c2 = c.with_derived(k_det=1.0, k_det_minor=0.5, k_inv=3.0)
+    c2 = dataclasses.replace(c, k_det=1.0, k_det_minor=0.5, k_inv=3.0)
     assert c2.k_inv == 3.0 and c.k_inv is None
 
 
