@@ -200,11 +200,12 @@ def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
 
 def _at_times(fn, ts: np.ndarray, pts: np.ndarray, shape: tuple) -> np.ndarray:
     """``fn(t, x)`` at every (ts[i], pts[i]), one batched call per distinct t;
-    each value has ``shape``."""
+    each value has ``shape``.  The distinct times come from a Python set, not
+    ``np.unique``, which imports ``numpy.ma``; each t fills only its own rows."""
     out = np.empty((len(pts),) + shape)
-    for t in np.unique(ts):
+    for t in set(ts.tolist()):
         sel = ts == t
-        out[sel] = fn(int(t), pts[sel])
+        out[sel] = fn(t, pts[sel])
     return out
 
 

@@ -101,12 +101,12 @@ _KEYS = (
     ("converge", "resolutions", "resolutions", _list_of(int), _words, 1),
     ("converge", "a_ref", "a_ref", int, _fmt, None),
     ("converge", "c", "c_const", float, _fmt, None),
-    ("converge", "n_traj", "n_traj", int, _fmt, None),
+    ("converge", "n_traj", "n_traj", int, _fmt, 1),
     ("verify", "n_pairs", "n_pairs", int, _fmt, 1),
     ("verify", "n_trials", "n_trials", int, _fmt, 1),
     ("verify", "n_trajectories", "n_conc_traj", int, _fmt, 1),
-    ("verify", "chi2_u", "chi2_u", _list_of(float), _words, None),
-    ("verify", "chi2_n", "chi2_n", _list_of(int), _words, None),
+    ("verify", "chi2_u", "chi2_u", _list_of(float), _words, 0),
+    ("verify", "chi2_n", "chi2_n", _list_of(int), _words, 1),
     ("verify", "concentration", "concentration_cases", _list_of(_case), _words, None),
 )
 

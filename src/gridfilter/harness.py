@@ -30,7 +30,7 @@ from .concentration import gamma_data, omega_hat_membership, membership_bound, t
 from .csvio import write_csv
 from .errors import ConfigError, GridFilterError
 from .filtering import exact_forward_filter, run_grid_filter
-from .model import SystemSpec, simulate
+from .model import SystemSpec, _simulate
 from .quantize import Grid, build_chain, quantize_points
 from .registry import FiniteStateKernel
 
@@ -227,7 +227,7 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
         raise ConfigError("need n_traj >= 1")
 
     traj_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_traj)]
-    trajectories = [simulate(spec, horizon, s) for s in traj_seeds]
+    trajectories = _simulate(spec, horizon, traj_seeds, tilde=False)
     gamma = gamma_data(spec.constants)
     kept = [tr for tr in trajectories if omega_hat_membership(tr, c_const, gamma)]
     n_rejected = n_traj - len(kept)

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._streams import PathStreams
 from .errors import AssumptionViolationError, ModelDefinitionError
 
 __all__ = [
@@ -167,7 +168,10 @@ class TransitionKernel:
         initial_density(xs)          xs (n, M)                          ->  (n,)
 
     ``sampler`` draws X_t given X_{t-1} = x_prev row by row and
-    ``initial_sampler`` draws X_0.  ``density``, when present, is the
+    ``initial_sampler`` draws X_0.  Their ``rng`` may be a set of per-path
+    streams: draw with ``random``, ``uniform`` or ``standard_normal`` at a
+    size whose leading axis is the B paths (``size`` for
+    ``initial_sampler``), one row per path.  ``density``, when present, is the
     transition density with respect to Lebesgue measure on Z and must
     integrate to one there; ``initial_density`` is the density of X_0.
 
@@ -346,10 +350,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 _OBS_CHUNK = 2**13
 
 
-def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state: np.random.Generator,
-                  rng_obs: np.random.Generator, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
+def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
+                  tilde: bool) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``n_paths`` paths together: states (n_paths, T+1, M) and
-    observations (n_paths, T+1, N), the raw draws ``u_t`` when ``tilde``."""
+    observations (n_paths, T+1, N), the raw draws ``u_t`` when ``tilde``.
+    The two streams are plain generators or ``PathStreams``."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     m, n = spec.space.dim, spec.obs.n
@@ -382,9 +387,15 @@ def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state: np.ra
     return states, obs
 
 
-def _simulate(spec: SystemSpec, horizon: int, seed: int, tilde: bool) -> Trajectory:
-    states, obs = _sample_paths(spec, horizon, 1, make_rng(seed, 0), make_rng(seed, 1), tilde)
-    return Trajectory(states=states[0], observations=obs[0], seed=seed)
+def _simulate(spec: SystemSpec, horizon: int, seeds: list[int],
+              tilde: bool) -> list[Trajectory]:
+    """One trajectory per seed, advanced together; path b draws its states
+    from stream (seeds[b], 0) and its observation noise from (seeds[b], 1)."""
+    states, obs = _sample_paths(spec, horizon, len(seeds),
+                                PathStreams([make_rng(s, 0) for s in seeds]),
+                                PathStreams([make_rng(s, 1) for s in seeds]), tilde)
+    return [Trajectory(states=states[b], observations=obs[b], seed=s)
+            for b, s in enumerate(seeds)]
 
 
 def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
@@ -393,13 +404,13 @@ def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
     Deterministic in ``seed``; the state path coincides with the one
     ``simulate_tilde`` produces for the same seed.
     """
-    return _simulate(spec, horizon, seed, tilde=False)
+    return _simulate(spec, horizon, [seed], tilde=False)[0]
 
 
 def simulate_tilde(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
     """Draw one path under the reference coupling: identical state dynamics,
     observations replaced by their driving i.i.d. standard normal draws."""
-    return _simulate(spec, horizon, seed, tilde=True)
+    return _simulate(spec, horizon, [seed], tilde=True)[0]
 
 
 def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,

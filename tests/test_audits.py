@@ -7,6 +7,9 @@ constants exactly.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,3 +186,15 @@ def test_theta_check_matches_draw_by_draw_loop():
         worst = max(worst, ratio(abs(q[0] - q[1]), theta_bound(spec, y) * d))
     report = gf.check_theta_bound(spec, 300, seed=7, horizon=3)
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+
+
+def test_lipschitz_suite_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use; the suite must not pay for it
+    src = os.path.dirname(os.path.dirname(gf.__file__))
+    code = ("import sys, gridfilter as gf; "
+            "gf.check_lipschitz_suite(gf.build_model('gauss_walk'), 50, horizon=2); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

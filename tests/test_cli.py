@@ -292,8 +292,12 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
     ("resolution = 16", "resolution = 16\nbuild_method = simpson", "filter",
      "[filter] build_method 'simpson' is not one of quadrature, monte_carlo"),
     ("id = gauss_walk", "id =", "simulate", "missing [model] id"),
+    ("n_traj = 4", "n_traj = 0", "converge", "[converge] n_traj must be >= 1"),
+    ("chi2_n = 2", "chi2_n = 0", "verify", "[verify] chi2_n must all be >= 1"),
+    ("chi2_u = 0.5 1", "chi2_u = 0.5 -1", "verify", "[verify] chi2_u must all be >= 0"),
 ], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",
-        "build_method-unknown", "model-id-empty"])
+        "build_method-unknown", "model-id-empty", "n_traj-zero", "chi2_n-zero",
+        "chi2_u-negative"])
 def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,3 +130,18 @@ def test_curve_csv_columns(tmp_path, audited):
     # the linear bound column overflows to inf; the log10 column is the usable one
     assert np.all(np.isinf(data[:, 3]) | (data[:, 3] > 0))
     assert np.all(np.isfinite(data[:, 4]))
+
+
+def test_sweep_steps_its_trajectories_as_one_batch(audited):
+    batches = []
+    sampler = audited.kernel.sampler
+
+    def spy(t, x_prev, rng):
+        batches.append((t, len(x_prev)))
+        return sampler(t, x_prev, rng)
+
+    spec = dataclasses.replace(audited, kernel=dataclasses.replace(audited.kernel,
+                                                                   sampler=spy))
+    curve = gf.convergence_sweep(spec, 6, (4, 8), 24, 1.0, seed=3, a_ref=64)
+    assert batches == [(t, 24) for t in range(1, 7)]
+    assert curve.n_total == 24

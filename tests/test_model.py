@@ -9,6 +9,7 @@ from scipy import stats
 import gridfilter as gf
 from gridfilter import model
 from gridfilter.model import _checked, _cholesky_at
+from test_likelihood import time_varying_full_covariance
 
 
 def frozen_spec(n=2, mean_const=0.3, cov_const=1.0, sigma_xi_sq=0.5):
@@ -405,3 +406,57 @@ def test_batch_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= states.nbytes + obs.nbytes + 16 * 2**20
+
+
+def one_path(spec, horizon, seed, tilde):
+    """One path on plain generators for streams (seed, 0) and (seed, 1): what
+    every path of a many-seeds batch must reproduce."""
+    states, obs = model._sample_paths(spec, horizon, 1, gf.make_rng(seed, 0),
+                                      gf.make_rng(seed, 1), tilde)
+    return states[0], obs[0]
+
+
+BATCH_MODELS = {
+    "gauss_walk-n2": lambda: gf.build_model("gauss_walk", n=2),
+    "gauss_walk-n4": lambda: gf.build_model("gauss_walk", n=4),
+    "finite_chain": lambda: gf.build_model("finite_chain"),
+    **{f"time_varying-n{n}": (lambda n=n: time_varying_full_covariance(n))
+       for n in (1, 2, 3, 8)},
+}
+
+
+@pytest.mark.parametrize("tilde", [False, True], ids=["simulate", "simulate_tilde"])
+@pytest.mark.parametrize("n_paths", [1, 2, 24])
+@pytest.mark.parametrize("name", list(BATCH_MODELS))
+def test_many_seeds_batch_equals_one_path_runs(name, n_paths, tilde):
+    spec = BATCH_MODELS[name]()
+    seeds = [int(s) for s in np.random.SeedSequence(31).generate_state(n_paths)]
+    batch = model._simulate(spec, 7, seeds, tilde)
+    alone = gf.simulate_tilde if tilde else gf.simulate
+    assert [tr.seed for tr in batch] == seeds
+    for tr, seed in zip(batch, seeds):
+        want_states, want_obs = one_path(spec, 7, seed, tilde)
+        for got in (tr, alone(spec, 7, seed)):
+            assert np.array_equal(got.states, want_states)
+            assert np.array_equal(got.observations, want_obs)
+
+
+def drawing_walk(draw):
+    """``gauss_walk`` whose sampler returns ``draw(rng, x_prev)``."""
+    spec = gf.build_model("gauss_walk")
+    return dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, sampler=lambda t, x, rng: draw(rng, x)))
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng, x: np.full(x.shape, rng.random()),
+     "rng.random(size=None) on per-path streams: the leading size must be the path count 3"),
+    (lambda rng, x: rng.uniform(0.0, 1.0, size=(len(x) + 1, 1))[:len(x)],
+     "rng.uniform(size=(4, 1)) on per-path streams: the leading size must be the path count 3"),
+    (lambda rng, x: rng.normal(0.5, 0.1, size=x.shape),
+     "rng.normal is not offered by per-path streams; draw with random, uniform or "
+     "standard_normal"),
+], ids=["no_path_axis", "wrong_leading_size", "unsupported_method"])
+def test_per_path_streams_refuse_draws_they_cannot_split(draw, message):
+    with pytest.raises(gf.ModelDefinitionError, match=re.escape(message)):
+        model._simulate(drawing_walk(draw), 2, [0, 1, 2], tilde=False)
