@@ -1,8 +1,10 @@
 """Per-path random streams drawn as one generator.
 
-``simulate``, ``simulate_tilde`` and ``convergence_sweep`` advance the paths
-of many seeds together; each path keeps its own counter-based streams, so it
-is the same whether it is drawn alone or in a batch.
+``model._simulate`` advances the paths of many seeds together and returns
+them as (B, T+1, .) arrays: ``convergence_sweep`` reads the arrays, and
+``simulate`` and ``simulate_tilde`` wrap their one row in a ``Trajectory``.
+Each path keeps its own counter-based streams, so it is the same whether it
+is drawn alone or in a batch.
 """
 
 from __future__ import annotations

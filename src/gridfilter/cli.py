@@ -112,8 +112,7 @@ def _load_trajectory(cfg: RunConfig, spec) -> Trajectory:
         raise ConfigError(
             f"{path} was simulated from model {meta.get('model_id')!r}, "
             f"config says {cfg.model_id!r}")
-    return Trajectory(states=data[:, 1:1 + m], observations=data[:, 1 + m:],
-                      seed=int(meta.get("seed", cfg.seed)))
+    return Trajectory(states=data[:, 1:1 + m], observations=data[:, 1 + m:])
 
 
 def cmd_filter(cfg: RunConfig) -> int:

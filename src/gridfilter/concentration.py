@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConfigError
-from .model import (AssumptionConstants, SystemSpec, Trajectory, _reference_observations,
-                    make_rng, simulate_batch)
+from .errors import ConfigError, DomainError
+from .model import (AssumptionConstants, SystemSpec, _reference_observations, make_rng,
+                    simulate_batch)
 
 __all__ = [
     "TailCheck",
@@ -86,11 +86,19 @@ def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> fl
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
-def omega_hat_membership(traj: Trajectory, c_const: float, gamma: float) -> bool:
-    """Strict comparison; a trajectory sitting exactly on the threshold is out."""
-    sup_sq = float(np.max(np.sum(traj.observations**2, axis=1)))
-    n_dim = traj.observations.shape[1]
-    return sup_sq < tame_threshold(gamma, c_const, n_dim, traj.horizon)
+def omega_hat_membership(observations: np.ndarray, c_const: float,
+                         gamma: float) -> bool | np.ndarray:
+    """Tame-set flag of observations (T+1, N), or (B,) flags of a (B, T+1, N)
+    stack; strict at the threshold.  Squares one (B, N) step at a time."""
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim not in (2, 3):
+        raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not {obs.shape}")
+    stack = obs if obs.ndim == 3 else obs[None]
+    sup_sq = np.sum(np.square(stack[:, 0]), axis=-1)
+    for t in range(1, stack.shape[1]):
+        np.maximum(sup_sq, np.sum(np.square(stack[:, t]), axis=-1), out=sup_sq)
+    inside = sup_sq < tame_threshold(gamma, c_const, stack.shape[2], stack.shape[1] - 1)
+    return inside if obs.ndim == 3 else bool(inside[0])
 
 
 @dataclass
@@ -129,18 +137,13 @@ def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
     return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
 
 
-def _sup_sq(obs: np.ndarray) -> np.ndarray:
-    """sup_t ||y_t||^2 of every path in a (B, T+1, N) batch; squares ``obs`` in place."""
-    return np.max(np.sum(np.square(obs, out=obs), axis=2), axis=1)
-
-
 def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
                              n_traj: int, seed: int = 0) -> ConcentrationReport:
     """Simulate under both measures and measure the tame-set frequencies.
 
     Under the reference measure only the observations are read, so its
-    states are not simulated; each batch is cut to its sup-norms before the
-    next is drawn.  Passes when each empirical frequency clears the
+    states are not simulated; each batch is cut to its tame-set flags before
+    the next is drawn.  Passes when each empirical frequency clears the
     analytic floor minus three binomial standard errors.
     """
     if n_traj < 1:
@@ -150,14 +153,16 @@ def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
     g_q = gamma_reference()
     thr_p = tame_threshold(g_p, c_const, n_dim, horizon)
     thr_q = tame_threshold(g_q, c_const, n_dim, horizon)
-    sup_p = _sup_sq(simulate_batch(spec, horizon, n_traj, seed, tilde=False)[1])
-    sup_q = _sup_sq(_reference_observations(spec, horizon, n_traj, seed + 1))
+    tame_p = omega_hat_membership(simulate_batch(spec, horizon, n_traj, seed)[1],
+                                  c_const, g_p)
+    tame_q = omega_hat_membership(_reference_observations(spec, horizon, n_traj, seed + 1),
+                                  c_const, g_q)
     return ConcentrationReport(
         n_dim=n_dim, c_const=c_const, horizon=horizon, n_traj=n_traj,
         gamma_data=g_p, gamma_reference=g_q,
         threshold_data=thr_p, threshold_reference=thr_q,
-        empirical_data=float(np.mean(sup_p < thr_p)),
-        empirical_reference=float(np.mean(sup_q < thr_q)),
+        empirical_data=float(np.mean(tame_p)),
+        empirical_reference=float(np.mean(tame_q)),
         bound=membership_bound(c_const, n_dim, horizon),
     )
 

@@ -162,10 +162,12 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     )
 
 
-def _check_inputs(spec: SystemSpec, chain: QuantizedChain,
+def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                   observations: np.ndarray) -> None:
-    """Reject a chain on another box and malformed or non-finite observations."""
-    box, chain_box = spec.space, chain.grid.space
+    """Reject a chain on another box (where there is a chain) and malformed
+    or non-finite observations."""
+    box = spec.space
+    chain_box = box if chain is None else chain.grid.space
     if not (np.array_equal(box.lower, chain_box.lower)
             and np.array_equal(box.upper, chain_box.upper)):
         raise DomainError(
@@ -224,9 +226,13 @@ def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
     Every path keeps its own weight (initial mass, transition masses, and the
     reduced likelihood of each visited center); nothing is marginalized until
     the final ratio.  Refuses horizons beyond T=6 or more than 10^6 paths,
-    naming the budget it would need.
+    naming the budget it would need.  Inputs are refused as in
+    ``run_grid_filter``, and so is a stack of trajectories.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    _check_inputs(spec, chain, observations)
+    if observations.ndim != 2:
+        raise DomainError(f"the oracle takes one trajectory (T+1, N), not {observations.shape}")
     steps = observations.shape[0]
     k = chain.grid.total_points
     if steps - 1 > _ORACLE_MAX_T:
@@ -265,7 +271,8 @@ def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarr
 
     Classical forward algorithm with per-step scaling, run in linear domain,
     over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
-    must expose states, transition matrix and initial law.
+    must expose states, transition matrix and initial law.  Observations
+    are refused as in ``run_grid_filter``.
     """
     kernel = spec.kernel
     if not isinstance(kernel, FiniteStateKernel):
@@ -273,6 +280,7 @@ def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarr
             "exact filtering needs dynamics supported on finitely many known "
             "states with a known transition matrix")
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    _check_inputs(spec, None, observations)
     *lead, steps, _ = observations.shape
     states = kernel.states
     workspace = QuadFormWorkspace(spec, states)

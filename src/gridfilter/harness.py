@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .csvio import write_csv
 from .errors import ConfigError, GridFilterError
 from .filtering import exact_forward_filter, run_grid_filter
 from .model import SystemSpec, _simulate
-from .quantize import Grid, build_chain, quantize_points
+from .quantize import Grid, QuantizedChain, build_chain, quantize_points
 from .registry import FiniteStateKernel
 
 __all__ = [
@@ -136,37 +136,24 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
 
 
 def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
-               max_experiment_a: int, build_method: str, seed: int,
-               n_samples: int) -> tuple[np.ndarray, str, Optional[int]]:
-    """Reference estimates for observations (T+1, N) or (B, T+1, N), their
-    label, and the surrogate resolution (None when exact): the exact filter
-    for finite-state dynamics, else a grid filter at ``a_ref``, which must be
-    at least 8x ``max_experiment_a`` (ConfigError) and defaults to 8x."""
-    if isinstance(spec.kernel, FiniteStateKernel):
-        return exact_forward_filter(spec, observations), "exact", None
-    a_ref = 8 * max_experiment_a if a_ref is None else int(a_ref)
-    if a_ref < 8 * max_experiment_a:
-        raise ConfigError(
-            f"surrogate resolution {a_ref} is below 8x the largest "
-            f"experimental resolution {max_experiment_a}")
-    chain = build_chain(spec, Grid(spec.space, a_ref), build_method, seed=seed,
-                        n_samples=n_samples)
-    estimates = run_grid_filter(spec, chain, observations).estimates
-    return estimates, f"surrogate(a={a_ref})", a_ref
+               chain_at: Callable[[int], QuantizedChain]) -> tuple[np.ndarray, str]:
+    """Reference estimates for observations (T+1, N) or (B, T+1, N) and their
+    label: the exact filter when ``a_ref`` is None (finite-state dynamics),
+    else a grid filter on ``chain_at(a_ref)``."""
+    if a_ref is None:
+        return exact_forward_filter(spec, observations), "exact"
+    estimates = run_grid_filter(spec, chain_at(a_ref), observations).estimates
+    return estimates, f"surrogate(a={a_ref})"
 
 
 @dataclass
 class ConvergenceCurve:
     """Measured filter error per resolution, with rejection accounting."""
 
-    resolutions: tuple[int, ...]
     mean_sup_errors: np.ndarray
     max_sup_errors: np.ndarray
     n_total: int
     n_kept: int
-    n_rejected: int
-    horizon: int
-    c_const: float
     seed: int
     reference_label: str
     a_ref: Optional[int]
@@ -176,17 +163,25 @@ class ConvergenceCurve:
     model_id: str = "custom"
 
     @property
+    def resolutions(self) -> tuple[int, ...]:
+        return self.kg.resolutions
+
+    @property
+    def n_rejected(self) -> int:
+        return self.n_total - self.n_kept
+
+    @property
     def rejection_budget(self) -> float:
         """Allowed rejected fraction: twice the analytic miss probability plus
         three binomial standard errors."""
-        miss = 1.0 - membership_bound(self.c_const, self.kg.n_dim, self.horizon)
+        miss = 1.0 - membership_bound(self.kg.c_const, self.kg.n_dim, self.kg.horizon)
         return 2.0 * miss + 3.0 * math.sqrt(max(miss * (1.0 - miss), 0.0)
                                             / max(self.n_total, 1))
 
     def to_csv(self, path: str) -> None:
         meta = {
-            "model_id": self.model_id, "horizon": self.horizon,
-            "c_const": self.c_const, "seed": self.seed,
+            "model_id": self.model_id, "horizon": self.kg.horizon,
+            "c_const": self.kg.c_const, "seed": self.seed,
             "reference": self.reference_label, "a_ref": self.a_ref,
             "reference_converged": self.reference_converged,
             "reference_gap": self.reference_gap, "n_total": self.n_total,
@@ -218,51 +213,54 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
                       n_samples: int = 200_000) -> ConvergenceCurve:
     """Filter-error curve across resolutions against the reference filter.
 
-    The kept trajectories are filtered as one stack per chain.
+    ``a_ref`` defaults to 8x the largest resolution; a smaller surrogate
+    raises ConfigError before any work.  The kept trajectories are filtered
+    as one stack per chain.
     """
     resolutions = tuple(int(a) for a in resolutions)
     if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing and nonempty")
     if n_traj < 1:
         raise ConfigError("need n_traj >= 1")
+    if isinstance(spec.kernel, FiniteStateKernel):
+        a_ref = None
+    else:
+        a_ref = 8 * resolutions[-1] if a_ref is None else int(a_ref)
+        if a_ref < 8 * resolutions[-1]:
+            raise ConfigError(f"surrogate resolution {a_ref} is below 8x the largest "
+                              f"experimental resolution {resolutions[-1]}")
+
+    def chain_at(a: int) -> QuantizedChain:
+        return build_chain(spec, Grid(spec.space, a), build_method, seed=seed,
+                           n_samples=n_samples)
 
     traj_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_traj)]
-    trajectories = _simulate(spec, horizon, traj_seeds, tilde=False)
-    gamma = gamma_data(spec.constants)
-    kept = [tr for tr in trajectories if omega_hat_membership(tr, c_const, gamma)]
-    n_rejected = n_traj - len(kept)
-    if not kept:
+    states, observations = _simulate(spec, horizon, traj_seeds, tilde=False)
+    kept = omega_hat_membership(observations, c_const, gamma_data(spec.constants))
+    if not np.any(kept):
         raise GridFilterError("every sampled trajectory fell outside the tame set")
-    observations = np.stack([tr.observations for tr in kept])
-    chain_args = dict(seed=seed, n_samples=n_samples)
-
-    references, label, a_ref_used = _reference(
-        spec, observations, a_ref, max(resolutions), build_method, **chain_args)
+    states, observations = states[kept], observations[kept]
+    references, label = _reference(spec, observations, a_ref, chain_at)
 
     mean_errors = np.empty(len(resolutions))
     max_errors = np.empty(len(resolutions))
     for i, a in enumerate(resolutions):
-        chain = build_chain(spec, Grid(spec.space, a), build_method, **chain_args)
-        errs = _sup_l1_errors(run_grid_filter(spec, chain, observations).estimates,
+        errs = _sup_l1_errors(run_grid_filter(spec, chain_at(a), observations).estimates,
                               references)
         mean_errors[i] = float(np.mean(errs))
         max_errors[i] = float(np.max(errs))
 
     converged: Optional[bool] = None
     gap: Optional[float] = None
-    if a_ref_used is not None:
-        n_probe = min(_CHECK_TRAJ, len(kept))
-        chain_fine = build_chain(spec, Grid(spec.space, 2 * a_ref_used), build_method,
-                                 **chain_args)
-        fine = run_grid_filter(spec, chain_fine, observations[:n_probe]).estimates
-        gap = float(np.max(_sup_l1_errors(references[:n_probe], fine)))
+    if a_ref is not None:
+        fine = run_grid_filter(spec, chain_at(2 * a_ref),
+                               observations[:_CHECK_TRAJ]).estimates
+        gap = float(np.max(_sup_l1_errors(references[:_CHECK_TRAJ], fine)))
         converged = bool(gap < 0.1 * float(np.min(mean_errors)))
 
-    kg = kg_evaluate(spec, horizon, c_const, resolutions,
-                     state_paths=np.stack([tr.states for tr in kept]))
+    kg = kg_evaluate(spec, horizon, c_const, resolutions, state_paths=states)
     return ConvergenceCurve(
-        resolutions=resolutions, mean_sup_errors=mean_errors,
-        max_sup_errors=max_errors, n_total=n_traj, n_kept=len(kept),
-        n_rejected=n_rejected, horizon=horizon, c_const=c_const, seed=seed,
-        reference_label=label, a_ref=a_ref_used, reference_converged=converged,
-        reference_gap=gap, kg=kg, model_id=spec.model_id)
+        mean_sup_errors=mean_errors, max_sup_errors=max_errors, n_total=n_traj,
+        n_kept=len(observations), seed=seed, reference_label=label, a_ref=a_ref,
+        reference_converged=converged, reference_gap=gap, kg=kg,
+        model_id=spec.model_id)

@@ -296,11 +296,10 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
 
 @dataclass
 class Trajectory:
-    """One simulated path: states (T+1, M), observations (T+1, N), and its seed."""
+    """One simulated path: states (T+1, M) and observations (T+1, N)."""
 
     states: np.ndarray
     observations: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -388,14 +387,12 @@ def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_o
 
 
 def _simulate(spec: SystemSpec, horizon: int, seeds: list[int],
-              tilde: bool) -> list[Trajectory]:
-    """One trajectory per seed, advanced together; path b draws its states
-    from stream (seeds[b], 0) and its observation noise from (seeds[b], 1)."""
-    states, obs = _sample_paths(spec, horizon, len(seeds),
-                                PathStreams([make_rng(s, 0) for s in seeds]),
-                                PathStreams([make_rng(s, 1) for s in seeds]), tilde)
-    return [Trajectory(states=states[b], observations=obs[b], seed=s)
-            for b, s in enumerate(seeds)]
+              tilde: bool) -> tuple[np.ndarray, np.ndarray]:
+    """States (B, T+1, M) and observations (B, T+1, N), one path per seed;
+    path b draws its states from stream (seeds[b], 0), its noise from (seeds[b], 1)."""
+    return _sample_paths(spec, horizon, len(seeds),
+                         PathStreams([make_rng(s, 0) for s in seeds]),
+                         PathStreams([make_rng(s, 1) for s in seeds]), tilde)
 
 
 def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
@@ -404,13 +401,15 @@ def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
     Deterministic in ``seed``; the state path coincides with the one
     ``simulate_tilde`` produces for the same seed.
     """
-    return _simulate(spec, horizon, [seed], tilde=False)[0]
+    states, obs = _simulate(spec, horizon, [seed], tilde=False)
+    return Trajectory(states=states[0], observations=obs[0])
 
 
 def simulate_tilde(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
     """Draw one path under the reference coupling: identical state dynamics,
     observations replaced by their driving i.i.d. standard normal draws."""
-    return _simulate(spec, horizon, [seed], tilde=True)[0]
+    states, obs = _simulate(spec, horizon, [seed], tilde=True)
+    return Trajectory(states=states[0], observations=obs[0])
 
 
 def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,
@@ -445,7 +444,8 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
     many paths as there are probe points from the kernel's samplers and,
     when the kernel declares a density, checks its unit mass and its
     proportionality to ``increment_cell_mass`` from the first four probe
-    points.  Returns the empirical constants.
+    points; these two density checks run on 1-D boxes only.  Returns the
+    empirical constants.
 
     Raises ModelDefinitionError, naming t and the probe point, for a
     callback output of the wrong shape, a covariance that is not symmetric

@@ -25,7 +25,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .errors import ConfigError, ModelDefinitionError
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
-                    SystemSpec, TransitionKernel)
+                    SystemSpec, TransitionKernel, make_rng)
 
 __all__ = [
     "FiniteStateKernel",
@@ -197,8 +197,7 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
         p = np.full((k, k), off)
         np.fill_diagonal(p, stick_prob)
     elif kind == "random":
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 77])))
-        p = rng.dirichlet(np.ones(k), size=k)
+        p = make_rng(seed, 77).dirichlet(np.ones(k), size=k)
     else:
         raise ConfigError(f"unknown chain kind {kind!r}")
     pi = np.full(k, 1.0 / k)

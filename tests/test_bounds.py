@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
-from gridfilter.bounds import _adjugate_trials
+from gridfilter.bounds import _adjugate_trials, _with_derived
 
 
 def _random_spd(rng, n, lam_lo, lam_hi):
@@ -222,3 +222,27 @@ def test_bound_reports_serialize(tmp_path):
     assert meta["seed"] == "0"
     assert data[0][0] == "adjugate-norm-2d"
     assert data[0][header.index("passed")] == "True"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gf.product_difference_sides([np.eye(2)], [np.eye(2)], norm="nuclear"),
+     ValueError, "unsupported matrix norm 'nuclear'"),
+    (lambda: gf.product_difference_sides([], []),
+     ValueError, "need two equally long nonempty factor sequences"),
+    (lambda: gf.product_difference_sides([np.eye(2)] * 2, [np.eye(2)]),
+     ValueError, "need two equally long nonempty factor sequences"),
+    (lambda: gf.product_difference_sides([np.ones((2, 3))], [np.ones((2, 3))]),
+     ValueError, "factors must be square matrices of one common size"),
+    (lambda: gf.product_difference_sides([np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]),
+     ValueError, "factors must be square matrices of one common size"),
+    (lambda: gf.adjugate_cofactor(np.ones((2, 3))), ValueError, "need a square matrix"),
+    (lambda: gf.check_lipschitz_suite(gf.build_model("gauss_walk"), 0),
+     ValueError, r"need n_pairs >= 1"),
+    (lambda: _with_derived(gf.build_model("gauss_walk"),
+                           gf.BoundReport("covariance-lipschitz-suite", 10, 1.5)),
+     gf.AssumptionViolationError, "covariance regularity check failed with ratio 1.5"),
+], ids=["unknown_norm", "empty_sequences", "unequal_sequences", "non_square",
+        "mixed_sizes", "adjugate_non_square", "zero_pairs", "failed_suite"])
+def test_bounds_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

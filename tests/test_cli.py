@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter import cli
 from gridfilter.cli import main
 
 
@@ -333,3 +335,48 @@ def test_parse_rejects_malformed_values():
         gf.parse_config("[model]\nid = gauss_walk\n[verify]\nconcentration = 2:1\n")
     with pytest.raises(gf.ConfigError):
         gf.parse_config("[model]\nid = gauss_walk\n[run]\nhorizon = -4\n")
+
+
+@pytest.mark.parametrize("command, name, changes, message", [
+    ("converge", "convergence_sweep", {"reference_converged": False, "reference_gap": 0.5},
+     "check failed: reference filter unconverged (gap 5.000e-01)"),
+    ("verify-bounds", "check_adjugate_bound", {"worst_ratio": 2.0},
+     "check failed: adjugate-norm-2d, adjugate-norm-3d, adjugate-norm-5d"),
+    ("verify-concentration", "chi2_tail_check", {"empirical": 1.0},
+     "check failed: concentration"),
+], ids=["converge", "verify-bounds", "verify-concentration"])
+def test_failed_checks_exit_1(workdir, capsys, monkeypatch, command, name, changes, message):
+    _, cfg = workdir
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), **changes))
+    assert main([command, "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
+def table(tmp, text):
+    path = tmp / "table.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: gf.parse_config("[model]\nid = gauss_walk\n[converge]\nresolutions =\n"),
+     r"\[converge\] resolutions must be nonempty"),
+    (lambda tmp: gf.parse_config("[model\nid = gauss_walk\n"), "unparseable config"),
+    (lambda tmp: gf.load_config(str(tmp / "missing.ini")),
+     "cannot read config .*missing.ini"),
+], ids=["resolutions_empty", "unparseable", "unreadable"])
+def test_config_refusals(tmp_path, make, message):
+    with pytest.raises(gf.ConfigError, match=message):
+        make(tmp_path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: gf.read_csv(table(tmp, "# seed = 0\na,b\n1,2\n3,4,5\n")),
+     "table.csv: row 2 has 3 fields, expected 2"),
+    (lambda tmp: gf.read_csv(table(tmp, "# seed = 0\n\n")), "table.csv: no header row"),
+], ids=["field_count", "no_header"])
+def test_csv_refusals(tmp_path, make, message):
+    with pytest.raises(gf.ConfigError, match=message):
+        make(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,14 +66,12 @@ def test_tame_threshold_growth_is_logarithmic():
 def test_membership_is_strict_at_the_boundary():
     gamma, c_const = 5.0, 1.0
     thr = gf.tame_threshold(gamma, c_const, 1, 0)
-    on_boundary = gf.Trajectory(states=np.zeros((1, 1)),
-                                observations=np.array([[math.sqrt(thr)]]),
-                                seed=0)
-    just_inside = gf.Trajectory(states=np.zeros((1, 1)),
-                                observations=np.array([[math.sqrt(thr) - 1e-9]]),
-                                seed=0)
+    on_boundary = np.array([[math.sqrt(thr)]])
+    just_inside = np.array([[math.sqrt(thr) - 1e-9]])
     assert not gf.omega_hat_membership(on_boundary, c_const, gamma)
     assert gf.omega_hat_membership(just_inside, c_const, gamma)
+    assert gf.omega_hat_membership(np.stack([on_boundary, just_inside]),
+                                   c_const, gamma).tolist() == [False, True]
 
 
 def test_membership_checks_every_time_step():
@@ -80,8 +79,7 @@ def test_membership_checks_every_time_step():
     thr = gf.tame_threshold(gamma, c_const, 2, 4)
     obs = np.zeros((5, 2))
     obs[3, 0] = math.sqrt(thr) + 1.0  # single excursion late in the path
-    traj = gf.Trajectory(states=np.zeros((5, 1)), observations=obs, seed=0)
-    assert not gf.omega_hat_membership(traj, c_const, gamma)
+    assert not gf.omega_hat_membership(obs, c_const, gamma)
 
 
 def test_membership_bound_values():
@@ -139,7 +137,35 @@ def test_reports_serialize(tmp_path):
     assert "bound" in h2
 
 
-def test_sup_norms_squared_in_place_equal_the_formula():
-    obs = gf.simulate_batch(gf.build_model("gauss_walk", n=3), 6, 50, seed=5)[1]
-    want = np.max(np.sum(obs**2, axis=2), axis=1)
-    assert np.array_equal(concentration._sup_sq(obs.copy()), want)
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
+    obs = gf.simulate_batch(gf.build_model("gauss_walk", n=n), 6, 50, seed=5)[1]
+    before = obs.copy()
+    sup_sq = np.array([np.max(np.sum(path**2, axis=1)) for path in obs])
+    gamma, c_const = 5.0, float(np.median(sup_sq)) / (5.0 * n * (1.0 + math.log(7.0)))
+    tame = gf.omega_hat_membership(obs, c_const, gamma)
+    assert 0 < np.sum(tame) < len(obs)
+    assert np.array_equal(tame, sup_sq < gf.tame_threshold(gamma, c_const, n, 6))
+    assert np.array_equal(tame, [gf.omega_hat_membership(path, c_const, gamma)
+                                 for path in obs])
+    # thresholds at each path's own sup-norm and one ulp above it: the stack's
+    # sup-norms equal the formula's bit for bit
+    monkeypatch.setattr(concentration, "tame_threshold", lambda *args: sup_sq)
+    assert not np.any(gf.omega_hat_membership(obs, c_const, gamma))
+    monkeypatch.setattr(concentration, "tame_threshold",
+                        lambda *args: np.nextafter(sup_sq, np.inf))
+    assert np.all(gf.omega_hat_membership(obs, c_const, gamma))
+    assert np.array_equal(obs, before)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gf.omega_hat_membership(np.zeros(3), 1.0, 5.0), gf.DomainError,
+     re.escape("observations must be (T+1, N) or (B, T+1, N), not (3,)")),
+    (lambda: gf.omega_hat_membership(np.zeros((2, 3, 4, 1)), 1.0, 5.0), gf.DomainError,
+     re.escape("observations must be (T+1, N) or (B, T+1, N), not (2, 3, 4, 1)")),
+    (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, 1.0, 0),
+     gf.ConfigError, "need n_traj >= 1"),
+], ids=["membership_one_axis", "membership_four_axes", "experiment_no_paths"])
+def test_concentration_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

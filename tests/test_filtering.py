@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -532,3 +533,69 @@ def test_every_row_of_a_stack_equals_its_single_run(k2048):
         for field in ("estimates", "log_norms", "predict_tau"):
             assert np.array_equal(getattr(stacked, field)[b], getattr(single, field))
         assert np.array_equal(stacked.final_state.weights[b], single.final_state.weights)
+
+
+def with_observation(t, value, steps=4, n=1):
+    obs = np.zeros((steps, n))
+    obs[t, 0] = value
+    return obs
+
+
+def finite_chain_stuck_at_first_state():
+    """``finite_chain`` on 4 states whose path never leaves state 0."""
+    spec = gf.build_model("finite_chain", n_states=4)
+    kernel = gf.FiniteStateKernel(spec.kernel.states, np.eye(4), [1.0, 0.0, 0.0, 0.0])
+    return dataclasses.replace(spec, kernel=kernel)
+
+
+def oracle_on_unit_interval(obs, lower=0.0, upper=1.0):
+    spec = interval_spec(lower=0.0, upper=1.0, n=1)
+    chain_spec = interval_spec(lower=lower, upper=upper, n=1)
+    chain = gf.build_chain(chain_spec, gf.Grid(chain_spec.space, 4), "quadrature")
+    return lambda: gf.path_sum_oracle(spec, chain, obs)
+
+
+def oracle_stuck_at_first_cell(obs):
+    spec = interval_spec(n=1)
+    chain = gf.QuantizedChain(gf.Grid(spec.space, 2), np.eye(2), [1.0, 0.0],
+                              build_method="injected")
+
+    def run():
+        with np.errstate(over="ignore"):
+            return gf.path_sum_oracle(spec, chain, obs)
+    return run
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (oracle_on_unit_interval(with_observation(1, np.nan)), gf.DomainError,
+     r"non-finite observation at t=1 in trajectory b=0"),
+    (oracle_on_unit_interval(with_observation(2, np.inf)), gf.DomainError,
+     r"non-finite observation at t=2 in trajectory b=0"),
+    (oracle_on_unit_interval(np.zeros((2, 3, 1))), gf.DomainError,
+     r"the oracle takes one trajectory \(T\+1, N\), not \(2, 3, 1\)"),
+    (oracle_on_unit_interval(np.zeros((3, 1)), lower=0.5, upper=2.5), gf.DomainError,
+     r"chain was built on the box \[\[0.5\], \[2.5\]\], the model's box is \[\[0.\], \[1.\]\]"),
+    (lambda: gf.exact_forward_filter(gf.build_model("finite_chain"),
+                                     with_observation(1, np.nan)),
+     gf.DomainError, r"non-finite observation at t=1 in trajectory b=0"),
+    (lambda: gf.exact_forward_filter(gf.build_model("finite_chain"),
+                                     np.stack([np.zeros((4, 1)), with_observation(2, -np.inf)])),
+     gf.DomainError, r"non-finite observation at t=2 in trajectory b=1"),
+    (lambda: gf.exact_forward_filter(gf.build_model("finite_chain"), np.zeros((4, 2))),
+     gf.DomainError, "2 components, the model expects N=1"),
+    (lambda: gf.grid_filter_step(
+        gf.build_chain(interval_spec(), gf.Grid(interval_spec().space, 2)), interval_spec(),
+        gf.FilterState(t=-2, weights=np.full(2, 0.5), estimate=np.zeros(1), log_norm=0.0),
+        np.zeros(2)),
+     ValueError, r"state.t must be >= -1"),
+    (oracle_stuck_at_first_cell(with_observation(1, 1e155)), gf.DegenerateUpdateError,
+     "all path weights vanished at t=1"),
+    (lambda: gf.exact_forward_filter(finite_chain_stuck_at_first_state(),
+                                     with_observation(1, 1e4)),
+     gf.DegenerateUpdateError, "forward weights vanished at t=1"),
+], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
+        "exact_components", "step_before_start", "oracle_weights_vanish",
+        "exact_weights_vanish"])
+def test_filtering_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

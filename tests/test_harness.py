@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter import harness
 from gridfilter.harness import _reference
 
 
@@ -62,24 +64,64 @@ def test_kg_csv_layout(tmp_path, audited):
     assert np.isnan(data[0, 2])  # no measured column without state paths
 
 
+def chain_at_for(spec):
+    return lambda a: gf.build_chain(spec, gf.Grid(spec.space, a), "quadrature")
+
+
 def test_reference_filter_delegates_to_exact():
     fspec = gf.build_model("finite_chain", n_states=4)
     traj = gf.simulate(fspec, 5, seed=0)
-    est, label, _ = _reference(fspec, traj.observations, None, 16, "quadrature", 0,
-                               200_000)
+    est, label = _reference(fspec, traj.observations, None, chain_at_for(fspec))
     assert label == "exact"
     assert np.allclose(est, gf.exact_forward_filter(fspec, traj.observations))
 
 
-def test_reference_filter_enforces_resolution_margin():
-    spec = gf.build_model("gauss_walk")
-    traj = gf.simulate(spec, 3, seed=0)
-    with pytest.raises(gf.ConfigError):
-        _reference(spec, traj.observations, 64, 16, "quadrature", 0, 200_000)
-    est, label, _ = _reference(spec, traj.observations, 128, 16, "quadrature", 0,
-                               200_000)
+def test_reference_filter_enforces_resolution_margin(audited):
+    with pytest.raises(gf.ConfigError, match=re.escape(
+            "surrogate resolution 64 is below 8x the largest experimental resolution 16")):
+        gf.convergence_sweep(audited, 3, (8, 16), 2, 1.0, a_ref=64)
+    traj = gf.simulate(audited, 3, seed=0)
+    est, label = _reference(audited, traj.observations, 128, chain_at_for(audited))
     assert label == "surrogate(a=128)"
     assert est.shape == (4, 1)
+
+
+def test_sweep_refuses_a_small_surrogate_before_any_work(monkeypatch, audited):
+    def spy(*args, **kwargs):
+        raise AssertionError("work ran before the a_ref check")
+    monkeypatch.setattr(harness, "_simulate", spy)
+    monkeypatch.setattr(harness, "build_chain", spy)
+    with pytest.raises(gf.ConfigError, match="surrogate resolution 127 is below 8x"):
+        gf.convergence_sweep(audited, 5, (4, 16), 4, 1.0, a_ref=127)
+
+
+def test_sweep_on_finite_chain_accepts_any_surrogate_resolution():
+    fspec = gf.build_model("finite_chain", n_states=4)
+    curves = [gf.convergence_sweep(fspec, 4, (2, 4), 3, 1.0, a_ref=a_ref,
+                                   build_method="monte_carlo", n_samples=2_000)
+              for a_ref in (None, 1)]
+    for curve in curves:
+        assert (curve.reference_label, curve.a_ref) == ("exact", None)
+    assert np.array_equal(curves[0].mean_sup_errors, curves[1].mean_sup_errors)
+
+
+def test_sweep_keeps_its_paths_as_arrays(monkeypatch, audited):
+    def refuse(self):
+        raise AssertionError("convergence_sweep built a Trajectory")
+    monkeypatch.setattr(gf.Trajectory, "__post_init__", refuse)
+    curve = gf.convergence_sweep(audited, 4, (4, 8), 5, 1.0, seed=2, a_ref=64)
+    assert curve.n_kept + curve.n_rejected == curve.n_total == 5
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda spec: gf.kg_evaluate(dataclasses.replace(spec, constants=dataclasses.replace(
+        spec.constants, lambda_inf=1.0)), 10, 1.0, (8,)),
+     "growth constants need an eigenvalue floor > 1"),
+    (lambda spec: gf.convergence_sweep(spec, 5, (4, 8), 0, 1.0), "need n_traj >= 1"),
+], ids=["kg_floor_at_one", "sweep_no_paths"])
+def test_harness_refusals(audited, make, message):
+    with pytest.raises(gf.ConfigError, match=message):
+        make(audited)
 
 
 def test_sweep_requires_increasing_resolutions(audited):

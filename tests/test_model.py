@@ -328,8 +328,7 @@ def escaping_walk():
     (observation_model(obs_scale=-1.0), "obs_scale must be positive"),
     (constants(mu_sup=np.nan), "constants must be finite"),
     (constants(k_mu=-1.0), "norm bounds must be nonnegative"),
-    (lambda: gf.Trajectory(states=np.zeros((3, 1)), observations=np.zeros((2, 2)),
-                           seed=0),
+    (lambda: gf.Trajectory(states=np.zeros((3, 1)), observations=np.zeros((2, 2))),
      "states and observations must share a time axis"),
     (lambda: gf.simulate(escaping_walk(), 2, seed=0), r"kernel left the box at t=1"),
 ], ids=["box_lengths", "box_infinite", "box_empty", "obs_n", "obs_sigma_xi",
@@ -337,6 +336,16 @@ def escaping_walk():
         "trajectory_lengths", "kernel_left_box"])
 def test_model_refusals(make, message):
     with pytest.raises(gf.ModelDefinitionError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gf.simulate(gf.build_model("gauss_walk"), -1, seed=0), "horizon must be >= 0"),
+    (lambda: gf.verify_assumptions(gf.build_model("gauss_walk"), n_probe=1, seed=0),
+     "need n_probe >= 2"),
+], ids=["negative_horizon", "one_probe"])
+def test_model_argument_refusals(make, message):
+    with pytest.raises(ValueError, match=message):
         make()
 
 
@@ -431,14 +440,15 @@ BATCH_MODELS = {
 def test_many_seeds_batch_equals_one_path_runs(name, n_paths, tilde):
     spec = BATCH_MODELS[name]()
     seeds = [int(s) for s in np.random.SeedSequence(31).generate_state(n_paths)]
-    batch = model._simulate(spec, 7, seeds, tilde)
+    states, obs = model._simulate(spec, 7, seeds, tilde)
     alone = gf.simulate_tilde if tilde else gf.simulate
-    assert [tr.seed for tr in batch] == seeds
-    for tr, seed in zip(batch, seeds):
+    assert states.shape[0] == obs.shape[0] == n_paths
+    for b, seed in enumerate(seeds):
         want_states, want_obs = one_path(spec, 7, seed, tilde)
-        for got in (tr, alone(spec, 7, seed)):
-            assert np.array_equal(got.states, want_states)
-            assert np.array_equal(got.observations, want_obs)
+        tr = alone(spec, 7, seed)
+        for got_states, got_obs in ((states[b], obs[b]), (tr.states, tr.observations)):
+            assert np.array_equal(got_states, want_states)
+            assert np.array_equal(got_obs, want_obs)
 
 
 def drawing_walk(draw):

@@ -45,3 +45,10 @@ def test_constant_demo_holds_its_state():
     spec = gf.build_model("constant", value=0.25)
     traj = gf.simulate(spec, 4, seed=0)
     assert np.array_equal(traj.states, np.full((5, 1), 0.25))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_chain_rows_come_from_stream_seed_77(seed):
+    p = gf.build_model("finite_chain", kind="random", seed=seed).kernel.transition_matrix
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 77])))
+    assert np.array_equal(p, rng.dirichlet(np.ones(len(p)), size=len(p)))
