@@ -2,8 +2,9 @@
 
 Subcommands: simulate, filter, converge, verify-bounds, verify-concentration,
 verify.  Exit codes: 0 on success, 1 when a scientific check fails, 2 on
-usage or configuration errors.  Outputs are pure functions of (config, flags),
-so reruns are byte-identical.
+usage or configuration errors and on input the library refuses (DomainError,
+such as a non-finite value in a trajectory CSV).  Outputs are pure functions
+of (config, flags), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .concentration import (chi2_tail_check, concentration_experiment,
                             write_concentration_reports, write_tail_checks)
 from .config import RunConfig, load_config
 from .csvio import read_csv, write_csv
-from .errors import ConfigError, GridFilterError
+from .errors import ConfigError, DomainError, GridFilterError
 from .filtering import run_grid_filter
 from .harness import convergence_sweep
 from .model import Trajectory, make_rng, simulate, verify_assumptions
@@ -43,6 +44,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except DomainError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except GridFilterError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -123,8 +123,10 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     profile one batched FFT convolution, with each row whose certificate
     ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
     matrix product otherwise.  Weights whose last axis is not K raise
-    ``DomainError``.  The estimate is an einsum, not a BLAS product, so each
-    row of a stack equals its single run bit for bit.
+    ``DomainError``, and so do the inputs ``run_grid_filter`` refuses: a
+    non-finite ``y`` (naming t, and b in a stack) and a chain on another box.
+    The estimate is an einsum, not a BLAS product, so each row of a stack
+    equals its single run bit for bit.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -132,9 +134,12 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
+    y = np.asarray(y, dtype=float)
+    # two cheap tests per step; the full check only runs when one fails
+    if chain.grid.space is not spec.space or not np.isfinite(y).all():
+        _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
-        y = np.asarray(y, dtype=float)
         ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
     if state.t == -1:
         predicted = state.weights
@@ -163,9 +168,9 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 
 
 def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
-                  observations: np.ndarray) -> None:
+                  observations: np.ndarray, t0: int = 0) -> None:
     """Reject a chain on another box (where there is a chain) and malformed
-    or non-finite observations."""
+    or non-finite observations, the first of which is at time ``t0``."""
     box = spec.space
     chain_box = box if chain is None else chain.grid.space
     if not (np.array_equal(box.lower, chain_box.lower)
@@ -178,14 +183,14 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                           f"{observations.shape}")
     if observations.shape[-1] != spec.obs.n:
         raise DomainError(
-            f"observation at t=0 in trajectory b=0 has {observations.shape[-1]} "
+            f"observation at t={t0} in trajectory b=0 has {observations.shape[-1]} "
             f"components, the model expects N={spec.obs.n}")
     stack = observations if observations.ndim == 3 else observations[None]
     bad = np.argwhere(~np.all(np.isfinite(stack), axis=-1))
     if bad.size:
         b, t = bad[0]
         raise DomainError(
-            f"non-finite observation at t={t} in trajectory b={b}: {stack[b, t]}")
+            f"non-finite observation at t={t0 + t} in trajectory b={b}: {stack[b, t]}")
 
 
 def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,

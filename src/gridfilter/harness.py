@@ -210,7 +210,7 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
                       n_traj: int, c_const: float, seed: int = 0,
                       a_ref: Optional[int] = None,
                       build_method: str = "quadrature",
-                      n_samples: int = 200_000) -> ConvergenceCurve:
+                      n_samples: int = 100_000) -> ConvergenceCurve:
     """Filter-error curve across resolutions against the reference filter.
 
     ``a_ref`` defaults to 8x the largest resolution; a smaller surrogate

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .csvio import write_csv
 from .errors import ChainConstructionError, DomainError
 from .model import StateSpace, SystemSpec, Trajectory, _gl_panels, make_rng
 
@@ -119,13 +118,19 @@ def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], flo
     return dev
 
 
-def _check_finite(name: str, values: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
+def _checked_entries(name: str, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values`` as floats, refused unless they have ``shape`` and every
+    entry is finite and >= 0; a refusal names the first bad entry."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ChainConstructionError(f"{name} shape {values.shape}, expected {shape}")
+    bad = ~(np.isfinite(values) & (values >= 0))
     if np.any(bad):
         at = tuple(int(i) for i in np.argwhere(bad)[0])
         where = at[0] if len(at) == 1 else at
         raise ChainConstructionError(
-            f"{name} entry {where} is {values[at]}, not finite")
+            f"{name} entry {where} is {values[at]}, not finite and >= 0")
+    return values
 
 
 def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
@@ -151,58 +156,40 @@ _QUAD_ORDER = 8
 class QuantizedChain:
     """Finite chain on grid-cell centers: one transition operator + initial law.
 
-    The operator is given in exactly one of two forms.  ``transition`` is a
-    row-stochastic K x K matrix.  ``profile``, shape (2K-1,), is a
-    non-negative offset profile whose rows are its windows:
-    ``transition[r, c] == profile[c - r + K - 1] / row_mass[r]``, where the
-    chain derives ``row_mass`` (K,) from the profile as the window sums.  A
-    profile chain holds no K x K matrix: reading ``transition`` builds one
-    anew on every read and does not keep it, for the oracles
-    (``path_sum_oracle``, ``to_csv``, the tests); ``predict`` never does.
-    Chains compare equal only to themselves.
+    The operator's shape gives its form.  A (K, K) ``operator`` is the
+    row-stochastic ``transition``; a (2K-1,) one is a non-negative offset
+    ``profile`` whose rows are its windows, ``transition[r, c] ==
+    profile[c - r + K - 1] / row_mass[r]`` with the window sums ``row_mass``
+    (K,), so at K = 1, (1,) is a profile and (1, 1) a matrix.  Any other
+    shape, and an operator or ``initial`` entry that is not finite and >= 0,
+    raise ChainConstructionError naming it.  A profile chain holds no K x K
+    matrix: reading ``transition`` builds one anew on every read and does not
+    keep it, for the oracles; ``predict`` never does.  Chains compare equal
+    only to themselves.
     """
 
-    def __init__(self, grid: Grid, transition: Optional[np.ndarray],
-                 initial: np.ndarray, build_method: str = "direct",
-                 profile: Optional[np.ndarray] = None):
-        if (transition is None) == (profile is None):
-            raise ChainConstructionError(
-                "a chain takes a transition matrix or a profile")
+    def __init__(self, grid: Grid, operator: np.ndarray, initial: np.ndarray,
+                 build_method: str = "direct"):
         k = grid.total_points
         self.grid = grid
         self.build_method = build_method
         self.profile = self.row_mass = self._matrix = None
-        if profile is not None:
-            self.profile = np.asarray(profile, dtype=float)
-            if self.profile.shape != (2 * k - 1,):
-                raise ChainConstructionError(
-                    f"profile shape {self.profile.shape}, expected {(2 * k - 1,)}")
-            bad = ~(np.isfinite(self.profile) & (self.profile >= 0))
-            if np.any(bad):
-                d = int(np.argmax(bad))
-                raise ChainConstructionError(
-                    f"profile entry {d} is {self.profile[d]}, not finite and >= 0")
+        operator = np.asarray(operator, dtype=float)
+        if operator.ndim == 1:
+            self.profile = _checked_entries("profile", operator, (2 * k - 1,))
             self.row_mass = _row_mass(grid, sliding_window_view(self.profile, k)[::-1])
-        else:
-            self._matrix = np.asarray(transition, dtype=float)
-            if self._matrix.shape != (k, k):
-                raise ChainConstructionError(
-                    f"transition shape {self._matrix.shape}, expected {(k, k)}")
-            _check_finite("transition", self._matrix)
-            if np.any(self._matrix < 0):
-                raise ChainConstructionError("negative probability entry")
+        elif operator.ndim == 2:
+            self._matrix = _checked_entries("transition", operator, (k, k))
             sums = self._matrix.sum(axis=1)
             bad = np.argmax(np.abs(sums - 1.0))
             if abs(sums[bad] - 1.0) > 1e-12:
                 raise ChainConstructionError(
                     f"transition row {bad} sums to {sums[bad]!r}, not 1")
-        self.initial = np.asarray(initial, dtype=float)
-        if self.initial.shape != (k,):
+        else:
             raise ChainConstructionError(
-                f"initial shape {self.initial.shape}, expected {(k,)}")
-        _check_finite("initial", self.initial)
-        if np.any(self.initial < 0):
-            raise ChainConstructionError("negative probability entry")
+                f"operator shape {operator.shape} is neither a {(2 * k - 1,)} "
+                f"profile nor a {(k, k)} matrix")
+        self.initial = _checked_entries("initial", initial, (k,))
         if abs(self.initial.sum() - 1.0) > 1e-12:
             raise ChainConstructionError(
                 f"initial law sums to {self.initial.sum()!r}, not 1")
@@ -279,18 +266,6 @@ class QuantizedChain:
             predicted[refused] = self.predict(weights[refused])
         return predicted, tau[()]
 
-    def to_csv(self, path: str) -> None:
-        meta = {
-            "a_per_dim": " ".join(str(a) for a in self.grid.a_per_dim),
-            "lower": " ".join(repr(v) for v in self.grid.space.lower),
-            "upper": " ".join(repr(v) for v in self.grid.space.upper),
-            "build_method": self.build_method,
-            "initial": " ".join(repr(v) for v in self.initial),
-        }
-        k = self.grid.total_points
-        header = [f"p{j}" for j in range(k)]
-        write_csv(path, meta, header, self.transition)
-
 
 def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes over every cell: (nodes (n, M), weights (n,),
@@ -329,7 +304,6 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     """
     k = grid.total_points
     centers = grid.centers
-    transition = profile = None
 
     if method == "quadrature":
         if spec.kernel.density is None or spec.kernel.initial_density is None:
@@ -349,21 +323,21 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
                     f"M={grid.space.dim} axes")
             # profile[d + k - 1] is the mass d cells from the source
             d, h = np.arange(1 - k, k), grid.widths[0]
-            profile = hook((d - 0.5) * h, (d + 0.5) * h)
+            operator = hook((d - 0.5) * h, (d + 0.5) * h)
         else:
-            transition = np.empty((k, k))
+            operator = np.empty((k, k))
             for row in range(k):
-                transition[row] = cell_mass(spec.kernel.density(1, centers[row], nodes))
+                operator[row] = cell_mass(spec.kernel.density(1, centers[row], nodes))
         initial = cell_mass(spec.kernel.initial_density(nodes))
         label = "quadrature"
     elif method == "monte_carlo":
         m = grid.space.dim
-        transition = np.empty((k, k))
+        operator = np.empty((k, k))
         for row in range(k):
             src = np.broadcast_to(centers[row], (n_samples, m))
             draws = spec.kernel.sampler(1, src, make_rng(seed, 5, row))
             idx = quantize_points(grid, np.asarray(draws, dtype=float).reshape(n_samples, m))
-            transition[row] = np.bincount(idx, minlength=k) / n_samples
+            operator[row] = np.bincount(idx, minlength=k) / n_samples
         draws0 = spec.kernel.initial_sampler(make_rng(seed, 6), n_samples)
         idx0 = quantize_points(grid, np.asarray(draws0, dtype=float).reshape(n_samples, m))
         initial = np.bincount(idx0, minlength=k) / n_samples
@@ -371,9 +345,9 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     else:
         raise ValueError(f"unknown build method {method!r}")
 
-    if profile is None:
-        transition /= _row_mass(grid, transition)[:, None]
+    if np.ndim(operator) == 2:
+        operator /= _row_mass(grid, operator)[:, None]
     init_mass = initial.sum()
     if init_mass <= 0.0:
         raise ChainConstructionError("initial law received zero mass")
-    return QuantizedChain(grid, transition, initial / init_mass, label, profile)
+    return QuantizedChain(grid, operator, initial / init_mass, label)

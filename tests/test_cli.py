@@ -159,6 +159,20 @@ def test_corrupt_trajectory_row_is_usage_error(workdir, capsys):
     assert "row 3" in err
 
 
+def test_non_finite_trajectory_value_is_usage_error(workdir, capsys):
+    tmp, cfg = workdir
+    main(["simulate", "--config", cfg])
+    path = tmp / "out" / "trajectory_seed2.csv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+    t, x0, _, y1 = lines[row].split(",")
+    lines[row] = ",".join([t, x0, "nan", y1])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["filter", "--config", cfg]) == 2
+    assert "input error: non-finite observation at t=3" in capsys.readouterr().err
+    assert not list((tmp / "out").glob("estimates_*.csv"))
+
+
 def test_trajectory_of_another_model_is_usage_error(workdir, capsys):
     tmp, cfg = workdir
     main(["simulate", "--config", cfg])

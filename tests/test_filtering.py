@@ -566,6 +566,17 @@ def oracle_stuck_at_first_cell(obs):
     return run
 
 
+def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0):
+    """One ``grid_filter_step`` from t=0 on a [0, 1] model with N=2, through
+    a chain built on [lower, upper]."""
+    spec = interval_spec(lower=0.0, upper=1.0)
+    chain_spec = spec if (lower, upper) == (0.0, 1.0) else interval_spec(lower, upper)
+    chain = gf.build_chain(chain_spec, gf.Grid(chain_spec.space, 4), "quadrature")
+    state = gf.FilterState(t=0, weights=np.full(4, 0.25), estimate=np.zeros(1),
+                           log_norm=0.0)
+    return lambda: gf.grid_filter_step(chain, spec, state, np.array(y))
+
+
 @pytest.mark.parametrize("make, error, message", [
     (oracle_on_unit_interval(with_observation(1, np.nan)), gf.DomainError,
      r"non-finite observation at t=1 in trajectory b=0"),
@@ -593,9 +604,17 @@ def oracle_stuck_at_first_cell(obs):
     (lambda: gf.exact_forward_filter(finite_chain_stuck_at_first_state(),
                                      with_observation(1, 1e4)),
      gf.DegenerateUpdateError, "forward weights vanished at t=1"),
+    (step_to_t1_on_unit_interval([np.nan, 0.0]), gf.DomainError,
+     r"non-finite observation at t=1 in trajectory b=0: \[nan  0.\]"),
+    (step_to_t1_on_unit_interval([np.inf, 0.0]), gf.DomainError,
+     r"non-finite observation at t=1 in trajectory b=0: \[inf  0.\]"),
+    (step_to_t1_on_unit_interval([[0.0, 0.0], [0.0, -np.inf]]), gf.DomainError,
+     r"non-finite observation at t=1 in trajectory b=1"),
+    (step_to_t1_on_unit_interval([0.0, 0.0], lower=0.5, upper=2.5), gf.DomainError,
+     r"chain was built on the box \[\[0.5\], \[2.5\]\], the model's box is \[\[0.\], \[1.\]\]"),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
-        "exact_weights_vanish"])
+        "exact_weights_vanish", "step_nan", "step_inf", "step_stack_inf", "step_other_box"])
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

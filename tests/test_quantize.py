@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
@@ -164,17 +165,6 @@ def test_cweak_diagnostic_bounded_for_lipschitz_function():
     assert dev <= grid.half_cell_l1 + 1e-12
 
 
-def test_chain_round_trips_through_csv(tmp_path):
-    spec = gf.build_model("gauss_walk")
-    chain = gf.build_chain(spec, gf.Grid(spec.space, 6), "quadrature")
-    path = tmp_path / "chain.csv"
-    chain.to_csv(str(path))
-    meta, header, data = gf.read_csv(str(path))
-    assert meta["build_method"] == "quadrature"
-    assert header == [f"p{j}" for j in range(6)]
-    assert np.allclose(data, chain.transition)
-
-
 def without_hook(spec, **kernel_changes):
     """The same spec with ``increment_cell_mass`` dropped (or replaced)."""
     kernel_changes.setdefault("increment_cell_mass", None)
@@ -312,24 +302,21 @@ def _zeroed(array, where):
 
 # Row r of a K=8 profile chain is the window profile[7 - r : 15 - r].
 @pytest.mark.parametrize("change, message", [
-    (lambda c: {"profile": c.profile[:-1]}, r"profile shape \(14,\), expected \(15,\)"),
-    (lambda c: {"profile": _scaled(c.profile, 3, np.nan)}, "profile entry 3 is nan"),
-    (lambda c: {"profile": _scaled(c.profile, 5, np.inf)}, "profile entry 5 is inf"),
-    (lambda c: {"profile": _scaled(c.profile, 0, -1.0)}, "profile entry 0 is -"),
-    (lambda c: {"profile": _zeroed(c.profile, slice(7, None))},
+    (lambda p: p[:-1], r"profile shape \(14,\), expected \(15,\)"),
+    (lambda p: _scaled(p, 3, np.nan), "profile entry 3 is nan"),
+    (lambda p: _scaled(p, 5, np.inf), "profile entry 5 is inf"),
+    (lambda p: _scaled(p, 0, -1.0), "profile entry 0 is -"),
+    (lambda p: _zeroed(p, slice(7, None)),
      r"row 0 \(center \[0.0625\]\) received zero transition mass"),
-    (lambda c: {"profile": _zeroed(c.profile, slice(None, 8))},
+    (lambda p: _zeroed(p, slice(None, 8)),
      r"row 7 \(center \[0.9375\]\) received zero transition mass"),
-    (lambda c: {"transition": c.transition}, "a transition matrix or a profile"),
-    (lambda c: {"profile": None}, "a transition matrix or a profile"),
 ], ids=["profile-shape", "profile-nan", "profile-inf", "profile-negative",
-        "row-0", "row-K-1", "matrix-and-profile", "neither"])
+        "row-0", "row-K-1"])
 def test_inconsistent_profile_is_refused(change, message):
     chain = profile_chain()
-    given = {"transition": None, "profile": chain.profile, **change(chain)}
     with pytest.raises(gf.ChainConstructionError, match=message):
-        gf.QuantizedChain(chain.grid, given["transition"], chain.initial,
-                          chain.build_method, given["profile"])
+        gf.QuantizedChain(chain.grid, change(chain.profile), chain.initial,
+                          chain.build_method)
 
 
 @pytest.mark.parametrize("with_profile", [True, False])
@@ -502,34 +489,23 @@ def test_profile_chain_builds_its_matrix_on_demand():
         chain.transition = expected
 
 
-def test_repr_and_eq_do_not_build_the_matrix(tmp_path):
+def test_repr_and_eq_do_not_build_the_matrix():
     spec = gf.build_model("gauss_walk")
     grid = gf.Grid(spec.space, 64)
     chain = gf.build_chain(spec, grid, "quadrature")
     assert "transition" not in repr(chain)
     assert chain == chain
     assert chain != gf.build_chain(spec, grid, "quadrature")
-    chain.to_csv(str(tmp_path / "chain.csv"))
     gf.path_sum_oracle(spec, chain, gf.simulate(spec, 1, seed=0).observations)
     assert not any(np.shape(v) == (64, 64) for v in vars(chain).values())
-
-
-def test_profile_chain_writes_the_csv_of_its_matrix(tmp_path):
-    chain = profile_chain()
-    dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial,
-                              chain.build_method)
-    chain.to_csv(str(tmp_path / "profile.csv"))
-    dense.to_csv(str(tmp_path / "dense.csv"))
-    assert ((tmp_path / "profile.csv").read_bytes()
-            == (tmp_path / "dense.csv").read_bytes())
 
 
 def test_profile_only_chain_checks_every_row_sum():
     chain = profile_chain()
 
     def profile_only(profile):
-        return gf.QuantizedChain(chain.grid, None, chain.initial,
-                                 chain.build_method, profile)
+        return gf.QuantizedChain(chain.grid, profile, chain.initial,
+                                 chain.build_method)
 
     assert np.array_equal(profile_only(chain.profile).row_mass, chain.row_mass)
     # only row 3's window, profile[4:12], is all zero
@@ -537,16 +513,27 @@ def test_profile_only_chain_checks_every_row_sum():
         profile_only(_zeroed(chain.profile, slice(4, 12)))
 
 
-@pytest.mark.parametrize("transition, initial, message", [
-    ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5], r"transition entry \(0, 0\) is nan"),
-    ([[1.0, 0.0], [0.5, 0.5]], [np.nan, 0.5], "initial entry 0 is nan"),
-    ([[1.0, 0.0], [0.5, np.inf]], [0.5, 0.5], r"transition entry \(1, 1\) is inf"),
-    ([[1.0, 0.0], [0.5, 0.5]], [0.5, -np.inf], "initial entry 1 is -inf"),
-], ids=["transition-nan", "initial-nan", "transition-inf", "initial-inf"])
-def test_non_finite_chain_entries_are_refused(transition, initial, message):
-    with pytest.raises(gf.ChainConstructionError, match=message):
-        gf.QuantizedChain(unit_interval_grid(2), np.array(transition),
-                          np.array(initial))
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative"])
+@pytest.mark.parametrize("name, at", [("profile", 1), ("transition", (0, 1)), ("initial", 1)],
+                         ids=["profile", "transition", "initial"])
+def test_non_finite_chain_entries_are_refused(name, at, bad):
+    """A NaN, inf or negative entry of any of the three arrays is named."""
+    arrays = {"profile": np.array([0.25, 0.5, 0.25]), "transition": np.full((2, 2), 0.5),
+              "initial": np.full(2, 0.5)}
+    value = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[bad]
+    arrays[name][at] = value
+    operator = arrays["profile" if name == "profile" else "transition"]
+    message = f"{name} entry {at} is {value}, not finite and >= 0"
+    with pytest.raises(gf.ChainConstructionError, match=re.escape(message)):
+        gf.QuantizedChain(unit_interval_grid(2), operator, arrays["initial"])
+
+
+def test_one_cell_profile_and_matrix_are_told_apart_by_shape():
+    profile = gf.QuantizedChain(unit_interval_grid(1), np.array([0.7]), np.ones(1))
+    matrix = gf.QuantizedChain(unit_interval_grid(1), np.ones((1, 1)), np.ones(1))
+    assert profile.profile is not None and np.array_equal(profile.row_mass, [0.7])
+    assert matrix.profile is None and matrix.row_mass is None
+    assert np.array_equal(profile.transition, matrix.transition)
 
 
 def gauss_walk_with(**kernel_changes):
@@ -565,9 +552,14 @@ def gauss_walk_with(**kernel_changes):
      gf.ChainConstructionError, r"initial shape \(1,\), expected \(2,\)"),
     (lambda: gf.QuantizedChain(unit_interval_grid(2), [[1.5, -0.5], [0.0, 1.0]],
                                np.full(2, 0.5)),
-     gf.ChainConstructionError, "negative probability entry"),
+     gf.ChainConstructionError, r"transition entry \(0, 1\) is -0.5, not finite and >= 0"),
     (lambda: gf.QuantizedChain(unit_interval_grid(2), np.eye(2), [1.5, -0.5]),
-     gf.ChainConstructionError, "negative probability entry"),
+     gf.ChainConstructionError, "initial entry 1 is -0.5, not finite and >= 0"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), 0.5, np.full(2, 0.5)),
+     gf.ChainConstructionError,
+     r"operator shape \(\) is neither a \(3,\) profile nor a \(2, 2\) matrix"),
+    (lambda: gf.QuantizedChain(unit_interval_grid(2), np.ones((3, 2, 2)), np.full(2, 0.5)),
+     gf.ChainConstructionError, r"operator shape \(3, 2, 2\) is neither"),
     (lambda: gf.build_chain(gf.build_model("constant"), unit_interval_grid(4)),
      gf.ChainConstructionError, "quadrature construction needs density and initial_density"),
     (lambda: gf.build_chain(gf.build_model("gauss_walk"), unit_interval_grid(4), "simpson"),
@@ -576,7 +568,7 @@ def gauss_walk_with(**kernel_changes):
                             unit_interval_grid(4)),
      gf.ChainConstructionError, "initial law received zero mass"),
 ], ids=["grid_length", "grid_zero_cells", "transition_shape", "initial_shape",
-        "negative_transition", "negative_initial", "no_density", "unknown_method",
+        "negative_transition", "negative_initial", "operator_0d", "operator_3d", "no_density", "unknown_method",
         "zero_initial_mass"])
 def test_quantize_refusals(make, error, message):
     with pytest.raises(error, match=message):
