@@ -49,10 +49,6 @@ def main():
     print(f"\n{theta.check_id}: worst ratio {theta.worst_ratio:.6g} "
           f"(quadratic-form differences vs their state-Lipschitz budget)")
 
-    gf.write_bound_reports("out/bounds_demo.csv",
-                           [rep, suite, theta], meta={"seed": 14})
-    print("\nreports written to out/bounds_demo.csv")
-
 
 if __name__ == "__main__":
     main()

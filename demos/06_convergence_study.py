@@ -39,10 +39,6 @@ def main():
           f"{np.array2string(ratios, precision=2)}")
     print("the budget column drops by exactly log10(2) ~ 0.301 per doubling")
 
-    curve.to_csv("out/curve_demo.csv")
-    curve.kg.to_csv("out/kg_demo.csv")
-    print("\ncurve written to out/curve_demo.csv, budget to out/kg_demo.csv")
-
 
 if __name__ == "__main__":
     main()

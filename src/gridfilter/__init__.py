@@ -12,12 +12,11 @@ from .bounds import (BoundReport, adjugate_cofactor, audit_derived_constants,
                      check_adjugate_bound, check_lipschitz_suite,
                      check_product_bound, check_theta_bound, k_inv_formula,
                      matvec_difference_sides, product_difference_sides,
-                     theta_bound, write_bound_reports)
+                     theta_bound)
 from .concentration import (ConcentrationReport, TailCheck, chi2_tail_check,
                             concentration_experiment, gamma_data,
                             gamma_reference, membership_bound,
-                            omega_hat_membership, tame_threshold,
-                            write_concentration_reports, write_tail_checks)
+                            omega_hat_membership, tame_threshold)
 from .config import RunConfig, load_config, parse_config, render_config
 from .csvio import read_csv, write_csv
 from .errors import (AssumptionViolationError, BudgetExceededError,
@@ -63,6 +62,5 @@ __all__ = [
     "product_difference_sides", "quantize_point", "quantize_points",
     "read_csv", "render_config", "run_grid_filter",
     "simulate", "simulate_batch", "simulate_tilde", "tame_threshold",
-    "theta_bound", "verify_assumptions", "write_bound_reports",
-    "write_concentration_reports", "write_csv", "write_tail_checks",
+    "theta_bound", "verify_assumptions", "write_csv",
 ]

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import AssumptionViolationError, ConfigError
 from .model import SystemSpec, _row_norms, make_rng
 
@@ -31,7 +30,6 @@ __all__ = [
     "theta_bound",
     "check_theta_bound",
     "k_inv_formula",
-    "write_bound_reports",
 ]
 
 PASS_SLACK = 1e-9
@@ -51,15 +49,6 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         return self.worst_ratio <= 1.0 + PASS_SLACK
-
-
-def write_bound_reports(path: str, reports: Sequence[BoundReport],
-                        meta: Optional[dict] = None) -> None:
-    all_keys = sorted({k for r in reports for k in r.constants})
-    header = ["check_id", "n_trials", "worst_ratio", "passed"] + all_keys
-    rows = [[r.check_id, r.n_trials, r.worst_ratio, r.passed]
-            + [r.constants.get(k, "") for k in all_keys] for r in reports]
-    write_csv(path, meta or {}, header, rows)
 
 
 def _matrix_norm(m: np.ndarray, norm: str) -> float:

@@ -4,12 +4,14 @@ Subcommands: simulate, filter, converge, verify-bounds, verify-concentration,
 verify.  Exit codes: 0 on success, 1 when a scientific check fails, 2 on
 usage or configuration errors and on input the library refuses (DomainError,
 such as a non-finite value in a trajectory CSV).  Outputs are pure functions
-of (config, flags), so reruns are byte-identical.
+of (config, flags), so reruns are byte-identical.  This module names every
+column and metadata key of the files it writes; the library writes none.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,10 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (_with_derived, audit_derived_constants, check_adjugate_bound,
-                     check_lipschitz_suite, check_product_bound, check_theta_bound,
-                     write_bound_reports)
-from .concentration import (chi2_tail_check, concentration_experiment,
-                            write_concentration_reports, write_tail_checks)
+                     check_lipschitz_suite, check_product_bound, check_theta_bound)
+from .concentration import chi2_tail_check, concentration_experiment
 from .config import RunConfig, load_config
 from .csvio import read_csv, write_csv
 from .errors import ConfigError, DomainError, GridFilterError
@@ -82,27 +82,38 @@ def _spec_from(cfg: RunConfig):
     return build_model(cfg.model_id, **cfg.model_params)
 
 
-def _traj_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, f"trajectory_seed{cfg.seed}.csv")
+def _traj_name(cfg: RunConfig) -> str:
+    return f"trajectory_seed{cfg.seed}.csv"
+
+
+def _write(cfg: RunConfig, name: str, meta: dict, columns: dict) -> None:
+    """Write ``name`` under the run's out_dir; each key of ``columns`` is a
+    column's header and its value the column, one entry per row."""
+    path = os.path.join(cfg.out_dir, name)
+    write_csv(path, meta, list(columns), zip(*columns.values(), strict=True))
+    print(f"wrote {path}")
+
+
+def _fields(records, names: str) -> dict:
+    """One column per space-separated attribute name, one row per record."""
+    return {name: [getattr(r, name) for r in records] for name in names.split()}
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     traj = simulate(spec, cfg.horizon, cfg.seed)
-    path = _traj_path(cfg)
-    m, n = traj.states.shape[1], traj.observations.shape[1]
-    header = ["t"] + [f"x{d}" for d in range(m)] + [f"y{d}" for d in range(n)]
-    rows = [[t, *traj.states[t], *traj.observations[t]]
-            for t in range(traj.horizon + 1)]
-    write_csv(path, {"model_id": cfg.model_id, "seed": cfg.seed,
-                     "horizon": cfg.horizon, "state_dim": m, "obs_dim": n},
-              header, rows)
-    print(f"wrote {path}")
+    states, obs = traj.states, traj.observations
+    _write(cfg, _traj_name(cfg),
+           {"model_id": cfg.model_id, "seed": cfg.seed, "horizon": cfg.horizon,
+            "state_dim": states.shape[1], "obs_dim": obs.shape[1]},
+           {"t": range(traj.horizon + 1),
+            **{f"x{d}": states[:, d] for d in range(states.shape[1])},
+            **{f"y{d}": obs[:, d] for d in range(obs.shape[1])}})
     return 0
 
 
 def _load_trajectory(cfg: RunConfig, spec) -> Trajectory:
-    path = _traj_path(cfg)
+    path = os.path.join(cfg.out_dir, _traj_name(cfg))
     if not os.path.exists(path):
         raise ConfigError(f"no trajectory at {path}; run `gridfilter simulate` first")
     meta, header, data = read_csv(path)
@@ -125,10 +136,14 @@ def cmd_filter(cfg: RunConfig) -> int:
     chain = build_chain(spec, Grid(spec.space, cfg.resolution), cfg.build_method,
                         seed=cfg.seed, n_samples=cfg.n_samples)
     result = run_grid_filter(spec, chain, traj.observations)
-    out = os.path.join(cfg.out_dir, f"estimates_seed{cfg.seed}_a{cfg.resolution}.csv")
-    result.to_csv(out, meta={"model_id": cfg.model_id, "seed": cfg.seed,
-                             "chain": chain.build_method})
-    print(f"wrote {out}")
+    est = result.estimates
+    _write(cfg, f"estimates_seed{cfg.seed}_a{cfg.resolution}.csv",
+           {"a_per_dim": " ".join(str(a) for a in chain.grid.a_per_dim),
+            "horizon": len(est) - 1, "model_id": cfg.model_id, "seed": cfg.seed,
+            "chain": chain.build_method},
+           {"t": range(len(est)),
+            **{f"estimate_{d}": est[:, d] for d in range(est.shape[1])},
+            "log_norm": result.log_norms})
     return 0
 
 
@@ -139,12 +154,25 @@ def cmd_converge(cfg: RunConfig) -> int:
         spec, cfg.horizon, cfg.resolutions, cfg.n_traj, cfg.c_const,
         seed=cfg.seed, a_ref=cfg.a_ref, build_method=cfg.build_method,
         n_samples=cfg.n_samples)
-    curve_path = os.path.join(cfg.out_dir, "curve.csv")
-    kg_path = os.path.join(cfg.out_dir, "kg.csv")
-    curve.to_csv(curve_path)
-    curve.kg.to_csv(kg_path, meta={"model_id": cfg.model_id, "seed": cfg.seed})
-    print(f"wrote {curve_path}")
-    print(f"wrote {kg_path}")
+    kg, k = curve.kg, len(curve.resolutions)
+    bound_log10 = [b / math.log(10.0) for b in kg.bound_log]
+    _write(cfg, "curve.csv",
+           {"model_id": cfg.model_id, "horizon": kg.horizon, "c_const": kg.c_const,
+            "seed": cfg.seed, "reference": curve.reference_label, "a_ref": curve.a_ref,
+            "reference_converged": curve.reference_converged,
+            "reference_gap": curve.reference_gap, "n_total": curve.n_total},
+           {"a": curve.resolutions, "mean_sup_error": curve.mean_sup_errors,
+            "max_sup_error": curve.max_sup_errors, "analytic_bound": kg.bounds(),
+            "analytic_bound_log10": bound_log10, "n_traj": [curve.n_kept] * k,
+            "n_rejected": [curve.n_rejected] * k})
+    _write(cfg, "kg.csv",
+           {"horizon": kg.horizon, "c_const": kg.c_const, "n_dim": kg.n_dim,
+            "gamma": kg.gamma, "k_o": kg.k_o, "kg_t_log_t": kg.kg_t_log_t,
+            "kg_log_t": kg.kg_log_t, "delta": kg.delta,
+            "log10_denominator": kg.log_denominator / math.log(10.0),
+            "model_id": cfg.model_id, "seed": cfg.seed},
+           {"a": kg.resolutions, "sup_l1_half_cell": kg.sup_l1_half_cell,
+            "sup_l1_measured": kg.sup_l1_measured, "bound_log10": bound_log10})
     if curve.reference_converged is False:
         print(f"check failed: reference filter unconverged "
               f"(gap {curve.reference_gap:.3e})", file=sys.stderr)
@@ -171,10 +199,10 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     reports.append(suite)
     reports.append(check_theta_bound(_with_derived(spec, suite), cfg.n_trials,
                                      seed=cfg.seed))
-    out = os.path.join(cfg.out_dir, "bounds.csv")
-    write_bound_reports(out, reports, meta={"model_id": cfg.model_id,
-                                            "seed": cfg.seed})
-    print(f"wrote {out}")
+    keys = sorted({key for r in reports for key in r.constants})
+    _write(cfg, "bounds.csv", {"model_id": cfg.model_id, "seed": cfg.seed},
+           {**_fields(reports, "check_id n_trials worst_ratio passed"),
+            **{key: [r.constants.get(key, "") for r in reports] for key in keys}})
     failed = [r.check_id for r in reports if not r.passed]
     for r in reports:
         print(f"{r.check_id}: worst ratio {r.worst_ratio:.6g} "
@@ -195,13 +223,12 @@ def cmd_verify_concentration(cfg: RunConfig) -> int:
             cfg.model_id, **{**cfg.model_params, "n": n_dim})
         reports.append(concentration_experiment(case_spec, horizon, c_const,
                                                 cfg.n_conc_traj, seed=cfg.seed))
-    write_tail_checks(os.path.join(cfg.out_dir, "chi2.csv"), checks,
-                      meta={"seed": cfg.seed})
-    write_concentration_reports(os.path.join(cfg.out_dir, "concentration.csv"),
-                                reports, meta={"model_id": cfg.model_id,
-                                               "seed": cfg.seed})
-    print(f"wrote {os.path.join(cfg.out_dir, 'chi2.csv')}")
-    print(f"wrote {os.path.join(cfg.out_dir, 'concentration.csv')}")
+    _write(cfg, "chi2.csv", {"seed": cfg.seed},
+           _fields(checks, "n_dim u n_samples empirical bound std_err passed"))
+    _write(cfg, "concentration.csv", {"model_id": cfg.model_id, "seed": cfg.seed},
+           _fields(reports, "n_dim c_const horizon n_traj gamma_data gamma_reference "
+                            "threshold_data threshold_reference empirical_data "
+                            "empirical_reference bound passed"))
     ok = all(c.passed for c in checks) and all(r.passed for r in reports)
     for c in checks:
         print(f"chi2 tail n={c.n_dim} u={c.u}: {c.empirical:.5f} <= "

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, DomainError
 from .model import (AssumptionConstants, SystemSpec, _reference_observations, make_rng,
                     simulate_batch)
@@ -37,8 +36,6 @@ __all__ = [
     "tame_threshold",
     "omega_hat_membership",
     "concentration_experiment",
-    "write_tail_checks",
-    "write_concentration_reports",
 ]
 
 
@@ -165,22 +162,3 @@ def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
         empirical_reference=float(np.mean(tame_q)),
         bound=membership_bound(c_const, n_dim, horizon),
     )
-
-
-def write_tail_checks(path: str, checks, meta=None) -> None:
-    header = ["n_dim", "u", "n_samples", "empirical", "bound", "std_err", "passed"]
-    rows = [[c.n_dim, c.u, c.n_samples, c.empirical, c.bound, c.std_err, c.passed]
-            for c in checks]
-    write_csv(path, meta or {}, header, rows)
-
-
-def write_concentration_reports(path: str, reports, meta=None) -> None:
-    header = ["n_dim", "c_const", "horizon", "n_traj",
-              "gamma_data", "gamma_reference", "threshold_data",
-              "threshold_reference", "empirical_data", "empirical_reference",
-              "bound", "passed"]
-    rows = [[r.n_dim, r.c_const, r.horizon, r.n_traj, r.gamma_data,
-             r.gamma_reference, r.threshold_data, r.threshold_reference,
-             r.empirical_data, r.empirical_reference, r.bound, r.passed]
-            for r in reports]
-    write_csv(path, meta or {}, header, rows)

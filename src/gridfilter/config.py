@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -43,25 +44,29 @@ class RunConfig:
         """Refuse a value that the run cannot use, naming its key."""
         if not self.model_id:
             raise ConfigError("missing [model] id")
-        if not self.resolutions:
-            raise ConfigError("[converge] resolutions must be nonempty")
+        if not 0.0 < self.c_const < math.inf:
+            raise ConfigError("[converge] c must be > 0 and finite")
         for section, option, name, _, _, least in _KEYS:
             value = getattr(self, name)
             many = isinstance(value, tuple)
-            if least is not None and min(value if many else (value,)) < least:
+            values = value if many else (value,)
+            if not values:
+                raise ConfigError(f"[{section}] {option} must be nonempty")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"[{section}] {option} must "
+                                  f"{'all ' if many else ''}be finite")
+            if least is not None and min(values) < least:
                 raise ConfigError(f"[{section}] {option} must "
                                   f"{'all ' if many else ''}be >= {least}")
         if self.build_method not in ("quadrature", "monte_carlo"):
             raise ConfigError(
                 f"[filter] build_method {self.build_method!r} is not one of "
                 "quadrature, monte_carlo")
-        if not self.c_const > 0.0:
-            raise ConfigError("[converge] c must be > 0")
         for n, c, horizon in self.concentration_cases:
-            if n < 1 or not c > 0.0 or horizon < 0:
+            if n < 1 or not 0.0 < c < math.inf or horizon < 0:
                 raise ConfigError(
                     f"[verify] concentration case {n}:{c!r}:{horizon} needs "
-                    "n >= 1, c > 0 and horizon >= 0")
+                    "n >= 1, finite c > 0 and horizon >= 0")
 
 
 def _fmt(value) -> str:

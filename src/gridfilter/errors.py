@@ -22,8 +22,8 @@ class AssumptionViolationError(GridFilterError, ValueError):
 class DomainError(GridFilterError, ValueError):
     """An input outside what the library accepts: a point outside the
     state-space box, weights of the wrong length, malformed or non-finite
-    observations, a chain or workspace built for another box, model or point
-    set, or a stacked filter result passed to ``to_csv``."""
+    observations, or a chain or workspace built for another box, model or
+    point set."""
 
 
 class ChainConstructionError(GridFilterError, ValueError):

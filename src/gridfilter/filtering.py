@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import (BudgetExceededError, DegenerateUpdateError, DomainError,
                      ModelDefinitionError)
 from .likelihood import QuadFormWorkspace, log_lambda_hat_at_points
@@ -68,29 +67,13 @@ class FilterState:
 @dataclass
 class FilterRunResult:
     """Estimates (.., T+1, M), normalizers (.., T+1) and prediction
-    certificates (.., T+1) of a full filtering pass; ``to_csv`` writes no
-    certificate."""
+    certificates (.., T+1) of a full filtering pass; ``gridfilter filter``
+    writes one run's estimates and normalizers, not its certificates."""
 
     estimates: np.ndarray
     log_norms: np.ndarray
-    resolution: tuple[int, ...]
     final_state: Optional[FilterState] = None
     predict_tau: Optional[np.ndarray] = None
-
-    def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
-        """Write one trajectory's estimates and normalizers, one row per t."""
-        if self.estimates.ndim != 2:
-            raise DomainError(
-                f"to_csv writes one trajectory with (T+1, M) estimates, not "
-                f"{self.estimates.shape}; write a stack one trajectory at a time")
-        m = self.estimates.shape[1]
-        header = ["t"] + [f"estimate_{d}" for d in range(m)] + ["log_norm"]
-        rows = [[t, *self.estimates[t], self.log_norms[t]]
-                for t in range(self.estimates.shape[0])]
-        full_meta = {"a_per_dim": " ".join(str(a) for a in self.resolution),
-                     "horizon": self.estimates.shape[0] - 1}
-        full_meta.update(meta or {})
-        write_csv(path, full_meta, header, rows)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -123,8 +106,9 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     profile one batched FFT convolution, with each row whose certificate
     ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
     matrix product otherwise.  Weights whose last axis is not K raise
-    ``DomainError``, and so do the inputs ``run_grid_filter`` refuses: a
-    non-finite ``y`` (naming t, and b in a stack) and a chain on another box.
+    ``DomainError``, and so do a ``y`` of rank above 2 and the inputs
+    ``run_grid_filter`` refuses: a non-finite ``y`` (naming t, and b in a
+    stack) and a chain on another box.
     The estimate is an einsum, not a BLAS product, so each row of a stack
     equals its single run bit for bit.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
@@ -135,6 +119,8 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
     y = np.asarray(y, dtype=float)
+    if y.ndim > 2:
+        raise DomainError(f"y must be (N,) or (B, N), not {y.shape}")
     # two cheap tests per step; the full check only runs when one fails
     if chain.grid.space is not spec.space or not np.isfinite(y).all():
         _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
@@ -219,8 +205,7 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
         log_norms[..., t] = state.log_norm
         predict_tau[..., t] = state.predict_tau
     return FilterRunResult(
-        estimates=estimates, log_norms=log_norms,
-        resolution=chain.grid.a_per_dim, final_state=state,
+        estimates=estimates, log_norms=log_norms, final_state=state,
         predict_tau=predict_tau)
 
 

@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .concentration import gamma_data, omega_hat_membership, membership_bound, tame_threshold
-from .csvio import write_csv
 from .errors import ConfigError, GridFilterError
 from .filtering import exact_forward_filter, run_grid_filter
 from .model import SystemSpec, _simulate
@@ -64,21 +63,6 @@ class KGReport:
         """Budgets in linear scale; saturates to inf past float64 range."""
         with np.errstate(over="ignore"):
             return np.exp(np.asarray(self.bound_log))
-
-    def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
-        full_meta = {
-            "horizon": self.horizon, "c_const": self.c_const, "n_dim": self.n_dim,
-            "gamma": self.gamma, "k_o": self.k_o,
-            "kg_t_log_t": self.kg_t_log_t, "kg_log_t": self.kg_log_t,
-            "delta": self.delta, "log10_denominator": self.log_denominator / math.log(10.0),
-        }
-        full_meta.update(meta or {})
-        header = ["a", "sup_l1_half_cell", "sup_l1_measured", "bound_log10"]
-        measured = self.sup_l1_measured or [math.nan] * len(self.resolutions)
-        rows = [[a, hc, ms, bl / math.log(10.0)]
-                for a, hc, ms, bl in zip(self.resolutions, self.sup_l1_half_cell,
-                                         measured, self.bound_log)]
-        write_csv(path, full_meta, header, rows)
 
 
 def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
@@ -148,19 +132,18 @@ def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
 
 @dataclass
 class ConvergenceCurve:
-    """Measured filter error per resolution, with rejection accounting."""
+    """Measured filter error per resolution, with rejection accounting;
+    ``gridfilter converge`` writes it as curve.csv and its ``kg`` as kg.csv."""
 
     mean_sup_errors: np.ndarray
     max_sup_errors: np.ndarray
     n_total: int
     n_kept: int
-    seed: int
     reference_label: str
     a_ref: Optional[int]
     reference_converged: Optional[bool]
     reference_gap: Optional[float]
     kg: KGReport = field(repr=False)
-    model_id: str = "custom"
 
     @property
     def resolutions(self) -> tuple[int, ...]:
@@ -177,23 +160,6 @@ class ConvergenceCurve:
         miss = 1.0 - membership_bound(self.kg.c_const, self.kg.n_dim, self.kg.horizon)
         return 2.0 * miss + 3.0 * math.sqrt(max(miss * (1.0 - miss), 0.0)
                                             / max(self.n_total, 1))
-
-    def to_csv(self, path: str) -> None:
-        meta = {
-            "model_id": self.model_id, "horizon": self.kg.horizon,
-            "c_const": self.kg.c_const, "seed": self.seed,
-            "reference": self.reference_label, "a_ref": self.a_ref,
-            "reference_converged": self.reference_converged,
-            "reference_gap": self.reference_gap, "n_total": self.n_total,
-        }
-        header = ["a", "mean_sup_error", "max_sup_error", "analytic_bound",
-                  "analytic_bound_log10", "n_traj", "n_rejected"]
-        bounds_lin = self.kg.bounds()
-        rows = [[a, self.mean_sup_errors[i], self.max_sup_errors[i],
-                 bounds_lin[i], self.kg.bound_log[i] / math.log(10.0),
-                 self.n_kept, self.n_rejected]
-                for i, a in enumerate(self.resolutions)]
-        write_csv(path, meta, header, rows)
 
 
 def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -261,6 +227,5 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
     kg = kg_evaluate(spec, horizon, c_const, resolutions, state_paths=states)
     return ConvergenceCurve(
         mean_sup_errors=mean_errors, max_sup_errors=max_errors, n_total=n_traj,
-        n_kept=len(observations), seed=seed, reference_label=label, a_ref=a_ref,
-        reference_converged=converged, reference_gap=gap, kg=kg,
-        model_id=spec.model_id)
+        n_kept=len(observations), reference_label=label, a_ref=a_ref,
+        reference_converged=converged, reference_gap=gap, kg=kg)

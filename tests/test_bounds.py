@@ -211,19 +211,6 @@ def test_quadform_difference_dominated_by_theta():
     assert report.worst_ratio < 1.0  # budget is loose, not just valid
 
 
-def test_bound_reports_serialize(tmp_path):
-    spec = gf.build_model("gauss_walk")
-    reports = [gf.check_adjugate_bound(2, 50, seed=0),
-               gf.check_lipschitz_suite(spec, 100, seed=0)]
-    path = tmp_path / "bounds.csv"
-    gf.write_bound_reports(str(path), reports, meta={"seed": 0})
-    meta, header, data = gf.read_csv(str(path), numeric=False)
-    assert "check_id" in header
-    assert meta["seed"] == "0"
-    assert data[0][0] == "adjugate-norm-2d"
-    assert data[0][header.index("passed")] == "True"
-
-
 @pytest.mark.parametrize("make, error, message", [
     (lambda: gf.product_difference_sides([np.eye(2)], [np.eye(2)], norm="nuclear"),
      ValueError, "unsupported matrix norm 'nuclear'"),

@@ -259,6 +259,73 @@ def test_verify_passes_on_demo_and_writes_every_report(workdir, capsys):
         assert (tmp / "out" / name).exists()
 
 
+def estimates_match_a_direct_run(tmp, meta, header, data):
+    """The estimates file holds what ``run_grid_filter`` returns on the same
+    trajectory and chain, to the bit, and no certificate column."""
+    spec = gf.build_model("gauss_walk")
+    _, _, traj = gf.read_csv(str(tmp / "out" / "trajectory_seed2.csv"))
+    chain = gf.build_chain(spec, gf.Grid(spec.space, 16), "quadrature", seed=2)
+    run = gf.run_grid_filter(spec, chain, traj[:, 2:])
+    assert meta["chain"] == "quadrature" and meta["a_per_dim"] == "16"
+    assert np.array_equal(data[:, 0].astype(float), np.arange(7))
+    assert np.array_equal(data[:, 1:2].astype(float), run.estimates)
+    assert np.array_equal(data[:, 2].astype(float), run.log_norms)
+    assert "predict_tau" not in header
+
+
+def curve_carries_a_usable_budget(tmp, meta, header, data):
+    assert meta["reference"] == "surrogate(a=64)"
+    # the linear bound column overflows to inf; the log10 column is the usable one
+    bound = data[:, header.index("analytic_bound")].astype(float)
+    assert np.all(np.isinf(bound) | (bound > 0))
+    assert np.all(np.isfinite(data[:, header.index("analytic_bound_log10")].astype(float)))
+
+
+def every_check_passed(tmp, meta, header, data):
+    assert list(data[:, header.index("passed")]) == ["True"] * len(data)
+
+
+@pytest.mark.parametrize("commands, name, header, meta_keys, n_rows, check", [
+    (["simulate"], "trajectory_seed2.csv", ["t", "x0", "y0", "y1"],
+     ["model_id", "seed", "horizon", "state_dim", "obs_dim"], 7, None),
+    (["simulate", "filter"], "estimates_seed2_a16.csv", ["t", "estimate_0", "log_norm"],
+     ["a_per_dim", "horizon", "model_id", "seed", "chain"], 7, estimates_match_a_direct_run),
+    (["converge"], "curve.csv",
+     ["a", "mean_sup_error", "max_sup_error", "analytic_bound", "analytic_bound_log10",
+      "n_traj", "n_rejected"],
+     ["model_id", "horizon", "c_const", "seed", "reference", "a_ref",
+      "reference_converged", "reference_gap", "n_total"], 2, curve_carries_a_usable_budget),
+    (["converge"], "kg.csv", ["a", "sup_l1_half_cell", "sup_l1_measured", "bound_log10"],
+     ["horizon", "c_const", "n_dim", "gamma", "k_o", "kg_t_log_t", "kg_log_t", "delta",
+      "log10_denominator", "model_id", "seed"], 2, None),
+    (["verify-bounds"], "bounds.csv",
+     ["check_id", "n_trials", "worst_ratio", "passed", "k_det", "k_det_minor",
+      "k_inv_empirical", "k_inv_formula", "k_sigma_declared"],
+     ["model_id", "seed"], 6, every_check_passed),
+    (["verify-concentration"], "chi2.csv",
+     ["n_dim", "u", "n_samples", "empirical", "bound", "std_err", "passed"],
+     ["seed"], 2, every_check_passed),
+    (["verify-concentration"], "concentration.csv",
+     ["n_dim", "c_const", "horizon", "n_traj", "gamma_data", "gamma_reference",
+      "threshold_data", "threshold_reference", "empirical_data", "empirical_reference",
+      "bound", "passed"],
+     ["model_id", "seed"], 1, every_check_passed),
+], ids=["trajectory", "estimates", "curve", "kg", "bounds", "chi2", "concentration"])
+def test_each_output_file_has_its_layout(workdir, commands, name, header, meta_keys,
+                                         n_rows, check):
+    tmp, cfg = workdir
+    for command in commands:
+        assert main([command, "--config", cfg]) == 0
+    meta, got_header, data = gf.read_csv(str(tmp / "out" / name), numeric=False)
+    assert got_header == header
+    assert list(meta) == meta_keys
+    assert len(data) == n_rows
+    assert meta["seed"] == "2"
+    assert meta.get("model_id", "gauss_walk") == "gauss_walk"
+    if check is not None:
+        check(tmp, meta, header, data)
+
+
 def test_verify_fails_on_degenerate_model(tmp_path, capsys):
     # unit-covariance frozen model sits exactly at the eigenvalue floor
     cfg = tmp_path / "flat.ini"
@@ -311,9 +378,19 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
     ("n_traj = 4", "n_traj = 0", "converge", "[converge] n_traj must be >= 1"),
     ("chi2_n = 2", "chi2_n = 0", "verify", "[verify] chi2_n must all be >= 1"),
     ("chi2_u = 0.5 1", "chi2_u = 0.5 -1", "verify", "[verify] chi2_u must all be >= 0"),
+    ("c = 1.0", "c = inf", "converge", "[converge] c must be > 0 and finite"),
+    ("chi2_n = 2", "chi2_n =", "verify", "[verify] chi2_n must be nonempty"),
+    ("chi2_u = 0.5 1", "chi2_u =", "verify", "[verify] chi2_u must be nonempty"),
+    ("chi2_u = 0.5 1", "chi2_u = 0.5 inf", "verify", "[verify] chi2_u must all be finite"),
+    ("chi2_u = 0.5 1", "chi2_u = nan", "verify", "[verify] chi2_u must all be finite"),
+    ("concentration = 2:1.0:0", "concentration =", "verify",
+     "[verify] concentration must be nonempty"),
+    ("concentration = 2:1.0:0", "concentration = 2:inf:9", "verify",
+     "[verify] concentration case 2:inf:9 needs n >= 1, finite c > 0"),
 ], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",
         "build_method-unknown", "model-id-empty", "n_traj-zero", "chi2_n-zero",
-        "chi2_u-negative"])
+        "chi2_u-negative", "c-inf", "chi2_n-empty", "chi2_u-empty", "chi2_u-inf",
+        "chi2_u-nan", "concentration-empty", "concentration-c-inf"])
 def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain

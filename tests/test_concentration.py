@@ -122,21 +122,6 @@ def test_concentration_experiment_longer_horizon():
     assert report.horizon == 9
 
 
-def test_reports_serialize(tmp_path):
-    checks = [gf.chi2_tail_check(2, 1.0, 1000, seed=0)]
-    reports = [gf.concentration_experiment(gf.build_model("gauss_walk"),
-                                           0, 1.0, 2000, seed=0)]
-    p1 = tmp_path / "chi2.csv"
-    p2 = tmp_path / "conc.csv"
-    gf.write_tail_checks(str(p1), checks, meta={"seed": 0})
-    gf.write_concentration_reports(str(p2), reports, meta={"seed": 0})
-    _, h1, d1 = gf.read_csv(str(p1), numeric=False)
-    _, h2, d2 = gf.read_csv(str(p2), numeric=False)
-    assert len(d1) == 1 and len(d2) == 1
-    assert "empirical" in h1
-    assert "bound" in h2
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
     obs = gf.simulate_batch(gf.build_model("gauss_walk", n=n), 6, 50, seed=5)[1]

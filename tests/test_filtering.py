@@ -216,30 +216,6 @@ def test_filter_state_invariants():
         assert spec.space.contains(state.estimate)
 
 
-def test_run_result_csv_round_trip(tmp_path):
-    spec = interval_spec()
-    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
-    traj = gf.simulate(spec, 5, seed=7)
-    res = gf.run_grid_filter(spec, chain, traj.observations)
-    p = tmp_path / "est.csv"
-    res.to_csv(str(p), meta={"model_id": "demo"})
-    meta, header, data = gf.read_csv(str(p))
-    assert header == ["t", "estimate_0", "log_norm"]
-    assert meta["model_id"] == "demo"
-    assert np.allclose(data[:, 1], res.estimates[:, 0])
-    assert np.allclose(data[:, 2], res.log_norms)
-
-
-def test_stacked_run_result_refuses_csv(tmp_path):
-    spec = interval_spec()
-    chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
-    res = gf.run_grid_filter(spec, chain, np.zeros((3, 6, 2)))
-    p = tmp_path / "est.csv"
-    with pytest.raises(gf.DomainError, match=r"\(3, 6, 1\).*one trajectory at a time"):
-        res.to_csv(str(p))
-    assert not p.exists()
-
-
 def test_stacked_run_matches_single_runs():
     spec = interval_spec()
     chain = gf.build_chain(spec, gf.Grid(spec.space, 32), "quadrature")
@@ -467,7 +443,7 @@ def test_profile_chain_filters_without_its_dense_matrix():
     assert peak < 32 * 2**20
 
 
-def test_run_records_the_prediction_certificates(tmp_path):
+def test_run_records_the_prediction_certificates():
     spec, chain = walk(0.0, 1.0, 0.5, 256)
     _, obs = gf.simulate_batch(spec, 12, 3, seed=4)
     stacked = gf.run_grid_filter(spec, chain, obs)
@@ -479,9 +455,6 @@ def test_run_records_the_prediction_certificates(tmp_path):
     # a matrix chain's product carries no certificate
     dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
     assert np.all(gf.run_grid_filter(spec, dense, obs).predict_tau == 0.0)
-    # the certificates stay out of the CSV
-    single.to_csv(str(tmp_path / "est.csv"))
-    assert gf.read_csv(str(tmp_path / "est.csv"))[1] == ["t", "estimate_0", "log_norm"]
 
 
 def test_outlier_observation_falls_back_and_matches_the_dense_run():
@@ -612,9 +585,12 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0):
      r"non-finite observation at t=1 in trajectory b=1"),
     (step_to_t1_on_unit_interval([0.0, 0.0], lower=0.5, upper=2.5), gf.DomainError,
      r"chain was built on the box \[\[0.5\], \[2.5\]\], the model's box is \[\[0.\], \[1.\]\]"),
+    (step_to_t1_on_unit_interval(np.zeros((2, 2, 2))), gf.DomainError,
+     r"y must be \(N,\) or \(B, N\), not \(2, 2, 2\)"),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
-        "exact_weights_vanish", "step_nan", "step_inf", "step_stack_inf", "step_other_box"])
+        "exact_weights_vanish", "step_nan", "step_inf", "step_stack_inf", "step_other_box",
+        "step_rank3"])
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -53,17 +53,6 @@ def test_kg_measured_errors_track_half_cell(audited):
         assert 0.0 < m <= hc + 1e-12
 
 
-def test_kg_csv_layout(tmp_path, audited):
-    report = gf.kg_evaluate(audited, 10, 1.0, (8, 16))
-    p = tmp_path / "kg.csv"
-    report.to_csv(str(p))
-    meta, header, data = gf.read_csv(str(p))
-    assert header == ["a", "sup_l1_half_cell", "sup_l1_measured", "bound_log10"]
-    assert "log10_denominator" in meta
-    assert data.shape == (2, 4)
-    assert np.isnan(data[0, 2])  # no measured column without state paths
-
-
 def chain_at_for(spec):
     return lambda a: gf.build_chain(spec, gf.Grid(spec.space, a), "quadrature")
 
@@ -158,20 +147,6 @@ def test_rejection_budget_formula(audited):
     expected = 2.0 * miss + 3.0 * math.sqrt(miss * (1.0 - miss) / 4)
     assert curve.rejection_budget == pytest.approx(expected)
     assert curve.n_rejected <= curve.n_total
-
-
-def test_curve_csv_columns(tmp_path, audited):
-    curve = gf.convergence_sweep(audited, 4, (4, 8), 3, 1.0, seed=2, a_ref=64)
-    p = tmp_path / "curve.csv"
-    curve.to_csv(str(p))
-    meta, header, data = gf.read_csv(str(p))
-    assert header == ["a", "mean_sup_error", "max_sup_error", "analytic_bound",
-                      "analytic_bound_log10", "n_traj", "n_rejected"]
-    assert meta["reference"] == "surrogate(a=64)"
-    assert data.shape[0] == 2
-    # the linear bound column overflows to inf; the log10 column is the usable one
-    assert np.all(np.isinf(data[:, 3]) | (data[:, 3] > 0))
-    assert np.all(np.isfinite(data[:, 4]))
 
 
 def test_sweep_steps_its_trajectories_as_one_batch(audited):
