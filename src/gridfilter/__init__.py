@@ -33,8 +33,7 @@ from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, Trajectory, TransitionKernel, make_rng,
                     simulate, simulate_batch, simulate_tilde,
                     verify_assumptions)
-from .quantize import (Grid, QuantizedChain, build_chain, cweak_diagnostic,
-                       marginal_approximation, quantize_point, quantize_points)
+from .quantize import Grid, QuantizedChain, build_chain, quantize_points
 from .registry import (MODEL_BUILDERS, FiniteStateKernel, build_model,
                        constant_demo, finite_chain_demo, gauss_walk_demo)
 
@@ -52,14 +51,14 @@ __all__ = [
     "audit_derived_constants", "build_chain", "build_model",
     "check_adjugate_bound", "check_lipschitz_suite", "check_product_bound",
     "check_theta_bound", "chi2_tail_check", "concentration_experiment",
-    "constant_demo", "convergence_sweep", "cweak_diagnostic",
+    "constant_demo", "convergence_sweep",
     "exact_forward_filter", "finite_chain_demo", "gamma_data",
     "gamma_reference", "gauss_walk_demo", "grid_filter_step",
     "initial_filter_state", "k_inv_formula", "kg_evaluate", "load_config",
     "log_lambda", "log_lambda_hat", "log_lambda_hat_at_points", "make_rng",
-    "marginal_approximation", "matvec_difference_sides", "membership_bound",
+    "matvec_difference_sides", "membership_bound",
     "omega_hat_membership", "parse_config", "path_sum_oracle",
-    "product_difference_sides", "quantize_point", "quantize_points",
+    "product_difference_sides", "quantize_points",
     "read_csv", "render_config", "run_grid_filter",
     "simulate", "simulate_batch", "simulate_tilde", "tame_threshold",
     "theta_bound", "verify_assumptions", "write_csv",

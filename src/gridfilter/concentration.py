@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import (AssumptionConstants, SystemSpec, _reference_observations, make_rng,
-                    simulate_batch)
+from .model import AssumptionConstants, SystemSpec, _path_steps, make_rng
 
 __all__ = [
     "TailCheck",
@@ -83,18 +82,25 @@ def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> fl
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
+def _sup_sq_norms(steps) -> np.ndarray:
+    """Running (B,) maximum of ||y_t||^2 over the (B, N) steps y_0, y_1, ..."""
+    steps = iter(steps)
+    sup_sq = np.sum(np.square(next(steps)), axis=-1)
+    for y in steps:
+        np.maximum(sup_sq, np.sum(np.square(y), axis=-1), out=sup_sq)
+    return sup_sq
+
+
 def omega_hat_membership(observations: np.ndarray, c_const: float,
                          gamma: float) -> bool | np.ndarray:
     """Tame-set flag of observations (T+1, N), or (B,) flags of a (B, T+1, N)
     stack; strict at the threshold.  Squares one (B, N) step at a time."""
     obs = np.asarray(observations, dtype=float)
-    if obs.ndim not in (2, 3):
+    if obs.ndim not in (2, 3) or obs.shape[-2] < 1:
         raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not {obs.shape}")
     stack = obs if obs.ndim == 3 else obs[None]
-    sup_sq = np.sum(np.square(stack[:, 0]), axis=-1)
-    for t in range(1, stack.shape[1]):
-        np.maximum(sup_sq, np.sum(np.square(stack[:, t]), axis=-1), out=sup_sq)
-    inside = sup_sq < tame_threshold(gamma, c_const, stack.shape[2], stack.shape[1] - 1)
+    inside = _sup_sq_norms(stack.swapaxes(0, 1)) < tame_threshold(
+        gamma, c_const, stack.shape[2], stack.shape[1] - 1)
     return inside if obs.ndim == 3 else bool(inside[0])
 
 
@@ -138,10 +144,13 @@ def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
                              n_traj: int, seed: int = 0) -> ConcentrationReport:
     """Simulate under both measures and measure the tame-set frequencies.
 
-    Under the reference measure only the observations are read, so its
-    states are not simulated; each batch is cut to its tame-set flags before
-    the next is drawn.  Passes when each empirical frequency clears the
-    analytic floor minus three binomial standard errors.
+    Each measure is drawn one (B, N) step at a time into a running (B,)
+    maximum of ||y_t||^2, so no (B, T+1, N) array is made.  The data law
+    steps the paths of ``simulate_batch(spec, horizon, n_traj, seed)``; the
+    reference measure draws only the observations of ``simulate_batch(...,
+    seed + 1, tilde=True)``, from its (seed + 1, 3) stream.  Passes when each
+    empirical frequency clears the analytic floor minus three binomial
+    standard errors.
     """
     if n_traj < 1:
         raise ConfigError("need n_traj >= 1")
@@ -150,10 +159,12 @@ def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
     g_q = gamma_reference()
     thr_p = tame_threshold(g_p, c_const, n_dim, horizon)
     thr_q = tame_threshold(g_q, c_const, n_dim, horizon)
-    tame_p = omega_hat_membership(simulate_batch(spec, horizon, n_traj, seed)[1],
-                                  c_const, g_p)
-    tame_q = omega_hat_membership(_reference_observations(spec, horizon, n_traj, seed + 1),
-                                  c_const, g_q)
+    steps = _path_steps(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3),
+                        tilde=False)
+    tame_p = _sup_sq_norms(y for _, y in steps) < thr_p
+    rng_q = make_rng(seed + 1, 3)
+    tame_q = _sup_sq_norms(rng_q.standard_normal((n_traj, n_dim))
+                           for _ in range(horizon + 1)) < thr_q
     return ConcentrationReport(
         n_dim=n_dim, c_const=c_const, horizon=horizon, n_traj=n_traj,
         gamma_data=g_p, gamma_reference=g_q,

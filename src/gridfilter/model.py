@@ -344,22 +344,18 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
-# Paths per slice of a step's observation half in ``_sample_paths``: bounds its
+# Paths per slice of a step's observation half in ``_path_steps``: bounds its
 # (B, N, N) temporaries.  The sampler and the normal draws take the whole batch.
 _OBS_CHUNK = 2**13
 
 
-def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
-                  tilde: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Advance ``n_paths`` paths together: states (n_paths, T+1, M) and
-    observations (n_paths, T+1, N), the raw draws ``u_t`` when ``tilde``.
-    The two streams are plain generators or ``PathStreams``."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
+                tilde: bool):
+    """Advance ``n_paths`` paths together, yielding each step's states
+    (n_paths, M) and observations (n_paths, N), the raw draws ``u_t`` when
+    ``tilde``.  The two streams are plain generators or ``PathStreams``."""
     m, n = spec.space.dim, spec.obs.n
     lo, hi = spec.space.lower, spec.space.upper
-    states = np.empty((n_paths, horizon + 1, m))
-    obs = np.empty((n_paths, horizon + 1, n))
     x = spec.kernel.initial_sampler(rng_state, n_paths)
     for t in range(horizon + 1):
         if t > 0:
@@ -369,20 +365,30 @@ def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_o
         if np.any(outside):
             b = int(np.argmax(outside))
             raise ModelDefinitionError(f"kernel left the box at t={t}: path {b}, x={x[b]}")
-        states[:, t] = x
-        u = rng_obs.standard_normal((n_paths, n))
-        if tilde:
-            obs[:, t] = u
-            continue
-        for s in range(0, n_paths, _OBS_CHUNK):
-            xs, us = x[s:s + _OBS_CHUNK], u[s:s + _OBS_CHUNK]
+        # u_t, overwritten slice by slice with y_t unless ``tilde``
+        y = rng_obs.standard_normal((n_paths, n))
+        for s in range(0, 0 if tilde else n_paths, _OBS_CHUNK):
+            xs, us = x[s:s + _OBS_CHUNK], y[s:s + _OBS_CHUNK]
             raw_cov = _checked(spec.obs.cov_fn(t, xs), (len(xs), n, n), "cov_fn", t)
             chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, xs)
             raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
             # Factoring obs_scale out keeps y exactly linear in the scale; the
             # stacked matmul applies each factor exactly as ``chol @ u`` would.
-            obs[s:s + _OBS_CHUNK, t] = spec.obs.obs_scale * (
-                raw_mean + (chol @ us[..., None])[..., 0])
+            us[:] = spec.obs.obs_scale * (raw_mean + (chol @ us[..., None])[..., 0])
+        yield x, y
+
+
+def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
+                  tilde: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_steps`` collected: states (n_paths, T+1, M), observations (n_paths, T+1, N)."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    states = np.empty((n_paths, horizon + 1, spec.space.dim))
+    obs = np.empty((n_paths, horizon + 1, spec.obs.n))
+    # ``next`` keeps no step once copied, so the next step reuses its memory.
+    steps = _path_steps(spec, horizon, n_paths, rng_state, rng_obs, tilde)
+    for t in range(horizon + 1):
+        states[:, t], obs[:, t] = next(steps)
     return states, obs
 
 
@@ -421,15 +427,6 @@ def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,
     own streams, so they are not element-wise equal to ``simulate`` calls.
     """
     return _sample_paths(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3), tilde)
-
-
-def _reference_observations(spec: SystemSpec, horizon: int, n_traj: int,
-                            seed: int) -> np.ndarray:
-    """``simulate_batch(spec, horizon, n_traj, seed, tilde=True)[1]`` without
-    simulating the states: its observation stream drawn as one (T+1, B, N)
-    block, which holds the per-step (B, N) draws in order."""
-    u = make_rng(seed, 3).standard_normal((horizon + 1, n_traj, spec.obs.n))
-    return u.transpose(1, 0, 2)
 
 
 def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,

@@ -13,22 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChainConstructionError, DomainError
-from .model import StateSpace, SystemSpec, Trajectory, _gl_panels, make_rng
+from .model import StateSpace, SystemSpec, _gl_panels, make_rng
 
 __all__ = [
     "Grid",
     "QuantizedChain",
-    "quantize_point",
     "quantize_points",
-    "marginal_approximation",
     "build_chain",
-    "cweak_diagnostic",
 ]
 
 
@@ -93,29 +89,6 @@ def quantize_points(grid: Grid, xs: np.ndarray) -> np.ndarray:
     frac = (xs - lo) / (hi - lo) * a
     idx = np.minimum(np.floor(frac).astype(int), a - 1)
     return np.ravel_multi_index(tuple(idx.T), grid.a_per_dim, order="C")
-
-
-def quantize_point(grid: Grid, x) -> int:
-    """Linear index of the cell containing ``x`` (upper box face included)."""
-    return int(quantize_points(grid, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def marginal_approximation(grid: Grid, traj: Trajectory) -> np.ndarray:
-    """Cell index of every state along a trajectory, shape (T+1,)."""
-    return quantize_points(grid, traj.states)
-
-
-def cweak_diagnostic(grid: Grid, traj: Trajectory, f: Callable[[np.ndarray], float]) -> float:
-    """Largest gap |f(center(x_t)) - f(x_t)| along a trajectory.
-
-    For ``f`` Lipschitz with constant L in the l1 domain norm, the returned
-    deviation is at most L * ``grid.half_cell_l1``.
-    """
-    centers = grid.centers[marginal_approximation(grid, traj)]
-    dev = 0.0
-    for t in range(traj.states.shape[0]):
-        dev = max(dev, abs(float(f(centers[t])) - float(f(traj.states[t]))))
-    return dev
 
 
 def _checked_entries(name: str, values: np.ndarray, shape: tuple) -> np.ndarray:

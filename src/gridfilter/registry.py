@@ -269,13 +269,20 @@ MODEL_BUILDERS = {
 
 
 def build_model(model_id: str, **params) -> SystemSpec:
-    """Instantiate a registered family; unknown ids or parameters raise ConfigError."""
+    """Instantiate a registered family.  Unknown ids or parameters, a
+    non-finite float parameter and a model the builder cannot construct
+    raise ConfigError."""
     try:
         builder = MODEL_BUILDERS[model_id]
     except KeyError:
         raise ConfigError(
             f"unknown model id {model_id!r}; known: {sorted(MODEL_BUILDERS)}") from None
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[model] {key} must be finite")
     try:
         return builder(**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for model {model_id!r}: {exc}") from None
+    except ModelDefinitionError as exc:
+        raise ConfigError(f"model {model_id!r}: {exc}") from exc

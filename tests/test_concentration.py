@@ -1,12 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gridfilter as gf
 from gridfilter import concentration
-from gridfilter.model import _reference_observations
 
 
 def test_chi2_deep_tail_is_empty():
@@ -97,11 +97,33 @@ def test_membership_bound_is_clamped_to_a_probability():
         assert 0.0 <= gf.membership_bound(c, n, t) <= 1.0
 
 
-@pytest.mark.parametrize("n_traj, horizon", [(1000, 9), (3, 0), (1, 4)])
-def test_reference_observations_are_the_tilde_batch_observations(n_traj, horizon):
-    spec = gf.build_model("gauss_walk", n=3)
-    _, obs = gf.simulate_batch(spec, horizon, n_traj, 5, tilde=True)
-    assert np.array_equal(_reference_observations(spec, horizon, n_traj, 5), obs)
+def test_streamed_experiment_equals_membership_of_the_simulated_batches():
+    spec = gf.build_model("gauss_walk", n=2)
+    _, obs_p = gf.simulate_batch(spec, 9, 2000, 3)
+    _, obs_q = gf.simulate_batch(spec, 9, 2000, 4, tilde=True)
+    # c = 0.01 leaves the data law's frequency at 0.417 and c = 0.2 the
+    # reference measure's at 0.689, so neither equality holds trivially
+    for c_const, measure in ((0.01, "empirical_data"), (0.2, "empirical_reference")):
+        report = gf.concentration_experiment(spec, 9, c_const, 2000, seed=3)
+        assert 0.0 < getattr(report, measure) < 1.0
+        assert report.empirical_data == np.mean(
+            gf.omega_hat_membership(obs_p, c_const, report.gamma_data))
+        assert report.empirical_reference == np.mean(
+            gf.omega_hat_membership(obs_q, c_const, report.gamma_reference))
+
+
+def test_experiment_peak_memory_stays_below_one_observation_array():
+    spec = gf.build_model("gauss_walk", n=4)
+    tracemalloc.start()
+    try:
+        gf.concentration_experiment(spec, 9, 1.0, 100_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (B, T+1, N) observation array is 30.5 MiB here, and drawing both
+    # measures as whole batches peaks at 48 MiB.  Streamed one (B, N) step at
+    # a time the peak is 13.5 MiB; the bound leaves 10.5 MiB above that.
+    assert peak <= 24 * 2**20
 
 
 def test_concentration_experiment_on_demo_model():
@@ -148,9 +170,12 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
      re.escape("observations must be (T+1, N) or (B, T+1, N), not (3,)")),
     (lambda: gf.omega_hat_membership(np.zeros((2, 3, 4, 1)), 1.0, 5.0), gf.DomainError,
      re.escape("observations must be (T+1, N) or (B, T+1, N), not (2, 3, 4, 1)")),
+    (lambda: gf.omega_hat_membership(np.zeros((3, 0, 2)), 1.0, 5.0), gf.DomainError,
+     re.escape("observations must be (T+1, N) or (B, T+1, N), not (3, 0, 2)")),
     (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, 1.0, 0),
      gf.ConfigError, "need n_traj >= 1"),
-], ids=["membership_one_axis", "membership_four_axes", "experiment_no_paths"])
+], ids=["membership_one_axis", "membership_four_axes", "membership_no_steps",
+        "experiment_no_paths"])
 def test_concentration_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

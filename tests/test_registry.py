@@ -1,6 +1,8 @@
 """Refusals of the model registry and the finite-state kernel, and the
 constant model's frozen dynamics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,17 @@ def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5))
      "value must lie inside the interval"),
     (lambda: gf.build_model("gauss_walk", sigma=1.0), gf.ConfigError,
      "bad parameters for model 'gauss_walk'"),
+    (lambda: gf.build_model("gauss_walk", n=0), gf.ConfigError,
+     "observation dimension must be >= 1"),
+    (lambda: gf.build_model("gauss_walk", step_sigma=float("nan")), gf.ConfigError,
+     re.escape("[model] step_sigma must be finite")),
+    (lambda: gf.build_model("gauss_walk", beta=float("inf")), gf.ConfigError,
+     re.escape("[model] beta must be finite")),
+    (lambda: gf.build_model("gauss_walk", lower=2.0), gf.ConfigError,
+     "need lower < upper in every coordinate"),
 ], ids=["states_ndim", "shapes", "row_stochastic", "initial_law", "step_sigma",
-        "singular_floor", "n_states", "stick_prob", "kind", "value", "parameter"])
+        "singular_floor", "n_states", "stick_prob", "kind", "value", "parameter",
+        "observation_dimension", "nan_step_sigma", "inf_beta", "empty_box"])
 def test_registry_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
