@@ -173,6 +173,8 @@ def cmd_converge(cfg: RunConfig) -> int:
             "model_id": cfg.model_id, "seed": cfg.seed},
            {"a": kg.resolutions, "sup_l1_half_cell": kg.sup_l1_half_cell,
             "sup_l1_measured": kg.sup_l1_measured, "bound_log10": bound_log10})
+    print(f"fitted convergence order {curve.order:.2f} "
+          "(least-squares slope of -log2 mean_sup_error over log2 a)")
     if curve.reference_converged is False:
         print(f"check failed: reference filter unconverged "
               f"(gap {curve.reference_gap:.3e})", file=sys.stderr)

@@ -154,6 +154,16 @@ class ConvergenceCurve:
         return self.n_total - self.n_kept
 
     @property
+    def order(self) -> float:
+        """Fitted convergence order: the least-squares slope of
+        -log2(mean_sup_error) against log2(a); nan for one resolution."""
+        if len(self.resolutions) < 2:
+            return math.nan
+        log_a = np.log2(self.resolutions)
+        log_a -= log_a.mean()
+        return float(log_a @ -np.log2(self.mean_sup_errors) / (log_a @ log_a))
+
+    @property
     def rejection_budget(self) -> float:
         """Allowed rejected fraction: twice the analytic miss probability plus
         three binomial standard errors."""

@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._cholesky import cholesky_stack
 from .errors import DomainError, ModelDefinitionError
-from .model import SystemSpec, _cholesky_at
+from .model import SystemSpec
 
 __all__ = [
     "QuadFormWorkspace",
@@ -42,7 +43,7 @@ def _chol_terms(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray):
         raise ModelDefinitionError(f"total covariance not finite at t={t}, x={x}")
     y = np.asarray(y, dtype=float).reshape(spec.obs.n)
     resid = y - spec.obs.mean(t, x[None])[0]
-    chol = _cholesky_at(c, t, x[None])[0]
+    chol = cholesky_stack(c, t, x[None])[0]
     z = np.linalg.solve(chol, resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return float(z @ z), logdet, y
@@ -82,7 +83,7 @@ class QuadFormWorkspace:
     def _compute(self, t: int) -> np.ndarray:
         spec, pts = self.spec, self.points
         means = spec.obs.mean(t, pts)
-        chol = _cholesky_at(spec.obs.total_cov(t, pts), t, pts)
+        chol = cholesky_stack(spec.obs.total_cov(t, pts), t, pts)
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         linv = np.linalg.inv(chol)
         linv_t = np.swapaxes(linv, 1, 2)

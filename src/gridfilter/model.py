@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._cholesky import cholesky_rows
 from ._streams import PathStreams
 from .errors import AssumptionViolationError, ModelDefinitionError
 
@@ -320,22 +321,6 @@ def _probe_points(space: StateSpace, n_probe: int, rng: np.random.Generator) -> 
     return np.concatenate([space.corners(), mid[None, :], u], axis=0)
 
 
-def _cholesky_at(covs: np.ndarray, t: int, points: np.ndarray) -> np.ndarray:
-    """Cholesky factors of covariances (B, N, N) evaluated at ``points``
-    (B, M); raises ModelDefinitionError naming ``t`` and the first point
-    whose covariance has none."""
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        for c, x in zip(covs, points):
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                raise ModelDefinitionError(
-                    f"total covariance not positive definite at t={t}, x={x}") from exc
-        raise
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of every ``a[i]`` taken as one flat vector; equal bit
     for bit to ``np.linalg.norm(a[i])`` (a vector) or its Frobenius norm (a
@@ -370,11 +355,15 @@ def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs
         for s in range(0, 0 if tilde else n_paths, _OBS_CHUNK):
             xs, us = x[s:s + _OBS_CHUNK], y[s:s + _OBS_CHUNK]
             raw_cov = _checked(spec.obs.cov_fn(t, xs), (len(xs), n, n), "cov_fn", t)
-            chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, xs)
+            chol = cholesky_rows(raw_cov, t, xs, spec.obs.sigma_xi_sq)
             raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
-            # Factoring obs_scale out keeps y exactly linear in the scale; the
-            # stacked matmul applies each factor exactly as ``chol @ u`` would.
-            us[:] = spec.obs.obs_scale * (raw_mean + (chol @ us[..., None])[..., 0])
+            # Last row first: y_i overwrites u_i, which no earlier row reads.
+            # Factoring obs_scale out keeps y exactly linear in the scale.
+            for i in range(n - 1, -1, -1):
+                lu = chol[i][0] * us[:, 0]
+                for k in range(1, i + 1):
+                    lu += chol[i][k] * us[:, k]
+                us[:, i] = spec.obs.obs_scale * (raw_mean[:, i] + lu)
         yield x, y
 
 

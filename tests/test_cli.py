@@ -195,10 +195,12 @@ def test_dimension_mismatch_is_usage_error(workdir, capsys):
     assert "expects" in capsys.readouterr().err
 
 
-def test_converge_writes_curve_and_budget(workdir):
+def test_converge_writes_curve_and_budget(workdir, capsys):
     tmp, cfg = workdir
     assert main(["converge", "--config", cfg]) == 0
     meta, header, data = gf.read_csv(str(tmp / "out" / "curve.csv"))
+    order = np.polyfit(np.log2(data[:, 0]), -np.log2(data[:, 1]), 1)[0]
+    assert f"fitted convergence order {order:.2f} (" in capsys.readouterr().out
     assert header[:3] == ["a", "mean_sup_error", "max_sup_error"]
     assert "analytic_bound_log10" in header
     assert data.shape[0] == 2

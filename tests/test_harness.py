@@ -35,6 +35,19 @@ def test_kg_growth_constants_positive_and_ordered(audited):
     assert r1000.log_denominator < r100.log_denominator < 0.0
 
 
+@pytest.mark.parametrize("resolutions, errors, order", [
+    ((8, 16, 32, 64), 3.0 * np.array([8.0, 16.0, 32.0, 64.0]) ** -2.0, 2.0),
+    ((8, 32, 64), np.array([0.5, 0.25, 0.125]), 9.0 / 14.0),
+    ((8,), np.array([0.1]), math.nan),
+], ids=["power_law", "least_squares", "one_resolution"])
+def test_fitted_order_is_the_least_squares_slope(audited, resolutions, errors, order):
+    curve = harness.ConvergenceCurve(
+        mean_sup_errors=errors, max_sup_errors=errors, n_total=1, n_kept=1,
+        reference_label="surrogate", a_ref=None, reference_converged=None,
+        reference_gap=None, kg=gf.kg_evaluate(audited, 20, 1.0, resolutions))
+    assert curve.order == pytest.approx(order, abs=1e-12, nan_ok=True)
+
+
 def test_budget_column_halves_exactly_with_resolution(audited):
     report = gf.kg_evaluate(audited, 20, 1.0, (8, 16, 32, 64))
     hc = np.array(report.sup_l1_half_cell)

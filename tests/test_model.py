@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy import stats
 
 import gridfilter as gf
 from gridfilter import model
-from gridfilter.model import _checked, _cholesky_at
+from gridfilter._cholesky import cholesky_rows, cholesky_stack
+from gridfilter.model import _checked
 from test_likelihood import time_varying_full_covariance
 
 
@@ -351,7 +353,7 @@ def test_model_argument_refusals(make, message):
 
 def whole_batch_paths(spec, horizon, n_paths, rng_state, rng_obs, tilde):
     """``_sample_paths`` with every step's observation half taken over the
-    whole batch at once."""
+    whole batch at once, through LAPACK's factor and a stacked matmul."""
     m, n = spec.space.dim, spec.obs.n
     states = np.empty((n_paths, horizon + 1, m))
     obs = np.empty((n_paths, horizon + 1, n))
@@ -365,7 +367,7 @@ def whole_batch_paths(spec, horizon, n_paths, rng_state, rng_obs, tilde):
             obs[:, t] = u
             continue
         raw_cov = _checked(spec.obs.cov_fn(t, x), (n_paths, n, n), "cov_fn", t)
-        chol = _cholesky_at(raw_cov + spec.obs.sigma_xi_sq * np.eye(n), t, x)
+        chol = np.linalg.cholesky(raw_cov + spec.obs.sigma_xi_sq * np.eye(n))
         raw_mean = _checked(spec.obs.mean_fn(t, x), (n_paths, n), "mean_fn", t)
         obs[:, t] = spec.obs.obs_scale * (raw_mean + (chol @ u[..., None])[..., 0])
     return states, obs
@@ -382,6 +384,19 @@ def test_sliced_batch_equals_whole_batch_step(monkeypatch, model_id, n_paths, ti
                                               gf.make_rng(8, 3), tilde)
     assert np.array_equal(states, want_states)
     assert np.array_equal(obs, want_obs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sliced_batch_is_near_whole_batch_step_on_full_covariances(monkeypatch, n):
+    # full factors differ from LAPACK's by a few ulps, and so do the draws;
+    # a factor entry applied to the wrong u_k moves them by far more
+    monkeypatch.setattr(model, "_OBS_CHUNK", 4)
+    spec = time_varying_full_covariance(n)
+    states, obs = gf.simulate_batch(spec, 4, 7, seed=8)
+    want_states, want_obs = whole_batch_paths(spec, 4, 7, gf.make_rng(8, 2),
+                                              gf.make_rng(8, 3), False)
+    assert np.array_equal(states, want_states)
+    assert np.all(np.abs(obs - want_obs) <= 1e-14 * np.maximum(np.abs(want_obs), 1.0))
 
 
 def test_covariance_failure_in_a_later_slice_names_its_path(monkeypatch):
@@ -415,6 +430,122 @@ def test_batch_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= states.nbytes + obs.nbytes + 16 * 2**20
+
+
+def stacked_rows(covs, shift=0.0):
+    """``cholesky_rows`` of ``covs`` filled into (B, N, N) lower factors;
+    every entry must be a contiguous (B,) vector."""
+    chol = np.zeros(covs.shape)
+    for i, row in enumerate(cholesky_rows(covs, 0, np.zeros((len(covs), 1)), shift)):
+        assert len(row) == i + 1
+        for j, entry in enumerate(row):
+            assert entry.shape == (len(covs),) and entry.flags.c_contiguous
+            chol[:, i, j] = entry
+    return chol
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_factor_equals_lapack_on_diagonal_stacks(n):
+    rng = gf.make_rng(40, n)
+    covs = rng.uniform(0.01, 100.0, size=(500, 1, n)) * np.eye(n)
+    assert np.array_equal(stacked_rows(covs), np.linalg.cholesky(covs))
+    assert np.array_equal(stacked_rows(covs, 0.7), np.linalg.cholesky(covs + 0.7 * np.eye(n)))
+    assert np.array_equal(cholesky_stack(covs, 0, np.zeros((500, 1))), np.linalg.cholesky(covs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("model_id", sorted(gf.MODEL_BUILDERS))
+def test_factor_equals_lapack_on_registered_models(model_id, n):
+    # every registered covariance is diagonal, so the sampler's and the
+    # likelihood's factors are LAPACK's bit for bit
+    spec = gf.build_model(model_id, n=n)
+    pts = gf.make_rng(41).uniform(spec.space.lower, spec.space.upper, size=(300, 1))
+    for t in range(3):
+        raw = spec.obs.cov_fn(t, pts)
+        assert np.array_equal(stacked_rows(raw, spec.obs.sigma_xi_sq),
+                              np.linalg.cholesky(raw + spec.obs.sigma_xi_sq * np.eye(n)))
+        total = spec.obs.total_cov(t, pts)
+        assert np.array_equal(stacked_rows(total), np.linalg.cholesky(total))
+
+
+# Largest |L - L_lapack|_ij and |L L' - C|_ij, in units of eps sqrt(c_ii) and
+# eps sqrt(c_ii c_jj), on well-conditioned full covariances; measured at most
+# 1.9 and 2.9 for N <= 8.
+_FACTOR_EPS = 8.0
+
+
+def assert_near_lapack(covs):
+    eps = np.finfo(float).eps
+    scale = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
+    chol = stacked_rows(covs)
+    assert np.all(np.abs(chol - np.linalg.cholesky(covs))
+                  <= _FACTOR_EPS * eps * scale[:, :, None])
+    assert np.all(np.abs(chol @ np.swapaxes(chol, 1, 2) - covs)
+                  <= _FACTOR_EPS * eps * scale[:, :, None] * scale[:, None, :])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_factor_is_near_lapack_on_full_covariances(n):
+    spec = time_varying_full_covariance(n)
+    rng = gf.make_rng(42, n)
+    pts = rng.uniform(0.0, 1.0, size=(500, 1))
+    for t in range(4):
+        assert_near_lapack(spec.obs.total_cov(t, pts))
+    a = rng.standard_normal((2000, n, n))
+    assert_near_lapack(a @ np.swapaxes(a, 1, 2) + n * np.eye(n))
+
+
+def failing_stack(entry, value):
+    """Six 3x3 covariances: point 1 fails at the last column through
+    ``entry`` (set on both sides of the diagonal), point 4 at the first."""
+    covs = np.tile(np.eye(3), (6, 1, 1))
+    covs[1][entry] = covs[1][entry[::-1]] = value
+    covs[4][0, 0] = -5.0
+    return covs
+
+
+FAILURES = {
+    "negative_pivot": ((2, 2), -5.0),
+    "indefinite": ((2, 1), 5.0),
+    "nan_pivot": ((2, 2), np.nan),
+    "nan_entry": ((2, 1), np.nan),
+    "inf_pivot": ((2, 2), np.inf),
+    "inf_entry": ((2, 0), np.inf),
+    "minus_inf_entry": ((2, 1), -np.inf),
+}
+FAILING_POINTS = np.linspace(0.0, 1.0, 6)[:, None]
+
+
+def failing_spec(covs):
+    """A frozen model at ``FAILING_POINTS`` whose covariance at t=7 is ``covs``."""
+    def cov_fn(t, x):
+        if t != 7:
+            return np.zeros((len(x), 3, 3))
+        return covs[np.rint(5 * x[:, 0]).astype(int)] - np.eye(3)
+
+    kernel = gf.TransitionKernel(sampler=lambda t, x, rng: x,
+                                 initial_sampler=lambda rng, size: FAILING_POINTS[:size].copy())
+    obs = gf.ObservationModel(n=3, mean_fn=lambda t, x: np.zeros((len(x), 3)),
+                              cov_fn=cov_fn, sigma_xi_sq=1.0)
+    return gf.SystemSpec(space=gf.StateSpace(lower=np.array([0.0]), upper=np.array([1.0])),
+                         kernel=kernel, obs=obs,
+                         constants=gf.AssumptionConstants(1.0, 1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("failure", list(FAILURES))
+def test_factor_refusal_names_the_lowest_failing_point(failure):
+    covs = failing_stack(*FAILURES[failure])
+    spec = failing_spec(covs)
+    message = re.escape(f"total covariance not positive definite at t=7, x={FAILING_POINTS[1]}")
+    calls = [lambda: cholesky_rows(covs, 7, FAILING_POINTS),
+             lambda: cholesky_stack(covs, 7, FAILING_POINTS),
+             lambda: gf.simulate_batch(spec, 8, 6, seed=0),
+             lambda: gf.log_lambda_hat_at_points(spec, 7, FAILING_POINTS, np.ones(3))]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gf.ModelDefinitionError, match=message):
+                call()
 
 
 def one_path(spec, horizon, seed, tilde):
