@@ -34,7 +34,7 @@ def main():
 
     # Under the reference coupling the same state path gets synthetic
     # standard-normal observations; useful for change-of-measure experiments.
-    ref = gf.simulate_tilde(spec, 20, seed=7)
+    ref = gf.simulate(spec, 20, seed=7, tilde=True)
     assert np.array_equal(ref.states, traj.states)
     print(f"  reference-coupling obs are unit normal: "
           f"mean {ref.observations.mean():+.3f}, "

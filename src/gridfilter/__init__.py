@@ -31,8 +31,7 @@ from .likelihood import (QuadFormWorkspace, log_lambda, log_lambda_hat,
                          log_lambda_hat_at_points)
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, Trajectory, TransitionKernel, make_rng,
-                    simulate, simulate_batch, simulate_tilde,
-                    verify_assumptions)
+                    simulate, simulate_batch, verify_assumptions)
 from .quantize import Grid, QuantizedChain, build_chain, quantize_points
 from .registry import (MODEL_BUILDERS, FiniteStateKernel, build_model,
                        constant_demo, finite_chain_demo, gauss_walk_demo)
@@ -60,6 +59,6 @@ __all__ = [
     "omega_hat_membership", "parse_config", "path_sum_oracle",
     "product_difference_sides", "quantize_points",
     "read_csv", "render_config", "run_grid_filter",
-    "simulate", "simulate_batch", "simulate_tilde", "tame_threshold",
+    "simulate", "simulate_batch", "tame_threshold",
     "theta_bound", "verify_assumptions", "write_csv",
 ]

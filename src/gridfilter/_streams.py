@@ -2,7 +2,7 @@
 
 ``model._simulate`` advances the paths of many seeds together and returns
 them as (B, T+1, .) arrays: ``convergence_sweep`` reads the arrays, and
-``simulate`` and ``simulate_tilde`` wrap their one row in a ``Trajectory``.
+``simulate``, under either law, wraps its one row in a ``Trajectory``.
 Each path keeps its own counter-based streams, so it is the same whether it
 is drawn alone or in a batch.
 """

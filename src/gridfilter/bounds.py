@@ -108,18 +108,13 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.where(pos, lhs / np.where(pos, rhs, 1.0), np.where(lhs <= 0.0, 0.0, math.inf))
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    return float(_ratios(lhs, rhs))
-
-
 def check_product_bound(trials: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
                         norm: str = "fro") -> BoundReport:
     """Worst product-difference ratio over supplied (A-sequence, B-sequence) pairs."""
-    worst = 0.0
-    count = 0
+    worst, count = 0.0, 0
     for a_seq, b_seq in trials:
         lhs, rhs = product_difference_sides(a_seq, b_seq, norm)
-        worst = max(worst, _ratio(lhs, rhs))
+        worst = max(worst, float(_ratios(lhs, rhs)))
         count += 1
     return BoundReport(check_id=f"product-difference-{norm}", n_trials=count,
                        worst_ratio=worst)
@@ -242,7 +237,7 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
         formula = 0.0
     else:
         formula = k_inv_formula(decl.lambda_inf, k_det_hat, k_minor_hat, decl.k_sigma)
-    inv_ratio = _ratio(k_inv_emp, formula)
+    inv_ratio = float(_ratios(k_inv_emp, formula))
     # The sampled pairs against the estimated determinant constant; tight at 1
     # when any pair moved the covariance.
     det_worst = np.max(_ratios(det_diff, n * k_det_hat * cdiff), initial=0.0)
@@ -266,28 +261,31 @@ def _with_derived(spec: SystemSpec, report: BoundReport) -> SystemSpec:
             f"covariance regularity check failed with ratio {report.worst_ratio:.6g}")
     c = report.constants
     return replace(spec, constants=replace(
-        spec.constants, k_det=c["k_det"], k_det_minor=c["k_det_minor"],
-        k_inv=c["k_inv_formula"]))
+        spec.constants, k_det=c["k_det"], k_inv=c["k_inv_formula"]))
 
 
 def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0,
                             horizon: int = 0) -> SystemSpec:
     """Return a copy of the spec whose constants carry the estimated
-    determinant/minor constants and the closed-form inverse constant."""
+    determinant constant and the closed-form inverse constant."""
     return _with_derived(spec, check_lipschitz_suite(spec, n_pairs, seed, horizon))
 
 
-def theta_bound(spec: SystemSpec, y: np.ndarray) -> float:
+def theta_bound(spec: SystemSpec, y: np.ndarray) -> float | np.ndarray:
     """Lipschitz budget, in the state, of the observation quadratic form:
 
         Theta(y) = 2 k_mu (||y|| + mu_sup) / lambda_inf
-                   + k_inv (||y|| + mu_sup)^2.
+                   + k_inv (||y|| + mu_sup)^2,
+
+    a float for one observation (N,), a (B,) array for a (B, N) stack.
     """
     c = spec.constants
     if c.k_inv is None:
         raise ConfigError("constants lack k_inv; run audit_derived_constants first")
-    s = float(np.linalg.norm(np.asarray(y, dtype=float))) + c.mu_sup
-    return c.k_mu * 2.0 * s / c.lambda_inf + c.k_inv * s * s
+    y = np.asarray(y, dtype=float)
+    s = _row_norms(np.atleast_2d(y)) + c.mu_sup
+    theta = c.k_mu * 2.0 * s / c.lambda_inf + c.k_inv * s * s
+    return theta if y.ndim == 2 else float(theta[0])
 
 
 def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
@@ -315,7 +313,6 @@ def check_theta_bound(spec: SystemSpec, n_draws: int, seed: int = 0,
         resid = ys - _at_times(obs.mean, ts, x, (n,))
         sol = np.linalg.solve(_at_times(obs.total_cov, ts, x, (n, n)), resid[..., None])
         q.append((resid[:, None, :] @ sol)[:, 0, 0])
-    theta = np.array([theta_bound(spec, y) for y in ys])
-    worst = np.max(_ratios(np.abs(q[0] - q[1]), theta * d), initial=0.0)
+    worst = np.max(_ratios(np.abs(q[0] - q[1]), theta_bound(spec, ys) * d), initial=0.0)
     return BoundReport(check_id="quadform-difference", n_trials=n_draws,
                        worst_ratio=float(worst))

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import AssumptionConstants, SystemSpec, _path_steps, make_rng
+from .model import _OBS_CHUNK, AssumptionConstants, SystemSpec, _path_steps, make_rng
 
 __all__ = [
     "TailCheck",
@@ -36,6 +37,11 @@ __all__ = [
     "omega_hat_membership",
     "concentration_experiment",
 ]
+
+
+def _binomial_std_err(p: float, n: int) -> float:
+    """Standard error of a frequency of ``n`` draws with success probability ``p``."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 @dataclass
@@ -50,7 +56,7 @@ class TailCheck:
 
     @property
     def std_err(self) -> float:
-        return math.sqrt(self.bound * (1.0 - self.bound) / self.n_samples)
+        return _binomial_std_err(self.bound, self.n_samples)
 
     @property
     def passed(self) -> bool:
@@ -58,8 +64,9 @@ class TailCheck:
 
 
 def chi2_tail_check(n_dim: int, u: float, n_samples: int, seed: int = 0) -> TailCheck:
-    if n_dim < 1 or n_samples < 1 or u < 0:
-        raise ConfigError("need n_dim >= 1, n_samples >= 1, u >= 0")
+    if n_dim < 1 or n_samples < 1 or not 0.0 <= u < math.inf:
+        raise ConfigError(f"need n_dim >= 1, n_samples >= 1 and a finite u >= 0, "
+                          f"got {n_dim}, {n_samples}, {u!r}")
     rng = make_rng(seed, 20)
     draws = rng.chisquare(n_dim, size=n_samples)
     threshold = n_dim + 2.0 * math.sqrt(n_dim * u) + 2.0 * u
@@ -79,15 +86,24 @@ def gamma_reference() -> float:
 
 
 def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> float:
+    """gamma * C * N * (1 + log(T + 1)); refuses C outside (0, inf) and T < 0."""
+    if not 0.0 < c_const < math.inf:
+        raise ConfigError(f"c_const must be > 0 and finite, got {c_const!r}")
+    if horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {horizon}")
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
 def _sup_sq_norms(steps) -> np.ndarray:
-    """Running (B,) maximum of ||y_t||^2 over the (B, N) steps y_0, y_1, ..."""
-    steps = iter(steps)
-    sup_sq = np.sum(np.square(next(steps)), axis=-1)
+    """Running (B,) maximum of ||y_t||^2 over the (B, N) steps y_0, y_1, ...,
+    squared ``_OBS_CHUNK`` rows at a time; no step is held while the next is drawn."""
+    sup_sq = None
     for y in steps:
-        np.maximum(sup_sq, np.sum(np.square(y), axis=-1), out=sup_sq)
+        sq = np.empty(len(y))
+        for s in range(0, len(y), _OBS_CHUNK):
+            np.sum(np.square(y[s:s + _OBS_CHUNK]), axis=-1, out=sq[s:s + _OBS_CHUNK])
+        sup_sq = sq if sup_sq is None else np.maximum(sup_sq, sq, out=sup_sq)
+        del y
     return sup_sq
 
 
@@ -120,14 +136,10 @@ class ConcentrationReport:
     empirical_reference: float
     bound: float
 
-    def _std_err(self, p: float) -> float:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_traj)
-
     @property
     def passed(self) -> bool:
-        ok_p = self.empirical_data >= self.bound - 3.0 * self._std_err(self.empirical_data)
-        ok_q = self.empirical_reference >= self.bound - 3.0 * self._std_err(self.empirical_reference)
-        return ok_p and ok_q
+        return all(p >= self.bound - 3.0 * _binomial_std_err(p, self.n_traj)
+                   for p in (self.empirical_data, self.empirical_reference))
 
 
 def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
@@ -136,6 +148,8 @@ def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
     The value is clamped to [0, 1]: for CN < 1 and long horizons the formula
     goes negative, and a probability floor below zero says nothing.
     """
+    if horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {horizon}")
     cn = c_const * n_dim
     return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
 
@@ -155,13 +169,11 @@ def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
     if n_traj < 1:
         raise ConfigError("need n_traj >= 1")
     n_dim = spec.obs.n
-    g_p = gamma_data(spec.constants)
-    g_q = gamma_reference()
+    g_p, g_q = gamma_data(spec.constants), gamma_reference()
     thr_p = tame_threshold(g_p, c_const, n_dim, horizon)
     thr_q = tame_threshold(g_q, c_const, n_dim, horizon)
-    steps = _path_steps(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3),
-                        tilde=False)
-    tame_p = _sup_sq_norms(y for _, y in steps) < thr_p
+    steps = _path_steps(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3), tilde=False)
+    tame_p = _sup_sq_norms(map(itemgetter(1), steps)) < thr_p
     rng_q = make_rng(seed + 1, 3)
     tame_q = _sup_sq_norms(rng_q.standard_normal((n_traj, n_dim))
                            for _ in range(horizon + 1)) < thr_q

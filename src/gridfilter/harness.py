@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .concentration import gamma_data, omega_hat_membership, membership_bound, tame_threshold
+from .concentration import (_binomial_std_err, gamma_data, membership_bound,
+                            omega_hat_membership, tame_threshold)
 from .errors import ConfigError, GridFilterError
 from .filtering import exact_forward_filter, run_grid_filter
 from .model import SystemSpec, _simulate
@@ -96,8 +97,8 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
                * t1 / (2.0 * c.lambda_inf)
                - 0.5 * n * t1 * math.log(c.lambda_sup))
     delta = spec.space.delta
-    widths_total = float(np.sum(spec.space.upper - spec.space.lower))
-    half_cells = tuple(widths_total / (2.0 * a) for a in resolutions)
+    grids = [Grid(spec.space, a) for a in resolutions]
+    half_cells = tuple(grid.half_cell_l1 for grid in grids)
     bound_log = tuple(math.log(hc * (1.0 + 2.0 * delta * kg_t_log_t)) - log_den
                       for hc in half_cells)
     measured = None
@@ -105,8 +106,7 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
         state_paths = np.asarray(state_paths, dtype=float)
         flat = state_paths.reshape(-1, state_paths.shape[-1])
         vals = []
-        for a in resolutions:
-            grid = Grid(spec.space, a)
+        for grid in grids:
             centers = grid.centers[quantize_points(grid, flat)]
             err = np.abs(flat - centers).sum(axis=1).reshape(state_paths.shape[:2])
             vals.append(float(np.max(np.mean(err, axis=0))))
@@ -168,8 +168,7 @@ class ConvergenceCurve:
         """Allowed rejected fraction: twice the analytic miss probability plus
         three binomial standard errors."""
         miss = 1.0 - membership_bound(self.kg.c_const, self.kg.n_dim, self.kg.horizon)
-        return 2.0 * miss + 3.0 * math.sqrt(max(miss * (1.0 - miss), 0.0)
-                                            / max(self.n_total, 1))
+        return 2.0 * miss + 3.0 * _binomial_std_err(miss, max(self.n_total, 1))
 
 
 def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:

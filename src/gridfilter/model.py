@@ -15,12 +15,11 @@ is the object every downstream computation sees; filtering theory here needs
 its eigenvalues bounded below by a constant strictly greater than one, which
 is exactly what the scale knob is for.
 
-Two simulators are provided.  ``simulate`` draws the system as written above.
-``simulate_tilde`` keeps the same state dynamics (and, for a fixed seed, the
-identical state path and Gaussian draws) but emits the raw draws ``u_t`` as
-observations, so observations become i.i.d. standard normal and independent
-of the state path.  The pair realizes the reference-measure coupling used by
-the filtering recursions and the concentration experiments.
+``simulate`` draws the system as written above; with ``tilde=True`` it keeps
+the state path and Gaussian draws of the same seed but emits the draws
+``u_t`` themselves, i.i.d. standard normal observations independent of the
+state.  The two laws realize the reference-measure coupling used by the
+filtering recursions and the concentration experiments.
 
 All randomness flows through counter-based Philox streams keyed by
 ``(seed, stream...)``; equal keys reproduce bit-identical output.
@@ -47,7 +46,6 @@ __all__ = [
     "Trajectory",
     "make_rng",
     "simulate",
-    "simulate_tilde",
     "simulate_batch",
     "verify_assumptions",
 ]
@@ -202,7 +200,7 @@ class AssumptionConstants:
     constants of the mean (l2 over l1) and of the covariance entries.  The
     optional trailing constants are estimated by the bounds suite and feed the
     quadratic-form and product-error budgets: k_det for determinant
-    differences, k_det_minor for size-(n-1) minors, k_inv for the inverse map.
+    differences, k_inv for the inverse map.
 
     Audits reject lambda_inf <= 1; construction only requires it positive so
     deliberately degenerate demonstration models remain expressible.
@@ -214,7 +212,6 @@ class AssumptionConstants:
     k_mu: float
     k_sigma: float
     k_det: Optional[float] = None
-    k_det_minor: Optional[float] = None
     k_inv: Optional[float] = None
 
     def __post_init__(self):
@@ -329,42 +326,46 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
-# Paths per slice of a step's observation half in ``_path_steps``: bounds its
-# (B, N, N) temporaries.  The sampler and the normal draws take the whole batch.
+# Rows per slice in ``_observe`` and in the tame-set fold: bounds their
+# temporaries.  The sampler and the normal draws take the whole batch.
 _OBS_CHUNK = 2**13
+
+
+def _observe(spec: SystemSpec, t: int, x: np.ndarray, rng_obs, tilde: bool) -> np.ndarray:
+    """Normal draws u_t (B, N), overwritten slice by slice with y_t at ``x`` unless ``tilde``."""
+    n = spec.obs.n
+    y = rng_obs.standard_normal((len(x), n))
+    for s in range(0, 0 if tilde else len(x), _OBS_CHUNK):
+        xs, us = x[s:s + _OBS_CHUNK], y[s:s + _OBS_CHUNK]
+        raw_cov = _checked(spec.obs.cov_fn(t, xs), (len(xs), n, n), "cov_fn", t)
+        chol = cholesky_rows(raw_cov, t, xs, spec.obs.sigma_xi_sq)
+        raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
+        # Last row first: y_i overwrites u_i, which no earlier row reads.
+        # Factoring obs_scale out keeps y exactly linear in the scale.
+        for i in range(n - 1, -1, -1):
+            lu = chol[i][0] * us[:, 0]
+            for k in range(1, i + 1):
+                lu += chol[i][k] * us[:, k]
+            us[:, i] = spec.obs.obs_scale * (raw_mean[:, i] + lu)
+    return y
 
 
 def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
                 tilde: bool):
     """Advance ``n_paths`` paths together, yielding each step's states
     (n_paths, M) and observations (n_paths, N), the raw draws ``u_t`` when
-    ``tilde``.  The two streams are plain generators or ``PathStreams``."""
-    m, n = spec.space.dim, spec.obs.n
-    lo, hi = spec.space.lower, spec.space.upper
+    ``tilde``, from plain generators or ``PathStreams``.  Only the states
+    outlive a yield: a consumer's dropped observations are freed before the next step."""
     x = spec.kernel.initial_sampler(rng_state, n_paths)
     for t in range(horizon + 1):
         if t > 0:
             x = spec.kernel.sampler(t, x, rng_state)
-        x = _checked(x, (n_paths, m), "sampler", t)
-        outside = ~np.all((x >= lo) & (x <= hi), axis=1)
+        x = _checked(x, (n_paths, spec.space.dim), "sampler", t)
+        outside = ~np.all((x >= spec.space.lower) & (x <= spec.space.upper), axis=1)
         if np.any(outside):
             b = int(np.argmax(outside))
             raise ModelDefinitionError(f"kernel left the box at t={t}: path {b}, x={x[b]}")
-        # u_t, overwritten slice by slice with y_t unless ``tilde``
-        y = rng_obs.standard_normal((n_paths, n))
-        for s in range(0, 0 if tilde else n_paths, _OBS_CHUNK):
-            xs, us = x[s:s + _OBS_CHUNK], y[s:s + _OBS_CHUNK]
-            raw_cov = _checked(spec.obs.cov_fn(t, xs), (len(xs), n, n), "cov_fn", t)
-            chol = cholesky_rows(raw_cov, t, xs, spec.obs.sigma_xi_sq)
-            raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
-            # Last row first: y_i overwrites u_i, which no earlier row reads.
-            # Factoring obs_scale out keeps y exactly linear in the scale.
-            for i in range(n - 1, -1, -1):
-                lu = chol[i][0] * us[:, 0]
-                for k in range(1, i + 1):
-                    lu += chol[i][k] * us[:, k]
-                us[:, i] = spec.obs.obs_scale * (raw_mean[:, i] + lu)
-        yield x, y
+        yield x, _observe(spec, t, x, rng_obs, tilde)
 
 
 def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
@@ -374,7 +375,6 @@ def _sample_paths(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_o
         raise ValueError("horizon must be >= 0")
     states = np.empty((n_paths, horizon + 1, spec.space.dim))
     obs = np.empty((n_paths, horizon + 1, spec.obs.n))
-    # ``next`` keeps no step once copied, so the next step reuses its memory.
     steps = _path_steps(spec, horizon, n_paths, rng_state, rng_obs, tilde)
     for t in range(horizon + 1):
         states[:, t], obs[:, t] = next(steps)
@@ -390,20 +390,10 @@ def _simulate(spec: SystemSpec, horizon: int, seeds: list[int],
                          PathStreams([make_rng(s, 1) for s in seeds]), tilde)
 
 
-def simulate(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
-    """Draw one path of states and observations up to time ``horizon``.
-
-    Deterministic in ``seed``; the state path coincides with the one
-    ``simulate_tilde`` produces for the same seed.
-    """
-    states, obs = _simulate(spec, horizon, [seed], tilde=False)
-    return Trajectory(states=states[0], observations=obs[0])
-
-
-def simulate_tilde(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
-    """Draw one path under the reference coupling: identical state dynamics,
-    observations replaced by their driving i.i.d. standard normal draws."""
-    states, obs = _simulate(spec, horizon, [seed], tilde=True)
+def simulate(spec: SystemSpec, horizon: int, seed: int, tilde: bool = False) -> Trajectory:
+    """Draw one path of states and observations up to time ``horizon``,
+    deterministic in ``seed``; ``tilde`` draws under the reference coupling."""
+    states, obs = _simulate(spec, horizon, [seed], tilde)
     return Trajectory(states=states[0], observations=obs[0])
 
 

@@ -12,8 +12,8 @@ Three families cover the test surface:
 
 Each builder returns a fully declared SystemSpec: the regularity constants
 are computed analytically from the parameters, and the observation scale
-defaults to the value that lifts the covariance eigenvalue floor to
-``lambda_inf_target``.
+``obs_scale`` defaults to the value that lifts the covariance eigenvalue floor
+to ``_LAMBDA_INF_TARGET``.
 """
 
 from __future__ import annotations
@@ -66,17 +66,16 @@ class FiniteStateKernel(TransitionKernel):
         d = np.sum(np.abs(pts[:, None, :] - self.states[None, :, :]), axis=2)
         return np.argmin(d, axis=1)
 
+    def _draw(self, cdf: np.ndarray, rng) -> np.ndarray:
+        """One state per row of ``cdf`` (B, K), by inverse CDF."""
+        u = rng.random(len(cdf))
+        return self.states[np.minimum((u[:, None] > cdf).sum(axis=1), len(self.states) - 1)]
+
     def _sample(self, t: int, x_prev, rng: np.random.Generator):
-        rows = self._cdf[self._index_of(np.asarray(x_prev, dtype=float))]
-        u = rng.random(len(rows))
-        nxt = np.minimum((u[:, None] > rows).sum(axis=1), len(self.states) - 1)
-        return self.states[nxt]
+        return self._draw(self._cdf[self._index_of(np.asarray(x_prev, dtype=float))], rng)
 
     def _sample_initial(self, rng: np.random.Generator, size: int):
-        u = rng.random(int(size))
-        idx = np.minimum((u[:, None] > self._init_cdf[None, :]).sum(axis=1),
-                         len(self.states) - 1)
-        return self.states[idx]
+        return self._draw(np.broadcast_to(self._init_cdf, (int(size), len(self.states))), rng)
 
 
 def _interval_space(lower: float, upper: float) -> StateSpace:
@@ -90,12 +89,16 @@ def _abs_extremes(lower: float, upper: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _scale_for_target(raw_floor: float, obs_scale, lambda_inf_target: float) -> float:
+# Eigenvalue floor of the scaled covariance that a default ``obs_scale`` lifts to.
+_LAMBDA_INF_TARGET = 1.25
+
+
+def _scale_for_target(raw_floor: float, obs_scale) -> float:
     if obs_scale is not None:
         return float(obs_scale)
     if raw_floor <= 0.0:
         raise ConfigError("cannot derive obs_scale for a singular covariance floor")
-    return math.sqrt(float(lambda_inf_target) / raw_floor)
+    return math.sqrt(_LAMBDA_INF_TARGET / raw_floor)
 
 
 def _linear_obs(n: int, alpha: float, beta_fn, sigma_xi_sq: float,
@@ -118,14 +121,14 @@ def _linear_obs(n: int, alpha: float, beta_fn, sigma_xi_sq: float,
 def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
                     sigma_xi_sq: float = 0.25, step_sigma: float = 0.15,
                     lower: float = 0.0, upper: float = 1.0,
-                    obs_scale=None, lambda_inf_target: float = 1.25) -> SystemSpec:
+                    obs_scale=None) -> SystemSpec:
     """Truncated Gaussian random walk with informative Gaussian observations."""
     if step_sigma <= 0:
         raise ConfigError("step_sigma must be positive")
     space = _interval_space(lower, upper)
     lo2, hi2 = _abs_extremes(lower, upper)
     raw_floor = beta + lo2**2 + sigma_xi_sq
-    scale = _scale_for_target(raw_floor, obs_scale, lambda_inf_target)
+    scale = _scale_for_target(raw_floor, obs_scale)
     a, b = float(lower), float(upper)
 
     def _trunc_bounds(loc):
@@ -179,8 +182,7 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
                       beta: float = 1.0, sigma_xi_sq: float = 0.5,
                       kind: str = "sticky", stick_prob: float = 0.6,
                       lower: float = 0.0, upper: float = 1.0,
-                      obs_scale=None, lambda_inf_target: float = 1.25,
-                      seed: int = 0) -> SystemSpec:
+                      obs_scale=None, seed: int = 0) -> SystemSpec:
     """Finite chain on the centers of an n_states-cell grid over an interval."""
     if n_states < 1:
         raise ConfigError("n_states must be >= 1")
@@ -205,7 +207,7 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
 
     hi2 = _abs_extremes(lower, upper)[1]
     raw_floor = beta + sigma_xi_sq
-    scale = _scale_for_target(raw_floor, obs_scale, lambda_inf_target)
+    scale = _scale_for_target(raw_floor, obs_scale)
     obs = _linear_obs(n, alpha, lambda x1: np.full(x1.shape, float(beta)),
                       sigma_xi_sq, scale)
     constants = AssumptionConstants(
@@ -214,7 +216,7 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
         mu_sup=scale * abs(alpha) * math.sqrt(n) * hi2,
         k_mu=scale * abs(alpha) * math.sqrt(n),
         k_sigma=0.0,
-        k_det=0.0, k_det_minor=0.0, k_inv=0.0,
+        k_det=0.0, k_inv=0.0,
     )
     return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
                       model_id="finite_chain")
@@ -255,7 +257,7 @@ def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,
     constants = AssumptionConstants(
         lambda_inf=lam, lambda_sup=lam,
         mu_sup=obs_scale * abs(mean_const) * math.sqrt(n),
-        k_mu=0.0, k_sigma=0.0, k_det=0.0, k_det_minor=0.0, k_inv=0.0,
+        k_mu=0.0, k_sigma=0.0, k_det=0.0, k_inv=0.0,
     )
     return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
                       model_id="constant")

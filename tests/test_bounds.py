@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter import bounds
 from gridfilter.bounds import _adjugate_trials, _with_derived
 
 
@@ -201,6 +202,34 @@ def test_theta_bound_requires_audit():
     spec = gf.build_model("gauss_walk")
     with pytest.raises(gf.ConfigError):
         gf.theta_bound(spec, np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_theta_bound_of_a_stack_equals_its_rows(n):
+    spec = gf.audit_derived_constants(gf.build_model("gauss_walk", n=n), n_pairs=200, seed=0)
+    ys = 2.0 * gf.make_rng(3, n).standard_normal((500, n))
+    theta = gf.theta_bound(spec, ys)
+    rows = [gf.theta_bound(spec, y) for y in ys]
+    assert all(type(v) is float for v in rows)
+    assert theta.shape == (500,) and np.array_equal(theta, rows)
+    # the closed form with numpy's vector norm, bit for bit
+    c = spec.constants
+    s = np.array([np.linalg.norm(y) for y in ys]) + c.mu_sup
+    assert np.array_equal(theta, c.k_mu * 2.0 * s / c.lambda_inf + c.k_inv * s * s)
+
+
+def test_theta_check_calls_the_budget_once(monkeypatch):
+    spec = gf.audit_derived_constants(gf.build_model("gauss_walk"), n_pairs=200, seed=0)
+    theta_bound, calls = bounds.theta_bound, []
+
+    def counted(spec, y):
+        calls.append(np.shape(y))
+        return theta_bound(spec, y)
+
+    monkeypatch.setattr(bounds, "theta_bound", counted)
+    assert gf.check_theta_bound(spec, 1000, seed=0).passed
+    # every drawn pair is kept, and all of them take one stacked call
+    assert calls == [(1000, spec.obs.n)]
 
 
 def test_quadform_difference_dominated_by_theta():

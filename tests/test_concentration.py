@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import gridfilter as gf
-from gridfilter import concentration
+from gridfilter import concentration, model
 
 
 def test_chi2_deep_tail_is_empty():
@@ -112,6 +114,46 @@ def test_streamed_experiment_equals_membership_of_the_simulated_batches():
             gf.omega_hat_membership(obs_q, c_const, report.gamma_reference))
 
 
+def test_fold_holds_no_step_while_the_next_is_drawn():
+    refs = []
+
+    def tracked(y):
+        refs.append(weakref.ref(y))
+        return y
+
+    def steps():
+        for t in range(4):
+            assert all(ref() is None for ref in refs)
+            yield tracked(np.full((3, 2), float(t)))
+
+    assert np.array_equal(concentration._sup_sq_norms(steps()), np.full(3, 18.0))
+    assert len(refs) == 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: gf.concentration_experiment(spec, 5, 1.0, 50, seed=0),
+    lambda spec: gf.simulate_batch(spec, 5, 50, seed=0),
+], ids=["concentration_experiment", "simulate_batch"])
+def test_each_step_is_freed_before_the_next_is_drawn(monkeypatch, run):
+    # the sampler of step t + 1 runs after every earlier observation array is gone
+    spec, observed = gf.build_model("gauss_walk", n=2), []
+    observe, sampler = model._observe, spec.kernel.sampler
+
+    def tracked_observe(*args):
+        y = observe(*args)
+        observed.append(weakref.ref(y))
+        return y
+
+    def sampler_after_release(t, x, rng):
+        assert all(ref() is None for ref in observed)
+        return sampler(t, x, rng)
+
+    monkeypatch.setattr(model, "_observe", tracked_observe)
+    run(dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, sampler=sampler_after_release)))
+    assert len(observed) == 6
+
+
 def test_experiment_peak_memory_stays_below_one_observation_array():
     spec = gf.build_model("gauss_walk", n=4)
     tracemalloc.start()
@@ -131,8 +173,8 @@ def test_concentration_experiment_on_demo_model():
     report = gf.concentration_experiment(spec, 0, 1.0, 30_000, seed=0)
     assert report.passed
     assert report.bound == pytest.approx(1.0 - math.exp(-2.0))
-    assert report.empirical_reference >= report.bound - 3 * report._std_err(
-        report.empirical_reference)
+    assert report.empirical_reference >= report.bound - 3 * concentration._binomial_std_err(
+        report.empirical_reference, report.n_traj)
     # the data-measure threshold is wildly conservative for this model
     assert report.empirical_data == 1.0
 
@@ -174,8 +216,28 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
      re.escape("observations must be (T+1, N) or (B, T+1, N), not (3, 0, 2)")),
     (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, 1.0, 0),
      gf.ConfigError, "need n_traj >= 1"),
+    (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, math.nan, 100),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got nan")),
+    (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, 0.0, 100),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got 0.0")),
+    (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), -1, 1.0, 100),
+     gf.ConfigError, re.escape("horizon must be >= 0, got -1")),
+    (lambda: gf.omega_hat_membership(np.zeros((3, 2)), math.inf, 5.0),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got inf")),
+    (lambda: gf.kg_evaluate(gf.build_model("finite_chain"), 3, -1.0),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got -1.0")),
+    (lambda: gf.tame_threshold(5.0, 1.0, 2, -1),
+     gf.ConfigError, re.escape("horizon must be >= 0, got -1")),
+    (lambda: gf.membership_bound(1.0, 2, -1),
+     gf.ConfigError, re.escape("horizon must be >= 0, got -1")),
+    (lambda: gf.chi2_tail_check(2, math.inf, 100),
+     gf.ConfigError, re.escape("a finite u >= 0, got 2, 100, inf")),
+    (lambda: gf.chi2_tail_check(2, math.nan, 100),
+     gf.ConfigError, re.escape("a finite u >= 0, got 2, 100, nan")),
 ], ids=["membership_one_axis", "membership_four_axes", "membership_no_steps",
-        "experiment_no_paths"])
+        "experiment_no_paths", "experiment_nan_c", "experiment_zero_c",
+        "experiment_negative_horizon", "membership_inf_c", "kg_negative_c",
+        "threshold_negative_horizon", "floor_negative_horizon", "chi2_inf_u", "chi2_nan_u"])
 def test_concentration_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

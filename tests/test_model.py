@@ -56,8 +56,8 @@ def test_simulate_is_deterministic_in_seed():
 
 
 def test_obs_scale_is_exactly_linear_in_observations():
-    base = gf.build_model("gauss_walk", obs_scale=1.0, lambda_inf_target=None)
-    scaled = gf.build_model("gauss_walk", obs_scale=3.0, lambda_inf_target=None)
+    base = gf.build_model("gauss_walk", obs_scale=1.0)
+    scaled = gf.build_model("gauss_walk", obs_scale=3.0)
     tb = gf.simulate(base, 12, seed=5)
     ts_ = gf.simulate(scaled, 12, seed=5)
     assert np.array_equal(tb.states, ts_.states)
@@ -124,6 +124,34 @@ def test_validate_accepts_demo_and_rejects_bad_density():
     gf.verify_assumptions(without_hook(1.0), n_probe=32, seed=0)
     with pytest.raises(gf.ModelDefinitionError):
         gf.verify_assumptions(without_hook(0.5), n_probe=32, seed=0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_validate_checks_the_density_of_a_1d_kernel_only(m):
+    # a density with no mass: the audit rejects it in 1-D and, by its
+    # documented scope, never evaluates it on a 2-D box
+    calls = []
+
+    def density(t, x_prev, xs):
+        calls.append(len(xs))
+        return np.zeros(len(xs))
+
+    kernel = gf.TransitionKernel(
+        sampler=lambda t, x, rng: x, initial_sampler=lambda rng, size: np.full((size, m), 0.5),
+        density=density)
+    obs = gf.ObservationModel(n=1, mean_fn=lambda t, x: np.zeros((len(x), 1)),
+                              cov_fn=lambda t, x: np.zeros((len(x), 1, 1)), sigma_xi_sq=2.0)
+    spec = gf.SystemSpec(
+        space=gf.StateSpace(lower=np.zeros(m), upper=np.ones(m)), kernel=kernel, obs=obs,
+        constants=gf.AssumptionConstants(lambda_inf=2.0, lambda_sup=2.0, mu_sup=0.0,
+                                         k_mu=0.0, k_sigma=0.0))
+    if m == 1:
+        with pytest.raises(gf.ModelDefinitionError, match="transition density mass 0.0"):
+            gf.verify_assumptions(spec, n_probe=8, seed=0)
+        assert calls
+    else:
+        assert gf.verify_assumptions(spec, n_probe=8, seed=0).lambda_inf == 2.0
+        assert calls == []
 
 
 @pytest.mark.parametrize("scale, accepted", [(1.0, True), (0.5, False)])
@@ -269,7 +297,7 @@ def test_simulation_does_not_disturb_global_rng():
 def test_trajectory_coupling_shares_state_path():
     spec = gf.build_model("gauss_walk")
     tp = gf.simulate(spec, 10, 21)
-    tq = gf.simulate_tilde(spec, 10, 21)
+    tq = gf.simulate(spec, 10, 21, tilde=True)
     assert np.array_equal(tp.states, tq.states)
     assert not np.array_equal(tp.observations, tq.observations)
     # the reference observations are the driving draws of stream (seed, 1)
@@ -297,7 +325,7 @@ def test_constants_validation():
                                k_mu=0.0, k_sigma=0.0)
     c = gf.AssumptionConstants(lambda_inf=1.5, lambda_sup=2.0, mu_sup=1.0,
                                k_mu=1.0, k_sigma=1.0)
-    c2 = dataclasses.replace(c, k_det=1.0, k_det_minor=0.5, k_inv=3.0)
+    c2 = dataclasses.replace(c, k_det=1.0, k_inv=3.0)
     assert c2.k_inv == 3.0 and c.k_inv is None
 
 
@@ -572,11 +600,10 @@ def test_many_seeds_batch_equals_one_path_runs(name, n_paths, tilde):
     spec = BATCH_MODELS[name]()
     seeds = [int(s) for s in np.random.SeedSequence(31).generate_state(n_paths)]
     states, obs = model._simulate(spec, 7, seeds, tilde)
-    alone = gf.simulate_tilde if tilde else gf.simulate
     assert states.shape[0] == obs.shape[0] == n_paths
     for b, seed in enumerate(seeds):
         want_states, want_obs = one_path(spec, 7, seed, tilde)
-        tr = alone(spec, 7, seed)
+        tr = gf.simulate(spec, 7, seed, tilde=tilde)
         for got_states, got_obs in ((states[b], obs[b]), (tr.states, tr.observations)):
             assert np.array_equal(got_states, want_states)
             assert np.array_equal(got_obs, want_obs)
