@@ -62,7 +62,7 @@ _PPND_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.846318317510
            5.99832206555887937690e-1, 1.0)
 
 
-def _ratio(num, den, x):
+def _rational(num, den, x):
     """num(x) / den(x), coefficients highest degree first (Horner, in place)."""
     p, q = num[0] * x, den[0] * x
     for a, b in zip(num[1:-1], den[1:-1]):
@@ -87,11 +87,11 @@ def _erfc_scaled(y):
     out = np.empty(y.shape)
     mid, tail = _split(y <= 4.0)
     if mid.size:
-        out[mid] = _ratio(_ERFC_C, _ERFC_D, y[mid])
+        out[mid] = _rational(_ERFC_C, _ERFC_D, y[mid])
     if tail.size:
         y = y[tail]
         w = 1.0 / (y * y)
-        out[tail] = (_FRAC_1_SQRTPI - w * _ratio(_ERFC_P, _ERFC_Q, w)) / y
+        out[tail] = (_FRAC_1_SQRTPI - w * _rational(_ERFC_P, _ERFC_Q, w)) / y
     return out
 
 
@@ -111,7 +111,7 @@ def _ndtr(x):
     near, far = _split(np.abs(x) * _FRAC_1_SQRT2 < 0.46875)
     if near.size:
         z = x[near] * _FRAC_1_SQRT2
-        out[near] = 0.5 + 0.5 * z * _ratio(_ERF_A, _ERF_B, z * z)
+        out[near] = 0.5 + 0.5 * z * _rational(_ERF_A, _ERF_B, z * z)
     if far.size:
         x = x[far]
         ax = np.minimum(np.abs(x), _X_MAX)
@@ -129,14 +129,14 @@ def _ndtri(p):
     central, other = _split(np.abs(q) <= 0.425)
     if central.size:
         qc = q[central]
-        out[central] = qc * _ratio(_PPND_A, _PPND_B, 0.180625 - qc * qc)
+        out[central] = qc * _rational(_PPND_A, _PPND_B, 0.180625 - qc * qc)
     tail = other[r[other] > 0.0]  # not 0, 1, NaN or outside [0, 1]
     if tail.size:
         s = np.sqrt(-np.log(r[tail]))
         near, far = _split(s <= 5.0)
         z = np.empty(s.shape)
-        z[near] = _ratio(_PPND_C, _PPND_D, s[near] - 1.6)
-        z[far] = _ratio(_PPND_E, _PPND_F, s[far] - 5.0)
+        z[near] = _rational(_PPND_C, _PPND_D, s[near] - 1.6)
+        z[far] = _rational(_PPND_E, _PPND_F, s[far] - 5.0)
         out[tail] = np.copysign(z, q[tail])
     return out
 
