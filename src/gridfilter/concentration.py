@@ -35,6 +35,7 @@ __all__ = [
     "gamma_reference",
     "tame_threshold",
     "omega_hat_membership",
+    "membership_bound",
     "concentration_experiment",
 ]
 
@@ -85,12 +86,19 @@ def gamma_reference() -> float:
     return 5.0
 
 
-def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> float:
-    """gamma * C * N * (1 + log(T + 1)); refuses C outside (0, inf) and T < 0."""
-    if not 0.0 < c_const < math.inf:
-        raise ConfigError(f"c_const must be > 0 and finite, got {c_const!r}")
+def _check_case(horizon: int, **positive: float) -> None:
+    """Refuse each named value outside (0, inf), then a horizon below 0."""
+    for name, value in positive.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
+
+
+def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> float:
+    """gamma * C * N * (1 + log(T + 1)); refuses gamma or C outside (0, inf)
+    and T < 0."""
+    _check_case(horizon, gamma=gamma, c_const=c_const)
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
@@ -146,10 +154,10 @@ def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
     """Analytic floor 1 - (T+1)^{1-CN} e^{-CN} for the tame-set probability.
 
     The value is clamped to [0, 1]: for CN < 1 and long horizons the formula
-    goes negative, and a probability floor below zero says nothing.
+    goes negative, and a probability floor below zero says nothing.  Refuses
+    C outside (0, inf) and T < 0.
     """
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    _check_case(horizon, c_const=c_const)
     cn = c_const * n_dim
     return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
 

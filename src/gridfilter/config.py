@@ -2,9 +2,10 @@
 
 Sections: [model] selects and parameterizes a registered system, [run] holds
 horizon/seed/output, [filter] the single-resolution settings, [converge] the
-sweep, [verify] the check suite.  Parsing and rendering round-trip exactly;
-no environment variables are consulted, and the only override channel is the
-documented CLI flag set.
+sweep, [verify] the check suite; any other section, or a key outside [model]
+that ``_KEYS`` does not declare, is refused.  Parsing and rendering
+round-trip exactly; no environment variables are consulted, and the only
+override channel is the documented CLI flag set.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from .csvio import _fmt
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "render_config", "load_config"]
@@ -46,7 +48,7 @@ class RunConfig:
             raise ConfigError("missing [model] id")
         if not 0.0 < self.c_const < math.inf:
             raise ConfigError("[converge] c must be > 0 and finite")
-        for section, option, name, _, _, least in _KEYS:
+        for section, option, name, _, least in _KEYS:
             value = getattr(self, name)
             many = isinstance(value, tuple)
             values = value if many else (value,)
@@ -69,19 +71,6 @@ class RunConfig:
                     "n >= 1, finite c > 0 and horizon >= 0")
 
 
-def _fmt(value) -> str:
-    """A value as written in the file; a tuple is a concentration case."""
-    if isinstance(value, tuple):
-        return ":".join(_fmt(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _words(values: tuple) -> str:
-    return " ".join(_fmt(v) for v in values)
-
-
 def _list_of(conv):
     return lambda raw: tuple(conv(v) for v in raw.split())
 
@@ -94,50 +83,58 @@ def _case(item: str) -> tuple[int, float, int]:
 
 
 # Every key outside [model], once: section, option, RunConfig field, parser,
-# renderer, and the least allowed value (of each element, for a list; None
-# when only a key-specific check in ``validate`` applies).
+# and the least allowed value (of each element, for a list; None when only a
+# key-specific check in ``validate`` applies).
 _KEYS = (
-    ("run", "horizon", "horizon", int, _fmt, 0),
-    ("run", "seed", "seed", int, _fmt, 0),
-    ("run", "out_dir", "out_dir", str, _fmt, None),
-    ("filter", "resolution", "resolution", int, _fmt, 1),
-    ("filter", "build_method", "build_method", str, _fmt, None),
-    ("filter", "n_samples", "n_samples", int, _fmt, 1),
-    ("converge", "resolutions", "resolutions", _list_of(int), _words, 1),
-    ("converge", "a_ref", "a_ref", int, _fmt, None),
-    ("converge", "c", "c_const", float, _fmt, None),
-    ("converge", "n_traj", "n_traj", int, _fmt, 1),
-    ("verify", "n_pairs", "n_pairs", int, _fmt, 1),
-    ("verify", "n_trials", "n_trials", int, _fmt, 1),
-    ("verify", "n_trajectories", "n_conc_traj", int, _fmt, 1),
-    ("verify", "chi2_u", "chi2_u", _list_of(float), _words, 0),
-    ("verify", "chi2_n", "chi2_n", _list_of(int), _words, 1),
-    ("verify", "concentration", "concentration_cases", _list_of(_case), _words, None),
+    ("run", "horizon", "horizon", int, 0),
+    ("run", "seed", "seed", int, 0),
+    ("run", "out_dir", "out_dir", str, None),
+    ("filter", "resolution", "resolution", int, 1),
+    ("filter", "build_method", "build_method", str, None),
+    ("filter", "n_samples", "n_samples", int, 1),
+    ("converge", "resolutions", "resolutions", _list_of(int), 1),
+    ("converge", "a_ref", "a_ref", int, None),
+    ("converge", "c", "c_const", float, None),
+    ("converge", "n_traj", "n_traj", int, 1),
+    ("verify", "n_pairs", "n_pairs", int, 1),
+    ("verify", "n_trials", "n_trials", int, 1),
+    ("verify", "n_trajectories", "n_conc_traj", int, 1),
+    ("verify", "chi2_u", "chi2_u", _list_of(float), 0),
+    ("verify", "chi2_n", "chi2_n", _list_of(int), 1),
+    ("verify", "concentration", "concentration_cases", _list_of(_case), None),
 )
+_SECTIONS = ("model", "run", "filter", "converge", "verify")
 
 
 def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    """A [model] value as an int, else a float, else the text itself."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     return text
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No default section: a [DEFAULT] key would reach every section unchecked.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    keys = {(section, option) for section, option, *_ in _KEYS}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}] is not a known section; known: "
+                              f"{', '.join(_SECTIONS)}")
+        for option in parser.options(section):
+            if section != "model" and (section, option) not in keys:
+                raise ConfigError(f"[{section}] {option} is not a known key")
     if not parser.has_option("model", "id"):
         raise ConfigError("missing [model] id")
     values = {}
-    for section, option, name, parse, _, _ in _KEYS:
+    for section, option, name, parse, _ in _KEYS:
         if parser.has_option(section, option):
             try:
                 values[name] = parse(parser.get(section, option))
@@ -154,8 +151,10 @@ def parse_config(text: str) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     sections = {"model": {"id": cfg.model_id,
                           **{key: _fmt(val) for key, val in cfg.model_params.items()}}}
-    for section, option, name, _, render, _ in _KEYS:
-        sections.setdefault(section, {})[option] = render(getattr(cfg, name))
+    for section, option, name, _, _ in _KEYS:
+        value = getattr(cfg, name)
+        sections.setdefault(section, {})[option] = (
+            " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value))
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
     buf = io.StringIO()

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+__all__ = ["write_csv", "read_csv"]
+
 
 def write_csv(path: str, meta: Mapping[str, object], header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
@@ -22,6 +24,9 @@ def write_csv(path: str, meta: Mapping[str, object], header: Sequence[str],
 
 
 def _fmt(value: object) -> str:
+    """A CSV cell or config value as text; a tuple is an n:c:horizon case."""
+    if isinstance(value, tuple):
+        return ":".join(map(_fmt, value))
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):

@@ -5,6 +5,10 @@ code logic) can tell configuration mistakes apart from violated model
 assumptions or numerical degeneracy.
 """
 
+__all__ = ["GridFilterError", "ModelDefinitionError", "AssumptionViolationError",
+           "DomainError", "ChainConstructionError", "DegenerateUpdateError",
+           "BudgetExceededError", "ConfigError"]
+
 
 class GridFilterError(Exception):
     """Base class for all library errors."""

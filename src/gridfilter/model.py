@@ -103,9 +103,11 @@ class StateSpace:
         """max over coordinates of max(|lower|, |upper|); bounds any |X_t| coordinate."""
         return float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """One flag per row of points (n, M) (a point (M,) is one row): inside
+        the closed box; a row with a NaN is not."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.all((x >= self.lower) & (x <= self.upper), axis=1)
 
     def corners(self) -> np.ndarray:
         """All 2^M corners (2^M, M), or only the two past ``_MAX_CORNERS``."""
@@ -361,7 +363,7 @@ def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs
         if t > 0:
             x = spec.kernel.sampler(t, x, rng_state)
         x = _checked(x, (n_paths, spec.space.dim), "sampler", t)
-        outside = ~np.all((x >= spec.space.lower) & (x <= spec.space.upper), axis=1)
+        outside = ~spec.space.contains(x)
         if np.any(outside):
             b = int(np.argmax(outside))
             raise ModelDefinitionError(f"kernel left the box at t={t}: path {b}, x={x[b]}")

@@ -81,7 +81,7 @@ def quantize_points(grid: Grid, xs: np.ndarray) -> np.ndarray:
     """Linear cell indices for points ``xs`` of shape (n, M)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     lo, hi = grid.space.lower, grid.space.upper
-    bad = ~np.all((xs >= lo) & (xs <= hi), axis=1)
+    bad = ~grid.space.contains(xs)
     if np.any(bad):
         raise DomainError(f"point {xs[np.argmax(bad)]} outside the box "
                           f"[{lo}, {hi}]")

@@ -18,7 +18,9 @@ to ``_LAMBDA_INF_TARGET``.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -50,9 +52,10 @@ class FiniteStateKernel(TransitionKernel):
         pi = np.asarray(initial_probs, dtype=float)
         if p.shape != (k, k) or pi.shape != (k,):
             raise ModelDefinitionError("transition matrix / initial law shape mismatch")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
+        # written so that a NaN entry fails them
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)):
             raise ModelDefinitionError("transition matrix must be row-stochastic")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
+        if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-12):
             raise ModelDefinitionError("initial law must be a distribution")
         self.states = states
         self.transition_matrix = p
@@ -148,7 +151,7 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         z = (xs1 - loc) / step_sigma
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         dens = phi / (step_sigma * (fb - fa))
-        return np.where((xs1 >= a) & (xs1 <= b), dens, 0.0)
+        return np.where(space.contains(xs), dens, 0.0)
 
     def increment_cell_mass(lo, hi):
         # Phi(-lo) - Phi(-hi) right of 0: both ends in ndtr's precise lower tail
@@ -160,8 +163,7 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
         return rng.uniform(a, b, size=(int(size), 1))
 
     def initial_density(xs):
-        xs1 = np.asarray(xs, dtype=float)[:, 0]
-        return np.where((xs1 >= a) & (xs1 <= b), 1.0 / (b - a), 0.0)
+        return np.where(space.contains(xs), 1.0 / (b - a), 0.0)
 
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
@@ -270,21 +272,33 @@ MODEL_BUILDERS = {
 }
 
 
+# What a builder parameter takes, by the type of its default; a float or
+# None default takes any real number.
+_TAKES = {int: (numbers.Integral, "an integer"), str: (str, "a word")}
+
+
 def build_model(model_id: str, **params) -> SystemSpec:
-    """Instantiate a registered family.  Unknown ids or parameters, a
-    non-finite float parameter and a model the builder cannot construct
-    raise ConfigError."""
+    """Instantiate a registered family.  Unknown ids or parameters, a value
+    that its parameter does not take (see ``_TAKES``), a non-finite float and
+    a model the builder cannot construct raise ConfigError."""
     try:
         builder = MODEL_BUILDERS[model_id]
     except KeyError:
         raise ConfigError(
             f"unknown model id {model_id!r}; known: {sorted(MODEL_BUILDERS)}") from None
+    signature = inspect.signature(builder).parameters
     for key, value in params.items():
+        if key not in signature:
+            raise ConfigError(f"bad parameters for model {model_id!r}: no parameter {key!r}; "
+                              f"known: {', '.join(signature)}")
+        kind, noun = _TAKES.get(type(signature[key].default), (numbers.Real, "a real number"))
+        if not isinstance(value, kind):
+            raise ConfigError(f"[model] {key} must be {noun}, not {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"[model] {key} must be finite")
     try:
         return builder(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for model {model_id!r}: {exc}") from None
     except ModelDefinitionError as exc:
         raise ConfigError(f"model {model_id!r}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"model {model_id!r}: {type(exc).__name__} {exc}") from exc

@@ -389,10 +389,22 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
      "[verify] concentration must be nonempty"),
     ("concentration = 2:1.0:0", "concentration = 2:inf:9", "verify",
      "[verify] concentration case 2:inf:9 needs n >= 1, finite c > 0"),
+    ("resolution = 16", "resoluton = 16", "filter", "[filter] resoluton is not a known key"),
+    ("[verify]", "[verfy]", "verify", "[verfy] is not a known section"),
+    ("id = gauss_walk", "id = gauss_walk\nn = 2.5", "simulate",
+     "[model] n must be an integer, not 2.5"),
+    ("id = gauss_walk", "id = gauss_walk\nn = two", "simulate",
+     "[model] n must be an integer, not 'two'"),
+    ("id = gauss_walk", "id = gauss_walk\nobs_scale = abc", "simulate",
+     "[model] obs_scale must be a real number, not 'abc'"),
+    ("id = gauss_walk", "id = gauss_walk\nupper = 1e300", "simulate",
+     "model 'gauss_walk': OverflowError"),
 ], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",
         "build_method-unknown", "model-id-empty", "n_traj-zero", "chi2_n-zero",
         "chi2_u-negative", "c-inf", "chi2_n-empty", "chi2_u-empty", "chi2_u-inf",
-        "chi2_u-nan", "concentration-empty", "concentration-c-inf"])
+        "chi2_u-nan", "concentration-empty", "concentration-c-inf",
+        "resolution-misspelt", "verify-misspelt", "n-float", "n-word",
+        "obs_scale-word", "upper-overflow"])
 def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain
@@ -459,7 +471,20 @@ def table(tmp, text):
     (lambda tmp: gf.parse_config("[model\nid = gauss_walk\n"), "unparseable config"),
     (lambda tmp: gf.load_config(str(tmp / "missing.ini")),
      "cannot read config .*missing.ini"),
-], ids=["resolutions_empty", "unparseable", "unreadable"])
+    (lambda tmp: gf.parse_config("[model]\nid = gauss_walk\n[filter]\nresoluton = 8\n"),
+     r"\[filter\] resoluton is not a known key"),
+    (lambda tmp: gf.parse_config("[model]\nid = gauss_walk\n[verfy]\nn_pairs = 8\n"),
+     r"\[verfy\] is not a known section; known: model, run, filter, converge, verify"),
+    (lambda tmp: gf.parse_config("[model]\nid = gauss_walk\n[run]\n"
+                                 "horizon = 4\nn_pairs = 8\n"),
+     r"\[run\] n_pairs is not a known key"),
+    (lambda tmp: gf.parse_config("[DEFAULT]\nhorizon = 4\n[model]\nid = gauss_walk\n"),
+     r"\[DEFAULT\] is not a known section"),
+    (lambda tmp: gf.parse_config("[modle]\nid = gauss_walk\n"),
+     r"\[modle\] is not a known section"),
+], ids=["resolutions_empty", "unparseable", "unreadable", "misspelt_key",
+        "misspelt_section", "key_of_another_section", "default_section",
+        "misspelt_model"])
 def test_config_refusals(tmp_path, make, message):
     with pytest.raises(gf.ConfigError, match=message):
         make(tmp_path)

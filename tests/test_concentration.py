@@ -230,6 +230,16 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
      gf.ConfigError, re.escape("horizon must be >= 0, got -1")),
     (lambda: gf.membership_bound(1.0, 2, -1),
      gf.ConfigError, re.escape("horizon must be >= 0, got -1")),
+    (lambda: gf.membership_bound(math.nan, 2, 3),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got nan")),
+    (lambda: gf.membership_bound(-1.0, 2, 3),
+     gf.ConfigError, re.escape("c_const must be > 0 and finite, got -1.0")),
+    (lambda: gf.tame_threshold(math.nan, 1.0, 2, 3),
+     gf.ConfigError, re.escape("gamma must be > 0 and finite, got nan")),
+    (lambda: gf.omega_hat_membership(np.zeros((4, 2)), 1.0, math.nan),
+     gf.ConfigError, re.escape("gamma must be > 0 and finite, got nan")),
+    (lambda: gf.tame_threshold(0.0, 1.0, 2, 3),
+     gf.ConfigError, re.escape("gamma must be > 0 and finite, got 0.0")),
     (lambda: gf.chi2_tail_check(2, math.inf, 100),
      gf.ConfigError, re.escape("a finite u >= 0, got 2, 100, inf")),
     (lambda: gf.chi2_tail_check(2, math.nan, 100),
@@ -237,7 +247,9 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
 ], ids=["membership_one_axis", "membership_four_axes", "membership_no_steps",
         "experiment_no_paths", "experiment_nan_c", "experiment_zero_c",
         "experiment_negative_horizon", "membership_inf_c", "kg_negative_c",
-        "threshold_negative_horizon", "floor_negative_horizon", "chi2_inf_u", "chi2_nan_u"])
+        "threshold_negative_horizon", "floor_negative_horizon", "floor_nan_c",
+        "floor_negative_c", "threshold_nan_gamma", "membership_nan_gamma",
+        "threshold_zero_gamma", "chi2_inf_u", "chi2_nan_u"])
 def test_concentration_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -34,6 +34,24 @@ def test_single_cell_grid():
 
 
 @pytest.mark.filterwarnings("error")
+def test_contains_flags_each_row_that_quantize_points_refuses():
+    space = gf.StateSpace(lower=np.zeros(2), upper=np.ones(2))
+    grid = gf.Grid(space, 3)
+    points = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, np.nextafter(1.0, 2.0)],
+                       [np.nan, 0.5], [0.5, -np.inf], [-0.1, 0.2]])
+    inside = space.contains(points)
+    assert inside.tolist() == [True, True, False, False, False, False]
+    for point, flag in zip(points, inside):
+        if flag:
+            gf.quantize_points(grid, point[None])
+        else:
+            with pytest.raises(gf.DomainError, match="outside the box"):
+                gf.quantize_points(grid, point[None])
+    assert space.contains(np.array([0.5, 0.5])).tolist() == [True]
+    assert space.contains(np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [[np.nan, 0.2], [0.2, np.nan]])
 def test_nan_point_is_rejected_by_name(bad):
     grid = gf.Grid(gf.StateSpace(lower=np.zeros(2), upper=np.ones(2)), 3)
