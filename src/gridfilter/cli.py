@@ -4,8 +4,11 @@ Subcommands: simulate, filter, converge, verify-bounds, verify-concentration,
 verify.  Exit codes: 0 on success, 1 when a scientific check fails, 2 on
 usage or configuration errors and on input the library refuses (DomainError,
 such as a non-finite value in a trajectory CSV).  Outputs are pure functions
-of (config, flags), so reruns are byte-identical.  This module names every
-column and metadata key of the files it writes; the library writes none.
+of (config, flags), so reruns are byte-identical.  verify-concentration and
+verify run the tame-set cases in min(cases, CPUs) worker processes, beside
+the other checks; each case has its own streams, so the outputs do not
+depend on the worker count.  This module names every column and metadata
+key of the files it writes; the library writes none.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .bounds import (_with_derived, audit_derived_constants, check_adjugate_bound,
                      check_lipschitz_suite, check_product_bound, check_theta_bound)
-from .concentration import chi2_tail_check, concentration_experiment
+from .concentration import ConcentrationReport, chi2_tail_check, concentration_experiment
 from .config import RunConfig, load_config
 from .csvio import read_csv, write_csv
 from .errors import ConfigError, DomainError, GridFilterError
@@ -215,16 +218,38 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_concentration(cfg: RunConfig) -> int:
-    spec = _spec_from(cfg)
-    checks = [chi2_tail_check(n, u, cfg.n_conc_traj, seed=cfg.seed)
-              for n in cfg.chi2_n for u in cfg.chi2_u]
-    reports = []
-    for n_dim, c_const, horizon in cfg.concentration_cases:
-        case_spec = spec if spec.obs.n == n_dim else build_model(
-            cfg.model_id, **{**cfg.model_params, "n": n_dim})
-        reports.append(concentration_experiment(case_spec, horizon, c_const,
-                                                cfg.n_conc_traj, seed=cfg.seed))
+def _concentration_case(cfg: RunConfig, case: tuple) -> ConcentrationReport:
+    """One ``[verify] concentration`` case, run in a worker process.  It
+    takes the config, not a spec, because a SystemSpec holds closures that
+    cannot be pickled."""
+    n_dim, c_const, horizon = case
+    spec = build_model(cfg.model_id, **{**cfg.model_params, "n": n_dim})
+    return concentration_experiment(spec, horizon, c_const, cfg.n_conc_traj, seed=cfg.seed)
+
+
+def cmd_verify_concentration(cfg: RunConfig, beside=lambda cfg: 0) -> int:
+    """Run the concentration cases in min(cases, CPUs) worker processes,
+    and ``beside(cfg)`` and the chi-squared checks here meanwhile; the
+    result is the larger exit code."""
+    # Imported here only: they would add over 1 MiB of RSS to every command.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    _spec_from(cfg)  # a bad [model] is refused before any worker starts
+    cases = cfg.concentration_cases
+    # the CPUs this process may run on (taskset), where the OS keeps a mask
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # fork: a worker starts from this process's imports, not a fresh numpy
+    pool = ProcessPoolExecutor(min(len(cases), cpus),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_concentration_case, cfg, case) for case in cases]
+        rc_beside = beside(cfg)
+        checks = [chi2_tail_check(n, u, cfg.n_conc_traj, seed=cfg.seed)
+                  for n in cfg.chi2_n for u in cfg.chi2_u]
+        reports = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
     _write(cfg, "chi2.csv", {"seed": cfg.seed},
            _fields(checks, "n_dim u n_samples empirical bound std_err passed"))
     _write(cfg, "concentration.csv", {"model_id": cfg.model_id, "seed": cfg.seed},
@@ -242,8 +267,7 @@ def cmd_verify_concentration(cfg: RunConfig) -> int:
               f"({'pass' if r.passed else 'FAIL'})")
     if not ok:
         print("check failed: concentration", file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+    return max(rc_beside, 0 if ok else CHECK_FAILED)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -254,9 +278,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     except GridFilterError as exc:
         print(f"assumption audit: FAIL ({exc})", file=sys.stderr)
         return CHECK_FAILED
-    rc_bounds = cmd_verify_bounds(cfg)
-    rc_conc = cmd_verify_concentration(cfg)
-    return max(rc_bounds, rc_conc)
+    return cmd_verify_concentration(cfg, beside=cmd_verify_bounds)
 
 
 if __name__ == "__main__":

@@ -188,6 +188,8 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
     """Finite chain on the centers of an n_states-cell grid over an interval."""
     if n_states < 1:
         raise ConfigError("n_states must be >= 1")
+    if seed < 0:
+        raise ConfigError("[model] seed must be >= 0")
     space = _interval_space(lower, upper)
     width = (upper - lower) / n_states
     states = (lower + (np.arange(n_states) + 0.5) * width)[:, None]

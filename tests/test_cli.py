@@ -1,4 +1,7 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -457,6 +460,91 @@ def test_failed_checks_exit_1(workdir, capsys, monkeypatch, command, name, chang
         real(*args, **kwargs), **changes))
     assert main([command, "--config", cfg]) == 1
     assert message in capsys.readouterr().err
+
+
+THREE_CASES = "concentration = 2:1.0:0 2:1.0:3 3:1.0:2"
+
+
+def with_three_cases(tmp):
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(text.replace("concentration = 2:1.0:0", THREE_CASES))
+
+
+def test_pooled_reports_equal_direct_calls_whatever_the_cpu_count(workdir, monkeypatch):
+    tmp, cfg = workdir
+    with_three_cases(tmp)
+    workers, futures = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    outputs = {}
+    for cpus in (4, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["verify-concentration", "--config", cfg, "--out",
+                     str(tmp / f"cpus{cpus}")]) == 0
+        outputs[cpus] = [read_bytes(tmp / f"cpus{cpus}" / name)
+                         for name in ("chi2.csv", "concentration.csv")]
+    assert workers == [3, 1]
+    assert outputs[4] == outputs[1]
+    direct = [gf.concentration_experiment(gf.build_model("gauss_walk", n=n), horizon, c,
+                                          5000, seed=2)
+              for n, c, horizon in [(2, 1.0, 0), (2, 1.0, 3), (3, 1.0, 2)]]
+    assert [f.result() for f in futures] == direct * 2
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (gf.ModelDefinitionError, 1, "check failed: case n=3 raised"),
+    (gf.ConfigError, 2, "config error: case n=3 raised"),
+], ids=["model_definition", "config"])
+def test_a_case_failing_in_a_worker_exits_as_in_process(workdir, capsys, monkeypatch,
+                                                        error, code, message):
+    tmp, cfg = workdir
+    with_three_cases(tmp)
+    real = cli.concentration_experiment
+
+    def failing(spec, *args, **kwargs):  # the forked workers inherit this patch
+        if spec.obs.n == 3:
+            raise error(f"case n={spec.obs.n} raised")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "concentration_experiment", failing)
+    assert main(["verify-concentration", "--config", cfg]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp / "out" / "concentration.csv").exists()
+
+
+def failing_case(spec, *args, **kwargs):
+    raise gf.ModelDefinitionError("a case failed")
+
+
+def failing_bound(*args, **kwargs):
+    raise gf.ConfigError("a bound check was refused")
+
+
+@pytest.mark.parametrize("patch, code", [
+    ({}, 0),
+    ({"concentration_experiment": failing_case}, 1),
+    ({"check_adjugate_bound": lambda *args, **kwargs: dataclasses.replace(
+        gf.check_adjugate_bound(*args, **kwargs), worst_ratio=2.0)}, 1),
+    ({"check_product_bound": failing_bound}, 2),
+], ids=["pass", "failed_case", "failed_bound", "refused_bound"])
+def test_verify_leaves_no_worker_running(workdir, monkeypatch, patch, code):
+    tmp, cfg = workdir
+    with_three_cases(tmp)
+    for name, value in patch.items():
+        monkeypatch.setattr(cli, name, value)
+    assert main(["verify", "--config", cfg]) == code
+    assert multiprocessing.active_children() == []
 
 
 def table(tmp, text):

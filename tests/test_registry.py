@@ -64,11 +64,13 @@ def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5))
      re.escape("[model] kind must be a word, not 3")),
     (lambda: gf.build_model("gauss_walk", upper=1e300), gf.ConfigError,
      "model 'gauss_walk': OverflowError"),
+    (lambda: gf.build_model("finite_chain", kind="random", seed=-1), gf.ConfigError,
+     re.escape("[model] seed must be >= 0")),
 ], ids=["states_ndim", "shapes", "row_stochastic", "initial_law", "nan_matrix",
         "nan_initial_law", "step_sigma", "singular_floor", "n_states", "stick_prob",
         "kind", "value", "parameter", "observation_dimension", "nan_step_sigma",
         "inf_beta", "empty_box", "float_n", "word_n", "word_obs_scale", "int_kind",
-        "overflow_upper"])
+        "overflow_upper", "negative_seed"])
 def test_registry_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
