@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,15 +108,19 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.where(pos, lhs / np.where(pos, rhs, 1.0), np.where(lhs <= 0.0, 0.0, math.inf))
 
 
-def check_product_bound(trials: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
-                        norm: str = "fro") -> BoundReport:
-    """Worst product-difference ratio over supplied (A-sequence, B-sequence) pairs."""
-    worst, count = 0.0, 0
-    for a_seq, b_seq in trials:
-        lhs, rhs = product_difference_sides(a_seq, b_seq, norm)
-        worst = max(worst, float(_ratios(lhs, rhs)))
-        count += 1
-    return BoundReport(check_id=f"product-difference-{norm}", n_trials=count,
+def check_product_bound(n_trials: int, seed: int = 0, norm: str = "fro") -> BoundReport:
+    """Worst product-difference ratio over ``n_trials`` pairs of factor
+    sequences drawn from stream (seed, 30): per trial a size n in 2..5, a
+    length in 1..4, then the n x n standard normal A factors and B factors."""
+    if n_trials < 1:
+        raise ValueError("need n_trials >= 1")
+    rng, worst = make_rng(seed, 30), 0.0
+    for _ in range(n_trials):
+        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        a_seq = [rng.standard_normal((n, n)) for _ in range(length)]
+        b_seq = [rng.standard_normal((n, n)) for _ in range(length)]
+        worst = max(worst, float(_ratios(*product_difference_sides(a_seq, b_seq, norm))))
+    return BoundReport(check_id=f"product-difference-{norm}", n_trials=n_trials,
                        worst_ratio=worst)
 
 

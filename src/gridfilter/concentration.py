@@ -86,19 +86,22 @@ def gamma_reference() -> float:
     return 5.0
 
 
-def _check_case(horizon: int, **positive: float) -> None:
-    """Refuse each named value outside (0, inf), then a horizon below 0."""
+def _check_case(n_dim: int, horizon: int, **positive: float) -> None:
+    """Refuse each named value outside (0, inf), then a dimension below 1,
+    then a horizon below 0."""
     for name, value in positive.items():
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
+    if n_dim < 1:
+        raise ConfigError(f"n_dim must be >= 1, got {n_dim}")
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
 
 
 def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> float:
-    """gamma * C * N * (1 + log(T + 1)); refuses gamma or C outside (0, inf)
-    and T < 0."""
-    _check_case(horizon, gamma=gamma, c_const=c_const)
+    """gamma * C * N * (1 + log(T + 1)); refuses gamma or C outside (0, inf),
+    N < 1 and T < 0."""
+    _check_case(n_dim, horizon, gamma=gamma, c_const=c_const)
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
@@ -118,9 +121,10 @@ def _sup_sq_norms(steps) -> np.ndarray:
 def omega_hat_membership(observations: np.ndarray, c_const: float,
                          gamma: float) -> bool | np.ndarray:
     """Tame-set flag of observations (T+1, N), or (B,) flags of a (B, T+1, N)
-    stack; strict at the threshold.  Squares one (B, N) step at a time."""
+    stack; strict at the threshold.  Squares one (B, N) step at a time.
+    Refuses another shape, and T+1 or N of 0."""
     obs = np.asarray(observations, dtype=float)
-    if obs.ndim not in (2, 3) or obs.shape[-2] < 1:
+    if obs.ndim not in (2, 3) or min(obs.shape[-2:]) < 1:
         raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not {obs.shape}")
     stack = obs if obs.ndim == 3 else obs[None]
     inside = _sup_sq_norms(stack.swapaxes(0, 1)) < tame_threshold(
@@ -155,9 +159,9 @@ def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
 
     The value is clamped to [0, 1]: for CN < 1 and long horizons the formula
     goes negative, and a probability floor below zero says nothing.  Refuses
-    C outside (0, inf) and T < 0.
+    C outside (0, inf), N < 1 and T < 0.
     """
-    _check_case(horizon, c_const=c_const)
+    _check_case(n_dim, horizon, c_const=c_const)
     cn = c_const * n_dim
     return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
 

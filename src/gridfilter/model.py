@@ -169,12 +169,13 @@ class TransitionKernel:
         initial_density(xs)          xs (n, M)                          ->  (n,)
 
     ``sampler`` draws X_t given X_{t-1} = x_prev row by row and
-    ``initial_sampler`` draws X_0.  Their ``rng`` may be a set of per-path
-    streams: draw with ``random``, ``uniform`` or ``standard_normal`` at a
-    size whose leading axis is the B paths (``size`` for
-    ``initial_sampler``), one row per path.  ``density``, when present, is the
-    transition density with respect to Lebesgue measure on Z and must
-    integrate to one there; ``initial_density`` is the density of X_0.
+    ``initial_sampler`` draws X_0; their ``rng`` may be per-path streams:
+    draw with ``random``, ``uniform`` or ``standard_normal`` at a size whose
+    leading axis is the paths, one row per path.  ``density``, when present,
+    is the transition density with respect to Lebesgue measure on Z and must
+    integrate to one there; ``initial_density`` is the density of X_0.  An
+    output of another shape raises ModelDefinitionError naming the callback
+    and t (0 for the initial callbacks).
 
     ``increment_cell_mass(lo, hi)``, optional, declares the dynamics
     translation invariant: it maps (n,) offset bounds to the (n,) masses of
@@ -273,7 +274,7 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
         while True:
             xs, ws = _gl_panels(np.linspace(lo, hi, panels + 1), 8)
             xs = xs[:, None]
-            dens = np.asarray(spec.kernel.density(1, x_prev, xs), dtype=float).reshape(len(xs))
+            dens = _checked(spec.kernel.density(1, x_prev, xs), (len(xs),), "density", 1)
             last, mass = mass, float(dens @ ws)
             if (last is not None and abs(mass - last) <= tol / 10) or panels >= _MASS_PANELS[1]:
                 break
@@ -284,7 +285,7 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
         if hook is None:
             continue
         offsets = np.linspace(lo, hi, panels + 1) - x_prev[0]
-        inc = np.asarray(hook(offsets[:-1], offsets[1:]), dtype=float)
+        inc = _checked(hook(offsets[:-1], offsets[1:]), (panels,), "increment_cell_mass", 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.max(np.abs(np.cumsum((dens * ws).reshape(panels, 8).sum(axis=1)) / mass
                                 - np.cumsum(inc) / np.sum(inc)))
@@ -362,7 +363,7 @@ def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs
     for t in range(horizon + 1):
         if t > 0:
             x = spec.kernel.sampler(t, x, rng_state)
-        x = _checked(x, (n_paths, spec.space.dim), "sampler", t)
+        x = _checked(x, (n_paths, spec.space.dim), "sampler" if t else "initial_sampler", t)
         outside = ~spec.space.contains(x)
         if np.any(outside):
             b = int(np.argmax(outside))
@@ -422,14 +423,13 @@ def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
     many paths as there are probe points from the kernel's samplers and,
     when the kernel declares a density, checks its unit mass and its
     proportionality to ``increment_cell_mass`` from the first four probe
-    points; these two density checks run on 1-D boxes only.  Returns the
-    empirical constants.
+    points (1-D boxes only).  Returns the empirical constants.
 
-    Raises ModelDefinitionError, naming t and the probe point, for a
-    callback output of the wrong shape, a covariance that is not symmetric
-    (beyond 1e-12) or not positive definite, a sampler that leaves the box,
-    or a density without unit mass.  Raises AssumptionViolationError, naming
-    the constant, the probe point or pair and the measured value, if the
+    Raises ModelDefinitionError naming the callback and t for an output of
+    the wrong shape, and naming t and the point for a covariance not
+    symmetric (beyond 1e-12) or not positive definite, a sampler leaving
+    the box or a density without unit mass.  Raises AssumptionViolationError,
+    naming the constant, the probe point or pair and the measured value, if the
     empirical eigenvalue floor is <= 1 or any declared constant is
     contradicted beyond a 1e-9 relative slack.
     """

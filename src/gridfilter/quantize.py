@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ChainConstructionError, DomainError
-from .model import StateSpace, SystemSpec, _gl_panels, make_rng
+from .errors import ChainConstructionError, ConfigError, DomainError
+from .model import StateSpace, SystemSpec, _checked, _gl_panels, make_rng
 
 __all__ = [
     "Grid",
@@ -264,7 +264,9 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     with 8-node Gauss-Legendre rules (needs ``density`` and
     ``initial_density``); ``method="monte_carlo"`` histograms ``n_samples``
     kernel draws per source center.  Rows are renormalized; a row with no
-    mass raises ChainConstructionError naming it.
+    mass raises ChainConstructionError naming it, a callback output of the
+    wrong shape ModelDefinitionError naming the callback and t, and an
+    unknown method or one the kernel cannot serve ConfigError.
 
     A kernel declaring ``increment_cell_mass`` (1-D boxes only) has rows
     that are one shifted step profile up to a per-row constant.  One call of
@@ -279,13 +281,13 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     centers = grid.centers
 
     if method == "quadrature":
-        if spec.kernel.density is None or spec.kernel.initial_density is None:
-            raise ChainConstructionError(
-                "quadrature construction needs density and initial_density")
+        for name in ("density", "initial_density"):
+            if getattr(spec.kernel, name) is None:
+                raise ConfigError(f"build method 'quadrature' needs the kernel's {name}")
         nodes, weights, owner = _gl_cells(grid, _QUAD_ORDER)
 
-        def cell_mass(dens):
-            dens = np.asarray(dens, dtype=float).reshape(len(nodes))
+        def cell_mass(dens, name, t):
+            dens = _checked(dens, (len(nodes),), name, t)
             return np.bincount(owner, weights=dens * weights, minlength=k)
 
         hook = spec.kernel.increment_cell_mass
@@ -296,27 +298,29 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
                     f"M={grid.space.dim} axes")
             # profile[d + k - 1] is the mass d cells from the source
             d, h = np.arange(1 - k, k), grid.widths[0]
-            operator = hook((d - 0.5) * h, (d + 0.5) * h)
+            operator = _checked(hook((d - 0.5) * h, (d + 0.5) * h), (2 * k - 1,),
+                                "increment_cell_mass", 1)
         else:
             operator = np.empty((k, k))
-            for row in range(k):
-                operator[row] = cell_mass(spec.kernel.density(1, centers[row], nodes))
-        initial = cell_mass(spec.kernel.initial_density(nodes))
+            for row, x_prev in enumerate(centers):
+                operator[row] = cell_mass(spec.kernel.density(1, x_prev, nodes), "density", 1)
+        initial = cell_mass(spec.kernel.initial_density(nodes), "initial_density", 0)
         label = "quadrature"
     elif method == "monte_carlo":
         m = grid.space.dim
-        operator = np.empty((k, k))
-        for row in range(k):
-            src = np.broadcast_to(centers[row], (n_samples, m))
-            draws = spec.kernel.sampler(1, src, make_rng(seed, 5, row))
-            idx = quantize_points(grid, np.asarray(draws, dtype=float).reshape(n_samples, m))
-            operator[row] = np.bincount(idx, minlength=k) / n_samples
-        draws0 = spec.kernel.initial_sampler(make_rng(seed, 6), n_samples)
-        idx0 = quantize_points(grid, np.asarray(draws0, dtype=float).reshape(n_samples, m))
-        initial = np.bincount(idx0, minlength=k) / n_samples
+
+        def histogram(draws, name, t):
+            idx = quantize_points(grid, _checked(draws, (n_samples, m), name, t))
+            return np.bincount(idx, minlength=k) / n_samples
+
+        src = np.broadcast_to(centers[:, None], (k, n_samples, m))
+        operator = np.stack([histogram(spec.kernel.sampler(1, src[row], make_rng(seed, 5, row)),
+                                       "sampler", 1) for row in range(k)])
+        initial = histogram(spec.kernel.initial_sampler(make_rng(seed, 6), n_samples),
+                            "initial_sampler", 0)
         label = f"monte_carlo({n_samples})"
     else:
-        raise ValueError(f"unknown build method {method!r}")
+        raise ConfigError(f"unknown build method {method!r}; known: quadrature, monte_carlo")
 
     if np.ndim(operator) == 2:
         operator /= _row_mass(grid, operator)[:, None]

@@ -28,6 +28,7 @@ from ._normal import ndtr, ndtri
 from .errors import ConfigError, ModelDefinitionError
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, TransitionKernel, make_rng)
+from .quantize import Grid
 
 __all__ = [
     "FiniteStateKernel",
@@ -191,8 +192,7 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
     if seed < 0:
         raise ConfigError("[model] seed must be >= 0")
     space = _interval_space(lower, upper)
-    width = (upper - lower) / n_states
-    states = (lower + (np.arange(n_states) + 0.5) * width)[:, None]
+    states = Grid(space, n_states).centers
     k = n_states
     if kind == "uniform" or k == 1:
         p = np.full((k, k), 1.0 / k)

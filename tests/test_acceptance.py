@@ -161,16 +161,7 @@ def test_criterion_5_chi_squared_tails(capsys):
 def test_criterion_6_deterministic_inequality_suite(capsys, audited_walk):
     start = time.time()
     rng = gf.make_rng(6)
-
-    def product_trials(count):
-        for _ in range(count):
-            n = int(rng.integers(1, 6))
-            length = int(rng.integers(1, 6))
-            yield ([rng.standard_normal((n, n)) for _ in range(length)],
-                   [rng.standard_normal((n, n)) for _ in range(length)])
-
-    reports = [gf.check_product_bound(product_trials(1000), norm="fro"),
-               gf.check_product_bound(product_trials(1000), norm="spectral")]
+    reports = [gf.check_product_bound(1000, seed=6, norm=norm) for norm in ("fro", "spectral")]
     for n_dim in (2, 3, 4, 5):
         reports.append(gf.check_adjugate_bound(n_dim, 1000, seed=6))
     reports.append(gf.check_lipschitz_suite(audited_walk, 2000, seed=6))
@@ -187,6 +178,14 @@ def test_criterion_6_deterministic_inequality_suite(capsys, audited_walk):
             rng.standard_normal((n, n)), rng.standard_normal(n))
         worst_mv = max(worst_mv, lhs / rhs if rhs > 0 else 0.0)
     assert worst_mv <= 1.0 + 1e-9
+    # scalar (1 x 1) factors, which the checked trials (n >= 2) leave out
+    worst_scalar = 0.0
+    for _ in range(1000):
+        length = int(rng.integers(1, 6))
+        lhs, rhs = gf.product_difference_sides(rng.standard_normal((length, 1, 1)),
+                                               rng.standard_normal((length, 1, 1)))
+        worst_scalar = max(worst_scalar, lhs / rhs if rhs > 0 else 0.0)
+    assert worst_scalar <= 1.0 + 1e-9
     # the scalar witness achieves ratio one exactly
     lhs, rhs = gf.product_difference_sides(
         [np.array([[2.0]]), np.array([[3.0]])],
@@ -195,8 +194,8 @@ def test_criterion_6_deterministic_inequality_suite(capsys, audited_walk):
     elapsed = time.time() - start
     worst = max(r.worst_ratio for r in reports)
     announce(capsys, 6, "inequality suite",
-             f"{len(reports)} checks + matvec variant, worst ratio "
-             f"{max(worst, worst_mv):.10f} <= 1+1e-9, tight witness exact, "
+             f"{len(reports)} checks + matvec and scalar variants, worst ratio "
+             f"{max(worst, worst_mv, worst_scalar):.10f} <= 1+1e-9, tight witness exact, "
              f"{elapsed:.1f}s")
 
 

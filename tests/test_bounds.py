@@ -68,14 +68,19 @@ def test_matvec_variant_holds():
 
 
 def test_check_product_bound_report():
-    rng = gf.make_rng(3)
-    trials = [([rng.standard_normal((2, 2)) for _ in range(3)],
-               [rng.standard_normal((2, 2)) for _ in range(3)])
-              for _ in range(50)]
-    report = gf.check_product_bound(trials, norm="fro")
+    report = gf.check_product_bound(50, seed=3, norm="fro")
     assert report.passed
     assert report.n_trials == 50
     assert report.check_id == "product-difference-fro"
+    # the documented draws, trial by trial from stream (seed, 30)
+    rng, worst = gf.make_rng(3, 30), 0.0
+    for _ in range(50):
+        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        a = [rng.standard_normal((n, n)) for _ in range(length)]
+        b = [rng.standard_normal((n, n)) for _ in range(length)]
+        lhs, rhs = gf.product_difference_sides(a, b, "fro")
+        worst = max(worst, lhs / rhs)
+    assert report.worst_ratio == worst
 
 
 def test_adjugate_matches_inverse_times_det():
@@ -252,13 +257,15 @@ def test_quadform_difference_dominated_by_theta():
     (lambda: gf.product_difference_sides([np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]),
      ValueError, "factors must be square matrices of one common size"),
     (lambda: gf.adjugate_cofactor(np.ones((2, 3))), ValueError, "need a square matrix"),
+    (lambda: gf.check_product_bound(0), ValueError, "need n_trials >= 1"),
     (lambda: gf.check_lipschitz_suite(gf.build_model("gauss_walk"), 0),
      ValueError, r"need n_pairs >= 1"),
     (lambda: _with_derived(gf.build_model("gauss_walk"),
                            gf.BoundReport("covariance-lipschitz-suite", 10, 1.5)),
      gf.AssumptionViolationError, "covariance regularity check failed with ratio 1.5"),
 ], ids=["unknown_norm", "empty_sequences", "unequal_sequences", "non_square",
-        "mixed_sizes", "adjugate_non_square", "zero_pairs", "failed_suite"])
+        "mixed_sizes", "adjugate_non_square", "zero_product_trials", "zero_pairs",
+        "failed_suite"])
 def test_bounds_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

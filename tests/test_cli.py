@@ -402,12 +402,14 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
      "[model] obs_scale must be a real number, not 'abc'"),
     ("id = gauss_walk", "id = gauss_walk\nupper = 1e300", "simulate",
      "model 'gauss_walk': OverflowError"),
+    ("id = gauss_walk", "id = finite_chain", "converge",
+     "config error: build method 'quadrature' needs the kernel's density"),
 ], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",
         "build_method-unknown", "model-id-empty", "n_traj-zero", "chi2_n-zero",
         "chi2_u-negative", "c-inf", "chi2_n-empty", "chi2_u-empty", "chi2_u-inf",
         "chi2_u-nan", "concentration-empty", "concentration-c-inf",
         "resolution-misspelt", "verify-misspelt", "n-float", "n-word",
-        "obs_scale-word", "upper-overflow"])
+        "obs_scale-word", "upper-overflow", "quadrature-without-density"])
 def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, message):
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain
@@ -527,7 +529,7 @@ def failing_case(spec, *args, **kwargs):
     raise gf.ModelDefinitionError("a case failed")
 
 
-def failing_bound(*args, **kwargs):
+def refused_product_bound(n_trials, seed=0, norm="fro"):
     raise gf.ConfigError("a bound check was refused")
 
 
@@ -536,7 +538,7 @@ def failing_bound(*args, **kwargs):
     ({"concentration_experiment": failing_case}, 1),
     ({"check_adjugate_bound": lambda *args, **kwargs: dataclasses.replace(
         gf.check_adjugate_bound(*args, **kwargs), worst_ratio=2.0)}, 1),
-    ({"check_product_bound": failing_bound}, 2),
+    ({"check_product_bound": refused_product_bound}, 2),
 ], ids=["pass", "failed_case", "failed_bound", "refused_bound"])
 def test_verify_leaves_no_worker_running(workdir, monkeypatch, patch, code):
     tmp, cfg = workdir

@@ -214,6 +214,8 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
      re.escape("observations must be (T+1, N) or (B, T+1, N), not (2, 3, 4, 1)")),
     (lambda: gf.omega_hat_membership(np.zeros((3, 0, 2)), 1.0, 5.0), gf.DomainError,
      re.escape("observations must be (T+1, N) or (B, T+1, N), not (3, 0, 2)")),
+    (lambda: gf.omega_hat_membership(np.zeros((4, 0)), 1.0, 5.0), gf.DomainError,
+     re.escape("observations must be (T+1, N) or (B, T+1, N), not (4, 0)")),
     (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, 1.0, 0),
      gf.ConfigError, "need n_traj >= 1"),
     (lambda: gf.concentration_experiment(gf.build_model("gauss_walk"), 3, math.nan, 100),
@@ -240,16 +242,22 @@ def test_membership_of_a_stack_reads_the_per_path_sup_norms(monkeypatch, n):
      gf.ConfigError, re.escape("gamma must be > 0 and finite, got nan")),
     (lambda: gf.tame_threshold(0.0, 1.0, 2, 3),
      gf.ConfigError, re.escape("gamma must be > 0 and finite, got 0.0")),
+    (lambda: gf.tame_threshold(5.0, 1.0, -1, 3),
+     gf.ConfigError, re.escape("n_dim must be >= 1, got -1")),
+    (lambda: gf.membership_bound(1.0, 0, 3),
+     gf.ConfigError, re.escape("n_dim must be >= 1, got 0")),
     (lambda: gf.chi2_tail_check(2, math.inf, 100),
      gf.ConfigError, re.escape("a finite u >= 0, got 2, 100, inf")),
     (lambda: gf.chi2_tail_check(2, math.nan, 100),
      gf.ConfigError, re.escape("a finite u >= 0, got 2, 100, nan")),
 ], ids=["membership_one_axis", "membership_four_axes", "membership_no_steps",
+        "membership_no_axes",
         "experiment_no_paths", "experiment_nan_c", "experiment_zero_c",
         "experiment_negative_horizon", "membership_inf_c", "kg_negative_c",
         "threshold_negative_horizon", "floor_negative_horizon", "floor_nan_c",
         "floor_negative_c", "threshold_nan_gamma", "membership_nan_gamma",
-        "threshold_zero_gamma", "chi2_inf_u", "chi2_nan_u"])
+        "threshold_zero_gamma", "threshold_negative_dim", "floor_zero_dim", "chi2_inf_u",
+        "chi2_nan_u"])
 def test_concentration_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -576,15 +576,48 @@ def gauss_walk_with(**kernel_changes):
     (lambda: gf.QuantizedChain(unit_interval_grid(2), np.ones((3, 2, 2)), np.full(2, 0.5)),
      gf.ChainConstructionError, r"operator shape \(3, 2, 2\) is neither"),
     (lambda: gf.build_chain(gf.build_model("constant"), unit_interval_grid(4)),
-     gf.ChainConstructionError, "quadrature construction needs density and initial_density"),
+     gf.ConfigError, "build method 'quadrature' needs the kernel's density"),
+    (lambda: gf.build_chain(gauss_walk_with(initial_density=None), unit_interval_grid(4)),
+     gf.ConfigError, "build method 'quadrature' needs the kernel's initial_density"),
     (lambda: gf.build_chain(gf.build_model("gauss_walk"), unit_interval_grid(4), "simpson"),
-     ValueError, "unknown build method 'simpson'"),
+     gf.ConfigError, "unknown build method 'simpson'; known: quadrature, monte_carlo"),
     (lambda: gf.build_chain(gauss_walk_with(initial_density=lambda xs: np.zeros(len(xs))),
                             unit_interval_grid(4)),
      gf.ChainConstructionError, "initial law received zero mass"),
 ], ids=["grid_length", "grid_zero_cells", "transition_shape", "initial_shape",
-        "negative_transition", "negative_initial", "operator_0d", "operator_3d", "no_density", "unknown_method",
-        "zero_initial_mass"])
+        "negative_transition", "negative_initial", "operator_0d", "operator_3d", "no_density",
+        "no_initial_density", "unknown_method", "zero_initial_mass"])
 def test_quantize_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def two_columns(fn):
+    """``fn`` with its output doubled into two columns: (n,) or (n, 1) -> (n, 2)."""
+    return lambda *args: np.column_stack([fn(*args)] * 2)
+
+
+WALK = gf.build_model("gauss_walk").kernel
+
+
+@pytest.mark.parametrize("changes, method, name, t, audited", [
+    ({"density": two_columns(WALK.density), "increment_cell_mass": None},
+     "quadrature", "density", 1, True),
+    ({"initial_density": lambda xs: 1.0}, "quadrature", "initial_density", 0, False),
+    ({"increment_cell_mass": two_columns(WALK.increment_cell_mass)},
+     "quadrature", "increment_cell_mass", 1, True),
+    ({"increment_cell_mass": lambda lo, hi: WALK.increment_cell_mass(lo, hi)[:-1]},
+     "quadrature", "increment_cell_mass", 1, True),
+    ({"sampler": two_columns(WALK.sampler)}, "monte_carlo", "sampler", 1, True),
+    ({"initial_sampler": two_columns(WALK.initial_sampler)},
+     "monte_carlo", "initial_sampler", 0, True),
+], ids=["density_two_columns", "initial_density_scalar", "hook_two_columns",
+        "hook_one_short", "sampler_two_columns", "initial_sampler_two_columns"])
+def test_wrong_shaped_kernel_callbacks_are_refused_by_name(changes, method, name, t, audited):
+    spec = gauss_walk_with(**changes)
+    message = rf"^{name} shape \(.*\) at t={t}, expected \(\d+(, 1)?,?\)$"
+    with pytest.raises(gf.ModelDefinitionError, match=message):
+        gf.build_chain(spec, unit_interval_grid(8), method, n_samples=100)
+    if audited:  # the audit calls every kernel callback but initial_density
+        with pytest.raises(gf.ModelDefinitionError, match=message):
+            gf.verify_assumptions(spec, n_probe=8, seed=0)
