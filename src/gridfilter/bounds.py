@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -140,26 +140,32 @@ def adjugate_cofactor(mat: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _minors(c: np.ndarray) -> np.ndarray:
-    """out[..., i, j] is ``c[...]`` without row i and column j: every minor
-    of the stacked (..., n, n) matrices ``c``, shape (..., n, n, n-1, n-1)."""
+def _minors(c: np.ndarray) -> Iterator[np.ndarray]:
+    """Every minor of the stacked (..., n, n) matrices ``c``, one at a time in
+    row-major order of (i, j): ``c[...]`` without row i and column j, each a
+    (..., n-1, n-1) stack."""
     k, n = np.arange(c.shape[-1] - 1), c.shape[-1]
     keep = k + (k >= np.arange(n)[:, None])  # keep[i]: 0..n-1 without i
-    return c[..., keep[:, None, :, None], keep[None, :, None, :]]
+    for i in range(n):
+        for j in range(n):
+            yield c[..., keep[i][:, None], keep[j]]
 
 
 def _adjugate_trials(n_dim: int, n_trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The adjugate check's SPD matrices (n_trials, n, n), drawn trial by trial
     (eigenvectors by QR of a Gaussian draw, then eigenvalues in [1.05, 4)), and
-    their adjugates from one stacked determinant over every cofactor minor."""
+    their adjugates, one stacked determinant per cofactor minor."""
     rng = make_rng(seed, 10)
-    z, lam = map(np.array, zip(*[(rng.standard_normal((n_dim, n_dim)),
-                                  rng.uniform(1.05, 4.0, size=n_dim)) for _ in range(n_trials)]))
+    z, lam = np.empty((n_trials, n_dim, n_dim)), np.empty((n_trials, n_dim))
+    for t in range(n_trials):
+        z[t], lam[t] = rng.standard_normal((n_dim, n_dim)), rng.uniform(1.05, 4.0, size=n_dim)
     q, _ = np.linalg.qr(z)
     m = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
     c = 0.5 * (m + np.swapaxes(m, 1, 2))
-    sign = (-1.0) ** np.add.outer(np.arange(n_dim), np.arange(n_dim))
-    return c, np.swapaxes(sign * np.linalg.det(_minors(c)), 1, 2)
+    adj = np.empty_like(c)
+    for (i, j), minor in zip(np.ndindex(n_dim, n_dim), _minors(c)):
+        adj[:, j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return c, adj
 
 
 def check_adjugate_bound(n_dim: int, n_trials: int, seed: int = 0) -> BoundReport:
@@ -207,7 +213,7 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     declared constant, and the empirical inverse-difference quotient against
     the closed form.  The determinant and minor constants are the maxima of
     their own quotients (reported, tight at one by construction).  All pairs
-    are evaluated as stacks in one pass.
+    are evaluated as stacks, the minors one (i, j) at a time.
     """
     if n_pairs < 1:
         raise ValueError("need n_pairs >= 1")
@@ -229,11 +235,12 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     det_diff = np.abs(np.linalg.det(cx) - np.linalg.det(cy))
     moved = cdiff > 0.0
     k_det_hat = np.max(det_diff[moved] / (n * cdiff[moved]), initial=0.0)
-    sx, sy = _minors(cx[moved]), _minors(cy[moved])
-    md = np.abs(np.linalg.det(sx) - np.linalg.det(sy)).ravel()
-    sdiff = _row_norms((sx - sy).reshape(md.size, n - 1, n - 1))
-    ok = sdiff > 0.0
-    k_minor_hat = np.max(md[ok] / ((n - 1) * sdiff[ok]), initial=0.0)
+    k_minor_hat = 0.0
+    for sx, sy in zip(_minors(cx[moved]), _minors(cy[moved])):
+        md = np.abs(np.linalg.det(sx) - np.linalg.det(sy))
+        sdiff = _row_norms(sx - sy)
+        ok = sdiff > 0.0
+        k_minor_hat = np.max(md[ok] / ((n - 1) * sdiff[ok]), initial=k_minor_hat)
     inv_diff = _row_norms(np.linalg.inv(cx) - np.linalg.inv(cy))
     k_inv_emp = np.max(inv_diff / d, initial=0.0)
     if decl.k_sigma == 0.0:

@@ -245,14 +245,21 @@ class SystemSpec:
 _MASS_PANELS = (64, 2**14)
 
 
-def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, ``order`` per panel, on the panels
-    between successive ``edges``; both (panels * order,), panel by panel."""
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+# The 8-node Gauss-Legendre rule on [-1, 1], ``leggauss(8)`` bit for bit, mirrored
+# from its positive half; tuples, as numpy work at import pages in numpy code.
+_GL_POS = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_POS_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+_GL_NODES = tuple(-x for x in reversed(_GL_POS)) + _GL_POS
+_GL_WEIGHTS = _GL_POS_W[::-1] + _GL_POS_W
+
+
+def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes and weights on the panels between
+    successive ``edges``; both (panels * 8,), panel by panel."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * base_nodes[None, :]).ravel(),
-            (half[:, None] * base_weights[None, :]).ravel())
+    return ((mid[:, None] + half[:, None] * np.array(_GL_NODES)).ravel(),
+            (half[:, None] * np.array(_GL_WEIGHTS)).ravel())
 
 
 def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> None:
@@ -272,7 +279,7 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
     for x_prev in sources:
         panels, mass = _MASS_PANELS[0], None
         while True:
-            xs, ws = _gl_panels(np.linspace(lo, hi, panels + 1), 8)
+            xs, ws = _gl_panels(np.linspace(lo, hi, panels + 1))
             xs = xs[:, None]
             dens = _checked(spec.kernel.density(1, x_prev, xs), (len(xs),), "density", 1)
             last, mass = mass, float(dens @ ws)

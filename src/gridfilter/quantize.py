@@ -122,8 +122,6 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
 # ch. 24); rows certified worse than _TAU_MAX are summed directly.
 _FFT_C = 4.0
 _TAU_MAX = 1e-13
-# Gauss-Legendre nodes per cell (per axis) in quadrature chain construction.
-_QUAD_ORDER = 8
 
 
 class QuantizedChain:
@@ -240,13 +238,13 @@ class QuantizedChain:
         return predicted, tau[()]
 
 
-def _gl_cells(grid: Grid, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes over every cell: (nodes (n, M), weights (n,),
-    owning cell linear index (n,))."""
+def _gl_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes per axis over every cell: (nodes (n, M),
+    weights (n,), owning cell linear index (n,))."""
     per_dim = []
     for d in range(grid.space.dim):
-        nodes, weights = _gl_panels(grid.edges(d), order)
-        owner = np.repeat(np.arange(grid.a_per_dim[d]), order)
+        nodes, weights = _gl_panels(grid.edges(d))
+        owner = np.repeat(np.arange(grid.a_per_dim[d]), 8)
         per_dim.append((nodes, weights, owner))
     mesh_n, mesh_w, mesh_o = (np.meshgrid(*axes, indexing="ij") for axes in zip(*per_dim))
     nodes = np.stack([g.ravel() for g in mesh_n], axis=-1)
@@ -284,7 +282,7 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
         for name in ("density", "initial_density"):
             if getattr(spec.kernel, name) is None:
                 raise ConfigError(f"build method 'quadrature' needs the kernel's {name}")
-        nodes, weights, owner = _gl_cells(grid, _QUAD_ORDER)
+        nodes, weights, owner = _gl_cells(grid)
 
         def cell_mass(dens, name, t):
             dens = _checked(dens, (len(nodes),), name, t)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,12 +189,40 @@ def test_theta_check_matches_draw_by_draw_loop():
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
 
 
+def test_lipschitz_suite_peak_memory_is_quadratic_in_n():
+    spec = gf.build_model("gauss_walk", n=8)
+    gf.check_lipschitz_suite(spec, 1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        gf.check_lipschitz_suite(spec, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Gathering all 64 minors of every pair as (P, 8, 8, 7, 7) stacks peaks
+    # at 195 MiB; one (P, 7, 7) minor at a time peaks at 8 MiB.
+    assert peak < 20 * 2**20
+
+
 def test_lipschitz_suite_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on first use; the suite must not pay for it
     src = os.path.dirname(os.path.dirname(gf.__file__))
     code = ("import sys, gridfilter as gf; "
             "gf.check_lipschitz_suite(gf.build_model('gauss_walk'), 50, horizon=2); "
             "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_quadrature_leaves_numpy_polynomial_unimported():
+    # The Gauss-Legendre rule is written out; leggauss would import
+    # numpy.polynomial, which costs about 1 MiB of RSS
+    src = os.path.dirname(os.path.dirname(gf.__file__))
+    code = ("import sys, gridfilter as gf; spec = gf.build_model('gauss_walk'); "
+            "gf.build_chain(spec, gf.Grid(spec.space, 64), 'quadrature'); "
+            "gf.verify_assumptions(spec, 20, seed=0); "
+            "print('numpy.polynomial' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

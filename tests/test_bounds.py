@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gridfilter as gf
 from gridfilter import bounds
-from gridfilter.bounds import _adjugate_trials, _with_derived
+from gridfilter.bounds import _adjugate_trials, _minors, _with_derived
 
 
 def _random_spd(rng, n, lam_lo, lam_hi):
@@ -67,20 +68,40 @@ def test_matvec_variant_holds():
         assert lhs <= rhs * (1 + 1e-9)
 
 
+def _product_worst_by_length(seed, n_trials):
+    """The worst ratio per product length over the trials that
+    ``check_product_bound`` documents, redrawn from stream (seed, 30)."""
+    rng, worst = gf.make_rng(seed, 30), {}
+    for _ in range(n_trials):
+        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        a = [rng.standard_normal((n, n)) for _ in range(length)]
+        b = [rng.standard_normal((n, n)) for _ in range(length)]
+        lhs, rhs = gf.product_difference_sides(a, b, "fro")
+        worst[length] = max(worst.get(length, 0.0), lhs / rhs)
+    return worst
+
+
 def test_check_product_bound_report():
     report = gf.check_product_bound(50, seed=3, norm="fro")
     assert report.passed
     assert report.n_trials == 50
     assert report.check_id == "product-difference-fro"
-    # the documented draws, trial by trial from stream (seed, 30)
-    rng, worst = gf.make_rng(3, 30), 0.0
-    for _ in range(50):
-        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-        a = [rng.standard_normal((n, n)) for _ in range(length)]
-        b = [rng.standard_normal((n, n)) for _ in range(length)]
-        lhs, rhs = gf.product_difference_sides(a, b, "fro")
-        worst = max(worst, lhs / rhs)
-    assert report.worst_ratio == worst
+    assert report.worst_ratio == max(_product_worst_by_length(3, 50).values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_bound_is_measured_beyond_one_factor(seed):
+    # A length-1 trial has lhs == rhs, so the reported worst ratio is pinned
+    # at 1.0 whatever the right-hand side of longer products says.  The
+    # length-2 trials' worst ratio measured 0.67 / 0.72 / 0.86 at seeds
+    # 0 / 1 / 2; a right-hand side doubled for products of two or more
+    # factors halves it.
+    worst = _product_worst_by_length(seed, 1000)
+    assert sorted(worst) == [1, 2, 3, 4]
+    assert worst[1] == 1.0
+    assert 0.6 <= worst[2] <= 1.0
+    assert max(worst[3], worst[4]) <= 1.0
+    assert gf.check_product_bound(1000, seed=seed).worst_ratio == max(worst.values())
 
 
 def test_adjugate_matches_inverse_times_det():
@@ -123,6 +144,31 @@ def test_batched_adjugate_check_equals_trial_loop(n, seed):
     assert np.array_equal(c, np.array(cs))
     assert np.array_equal(adj, np.array(adjs))
     assert gf.check_adjugate_bound(n, 300, seed=seed).worst_ratio == worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_minors_are_yielded_in_row_major_order(n):
+    c = gf.make_rng(8).standard_normal((3, n, n))
+    expected = [np.delete(np.delete(c, i, axis=1), j, axis=2)
+                for i in range(n) for j in range(n)]
+    minors = list(_minors(c))
+    assert len(minors) == n * n
+    for got, want in zip(minors, expected):
+        assert got.shape == (3, n - 1, n - 1)
+        assert np.array_equal(got, want)
+
+
+def test_adjugate_check_peak_memory_stays_near_its_trials():
+    gf.check_adjugate_bound(5, 1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        gf.check_adjugate_bound(5, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Gathering all 25 minors of every trial as one (P, 5, 5, 4, 4) stack
+    # peaks at 4.2 MiB; one (P, 4, 4) minor at a time peaks at 1.4 MiB.
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("n_dim, n_trials", [(0, 10), (2, 0)])

@@ -170,6 +170,13 @@ def test_validate_resolves_the_mass_of_a_narrow_step(scale, accepted):
             gf.verify_assumptions(scaled, n_probe=32, seed=0)
 
 
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    base_nodes, base_weights = model._gl_panels(np.array([-1.0, 1.0]))
+    assert np.array_equal(base_nodes.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(base_weights.view(np.int64), weights.view(np.int64))
+
+
 def test_validate_rejects_increment_cell_mass_of_another_step():
     spec = gf.build_model("gauss_walk", step_sigma=0.15)
     wrong = gf.build_model("gauss_walk", step_sigma=0.2).kernel.increment_cell_mass
