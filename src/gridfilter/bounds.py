@@ -261,7 +261,7 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
             "k_det": float(k_det_hat),
             "k_det_minor": float(k_minor_hat),
             "k_inv_empirical": float(k_inv_emp),
-            "k_inv_formula": formula,
+            "k_inv_formula": float(formula),
         })
 
 

@@ -7,8 +7,10 @@ such as a non-finite value in a trajectory CSV).  Outputs are pure functions
 of (config, flags), so reruns are byte-identical.  verify-concentration and
 verify run the tame-set cases in min(cases, CPUs) worker processes, beside
 the other checks; each case has its own streams, so the outputs do not
-depend on the worker count.  This module names every column and metadata
-key of the files it writes; the library writes none.
+depend on the worker count.  ``main`` builds the model once and hands it to
+the command; a worker rebuilds its case's model from the config.  This
+module names every column and metadata key of the files it writes; the
+library writes none.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .csvio import read_csv, write_csv
 from .errors import ConfigError, DomainError, GridFilterError
 from .filtering import run_grid_filter
 from .harness import convergence_sweep
-from .model import Trajectory, simulate, verify_assumptions
+from .model import SystemSpec, Trajectory, simulate, verify_assumptions
 from .quantize import Grid, build_chain
 from .registry import build_model
 
@@ -42,7 +44,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = replace(load_config(path), **given)
         cfg.validate()
-        return handler(cfg)
+        return handler(cfg, build_model(cfg.model_id, **cfg.model_params))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -79,10 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from(cfg: RunConfig):
-    return build_model(cfg.model_id, **cfg.model_params)
-
-
 def _traj_name(cfg: RunConfig) -> str:
     return f"trajectory_seed{cfg.seed}.csv"
 
@@ -100,8 +98,7 @@ def _fields(records, names: str) -> dict:
     return {name: [getattr(r, name) for r in records] for name in names.split()}
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    spec = _spec_from(cfg)
+def cmd_simulate(cfg: RunConfig, spec: SystemSpec) -> int:
     traj = simulate(spec, cfg.horizon, cfg.seed)
     states, obs = traj.states, traj.observations
     _write(cfg, _traj_name(cfg),
@@ -113,7 +110,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_trajectory(cfg: RunConfig, spec) -> Trajectory:
+def _load_trajectory(cfg: RunConfig, spec: SystemSpec) -> Trajectory:
     path = os.path.join(cfg.out_dir, _traj_name(cfg))
     if not os.path.exists(path):
         raise ConfigError(f"no trajectory at {path}; run `gridfilter simulate` first")
@@ -131,8 +128,7 @@ def _load_trajectory(cfg: RunConfig, spec) -> Trajectory:
     return Trajectory(states=data[:, 1:1 + m], observations=data[:, 1 + m:])
 
 
-def cmd_filter(cfg: RunConfig) -> int:
-    spec = _spec_from(cfg)
+def cmd_filter(cfg: RunConfig, spec: SystemSpec) -> int:
     traj = _load_trajectory(cfg, spec)
     chain = build_chain(spec, Grid(spec.space, cfg.resolution), cfg.build_method,
                         seed=cfg.seed, n_samples=cfg.n_samples)
@@ -148,9 +144,8 @@ def cmd_filter(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    spec = audit_derived_constants(_spec_from(cfg), n_pairs=cfg.n_pairs,
-                                   seed=cfg.seed)
+def cmd_converge(cfg: RunConfig, spec: SystemSpec) -> int:
+    spec = audit_derived_constants(spec, n_pairs=cfg.n_pairs, seed=cfg.seed)
     curve = convergence_sweep(
         spec, cfg.horizon, cfg.resolutions, cfg.n_traj, cfg.c_const,
         seed=cfg.seed, a_ref=cfg.a_ref, build_method=cfg.build_method,
@@ -183,8 +178,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_bounds(cfg: RunConfig) -> int:
-    spec = _spec_from(cfg)
+def cmd_verify_bounds(cfg: RunConfig, spec: SystemSpec) -> int:
     reports = [check_product_bound(cfg.n_trials, seed=cfg.seed, norm="fro")]
     reports += [check_adjugate_bound(n_dim, cfg.n_trials, seed=cfg.seed) for n_dim in (2, 3, 5)]
     suite = check_lipschitz_suite(spec, cfg.n_pairs, seed=cfg.seed)
@@ -212,14 +206,14 @@ def _concentration_case(cfg: RunConfig, case: tuple) -> ConcentrationReport:
     return concentration_experiment(spec, horizon, c_const, cfg.n_conc_traj, seed=cfg.seed)
 
 
-def cmd_verify_concentration(cfg: RunConfig, beside=lambda cfg: 0) -> int:
+def cmd_verify_concentration(cfg: RunConfig, spec: SystemSpec,
+                             beside=lambda cfg, spec: 0) -> int:
     """Run the concentration cases in min(cases, CPUs) worker processes,
-    and ``beside(cfg)`` and the chi-squared checks here meanwhile; the
-    result is the larger exit code."""
+    each building its model from ``cfg``, and ``beside(cfg, spec)`` and the
+    chi-squared checks here meanwhile; the result is the larger exit code."""
     # Imported here only: they would add over 1 MiB of RSS to every command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    _spec_from(cfg)  # a bad [model] is refused before any worker starts
     cases = cfg.concentration_cases
     # the CPUs this process may run on (taskset), where the OS keeps a mask
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -229,7 +223,7 @@ def cmd_verify_concentration(cfg: RunConfig, beside=lambda cfg: 0) -> int:
                                mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(_concentration_case, cfg, case) for case in cases]
-        rc_beside = beside(cfg)
+        rc_beside = beside(cfg, spec)
         checks = [chi2_tail_check(n, u, cfg.n_conc_traj, seed=cfg.seed)
                   for n in cfg.chi2_n for u in cfg.chi2_u]
         reports = [f.result() for f in futures]
@@ -255,15 +249,14 @@ def cmd_verify_concentration(cfg: RunConfig, beside=lambda cfg: 0) -> int:
     return max(rc_beside, 0 if ok else CHECK_FAILED)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    spec = _spec_from(cfg)
+def cmd_verify(cfg: RunConfig, spec: SystemSpec) -> int:
     try:
         verify_assumptions(spec, n_probe=64, seed=cfg.seed, horizon=0)
         print("assumption audit: pass")
     except GridFilterError as exc:
         print(f"assumption audit: FAIL ({exc})", file=sys.stderr)
         return CHECK_FAILED
-    return cmd_verify_concentration(cfg, beside=cmd_verify_bounds)
+    return cmd_verify_concentration(cfg, spec, beside=cmd_verify_bounds)
 
 
 if __name__ == "__main__":

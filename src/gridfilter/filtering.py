@@ -106,9 +106,11 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     profile one batched FFT convolution, with each row whose certificate
     ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
     matrix product otherwise.  Weights whose last axis is not K raise
-    ``DomainError``, and so do a ``y`` of rank above 2 and the inputs
-    ``run_grid_filter`` refuses: a non-finite ``y`` (naming t, and b in a
-    stack) and a chain on another box.
+    ``DomainError``, and so do a ``y`` of rank above 2, stacks of weights
+    and of ``y`` of different sizes, neither 1 (naming both and t), and the
+    inputs ``run_grid_filter`` refuses: a ``y`` whose last axis is not N or
+    that is not finite (naming t, and b in a stack) and a chain on another
+    box.
     The estimate is an einsum, not a BLAS product, so each row of a stack
     equals its single run bit for bit.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
@@ -121,8 +123,14 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     y = np.asarray(y, dtype=float)
     if y.ndim > 2:
         raise DomainError(f"y must be (N,) or (B, N), not {y.shape}")
-    # two cheap tests per step; the full check only runs when one fails
-    if chain.grid.space is not spec.space or not np.isfinite(y).all():
+    # stacks broadcast only when their sizes agree or one is 1
+    if (y.ndim == 2 == np.ndim(state.weights) and len(y) != len(state.weights)
+            and 1 not in (len(y), len(state.weights))):
+        raise DomainError(f"the state holds a stack of {len(state.weights)} trajectories "
+                          f"and y one of {len(y)} at t={t}")
+    # three cheap tests per step; the full check only runs when one fails
+    if (chain.grid.space is not spec.space or y.shape[-1:] != (spec.obs.n,)
+            or not np.isfinite(y).all()):
         _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:

@@ -11,9 +11,10 @@ Three families cover the test surface:
   purpose, for closed-form checks.
 
 Each builder returns a fully declared SystemSpec: the regularity constants
-are computed analytically from the parameters, and the observation scale
-``obs_scale`` defaults to the value that lifts the covariance eigenvalue floor
-to ``_LAMBDA_INF_TARGET``.
+are computed analytically from the parameters, for both linear families by
+``_linear_system`` from beta's range and Lipschitz constant.  The observation
+scale ``obs_scale`` defaults to the value that lifts the covariance
+eigenvalue floor to ``_LAMBDA_INF_TARGET``.
 """
 
 from __future__ import annotations
@@ -97,17 +98,18 @@ def _abs_extremes(lower: float, upper: float) -> tuple[float, float]:
 _LAMBDA_INF_TARGET = 1.25
 
 
-def _scale_for_target(raw_floor: float, obs_scale) -> float:
-    if obs_scale is not None:
-        return float(obs_scale)
-    if raw_floor <= 0.0:
+def _linear_system(model_id: str, space: StateSpace, kernel: TransitionKernel,
+                   hi: float, n: int, alpha: float, beta_fn, beta_range: tuple,
+                   k_beta: float, sigma_xi_sq: float, obs_scale,
+                   **fixed: float) -> SystemSpec:
+    """The system observed with mean alpha*x in every coordinate and
+    covariance beta_fn(x) * I, for states with |x| <= hi and beta_fn ranging
+    over beta_range with Lipschitz constant k_beta; ``fixed`` are declared
+    constants that these formulas do not give."""
+    raw_floor = beta_range[0] + sigma_xi_sq
+    if obs_scale is None and raw_floor <= 0.0:
         raise ConfigError("cannot derive obs_scale for a singular covariance floor")
-    return math.sqrt(_LAMBDA_INF_TARGET / raw_floor)
-
-
-def _linear_obs(n: int, alpha: float, beta_fn, sigma_xi_sq: float,
-                scale: float) -> ObservationModel:
-    """mean alpha*x in every coordinate, covariance beta_fn(x) * I."""
+    scale = math.sqrt(_LAMBDA_INF_TARGET / raw_floor) if obs_scale is None else float(obs_scale)
 
     def mean_fn(t, x):
         x = np.asarray(x, dtype=float)
@@ -117,9 +119,19 @@ def _linear_obs(n: int, alpha: float, beta_fn, sigma_xi_sq: float,
         x = np.asarray(x, dtype=float)
         return beta_fn(x[:, 0])[:, None, None] * np.eye(n)
 
-    return ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
-                            sigma_xi_sq=sigma_xi_sq, obs_scale=scale,
-                            stationary=True)
+    obs = ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
+                           sigma_xi_sq=sigma_xi_sq, obs_scale=scale,
+                           stationary=True)
+    constants = AssumptionConstants(
+        lambda_inf=scale**2 * raw_floor,
+        lambda_sup=scale**2 * (beta_range[1] + sigma_xi_sq),
+        mu_sup=scale * abs(alpha) * math.sqrt(n) * hi,
+        k_mu=scale * abs(alpha) * math.sqrt(n),
+        k_sigma=scale**2 * k_beta,
+        **fixed,
+    )
+    return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
+                      model_id=model_id)
 
 
 def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
@@ -130,9 +142,6 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
     if step_sigma <= 0:
         raise ConfigError("step_sigma must be positive")
     space = _interval_space(lower, upper)
-    lo2, hi2 = _abs_extremes(lower, upper)
-    raw_floor = beta + lo2**2 + sigma_xi_sq
-    scale = _scale_for_target(raw_floor, obs_scale)
     a, b = float(lower), float(upper)
 
     def _trunc_bounds(loc):
@@ -169,16 +178,10 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
     kernel = TransitionKernel(sampler=sampler, initial_sampler=initial_sampler,
                               density=density, initial_density=initial_density,
                               increment_cell_mass=increment_cell_mass)
-    obs = _linear_obs(n, alpha, lambda x1: beta + x1**2, sigma_xi_sq, scale)
-    constants = AssumptionConstants(
-        lambda_inf=scale**2 * raw_floor,
-        lambda_sup=scale**2 * (beta + hi2**2 + sigma_xi_sq),
-        mu_sup=scale * abs(alpha) * math.sqrt(n) * hi2,
-        k_mu=scale * abs(alpha) * math.sqrt(n),
-        k_sigma=scale**2 * 2.0 * hi2,
-    )
-    return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
-                      model_id="gauss_walk")
+    lo2, hi2 = _abs_extremes(lower, upper)
+    return _linear_system("gauss_walk", space, kernel, hi2, n, alpha,
+                          lambda x1: beta + x1**2, (beta + lo2**2, beta + hi2**2),
+                          2.0 * hi2, sigma_xi_sq, obs_scale)
 
 
 def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
@@ -208,22 +211,9 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
         raise ConfigError(f"unknown chain kind {kind!r}")
     pi = np.full(k, 1.0 / k)
     kernel = FiniteStateKernel(states=states, transition_matrix=p, initial_probs=pi)
-
-    hi2 = _abs_extremes(lower, upper)[1]
-    raw_floor = beta + sigma_xi_sq
-    scale = _scale_for_target(raw_floor, obs_scale)
-    obs = _linear_obs(n, alpha, lambda x1: np.full(x1.shape, float(beta)),
-                      sigma_xi_sq, scale)
-    constants = AssumptionConstants(
-        lambda_inf=scale**2 * raw_floor,
-        lambda_sup=scale**2 * raw_floor,
-        mu_sup=scale * abs(alpha) * math.sqrt(n) * hi2,
-        k_mu=scale * abs(alpha) * math.sqrt(n),
-        k_sigma=0.0,
-        k_det=0.0, k_inv=0.0,
-    )
-    return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
-                      model_id="finite_chain")
+    return _linear_system("finite_chain", space, kernel, _abs_extremes(lower, upper)[1],
+                          n, alpha, lambda x1: np.full(x1.shape, float(beta)),
+                          (beta, beta), 0.0, sigma_xi_sq, obs_scale, k_det=0.0, k_inv=0.0)
 
 
 def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,

@@ -214,6 +214,14 @@ def test_constant_covariance_has_zero_inverse_constant():
     assert report.constants["k_inv_formula"] == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_lipschitz_suite_constants_are_python_floats(n):
+    # np.float64 subclasses float, so isinstance would not tell them apart
+    report = gf.check_lipschitz_suite(gf.build_model("gauss_walk", n=n), 200, seed=0)
+    assert {key: type(v) for key, v in report.constants.items()} == dict.fromkeys(
+        report.constants, float)
+
+
 def test_k_inv_formula_values():
     # prefactor at lambda = e: 27 e^{-3} / 1 = 27 e^{-3}
     val = gf.k_inv_formula(math.e, 1.0, 1.0, 1.0)

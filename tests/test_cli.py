@@ -249,6 +249,24 @@ def test_verify_bounds_runs_the_lipschitz_suite_once(workdir, monkeypatch):
         "adjugate-norm-5d", "covariance-lipschitz-suite", "quadform-difference"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "filter", "converge", "verify-bounds",
+                                     "verify-concentration", "verify"])
+def test_each_command_builds_its_model_once(workdir, monkeypatch, command):
+    tmp, cfg = workdir
+    assert main(["simulate", "--config", cfg]) == 0
+    builds = []
+    build = cli.build_model
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    # the forked workers count their own builds in their own copy of the list
+    monkeypatch.setattr(cli, "build_model", counted)
+    assert main([command, "--config", cfg]) == 0
+    assert builds == [("gauss_walk",)]
+
+
 def test_verify_concentration_passes_on_demo(workdir, capsys):
     tmp, cfg = workdir
     assert main(["verify-concentration", "--config", cfg]) == 0

@@ -3,9 +3,11 @@ import math
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import gridfilter as gf
 from gridfilter import concentration, model
@@ -184,6 +186,37 @@ def test_concentration_experiment_longer_horizon():
     report = gf.concentration_experiment(spec, 9, 1.0, 20_000, seed=1)
     assert report.passed
     assert report.horizon == 9
+
+
+# verify's Monte-Carlo columns on demo.ini, each against the exact law it samples
+DEMO = gf.load_config(Path(__file__).parents[1] / "demos" / "configs" / "demo.ini")
+
+
+def _within_4_sigma(empirical: float, p: float, n_samples: int) -> bool:
+    """Two-sided: within 4 binomial standard errors of the exact p, or within
+    1/n_samples where p is so near 0 or 1 that the standard error vanishes."""
+    return abs(empirical - p) <= max(4.0 * math.sqrt(p * (1.0 - p) / n_samples),
+                                     1.0 / n_samples)
+
+
+@pytest.mark.parametrize("u", DEMO.chi2_u)
+@pytest.mark.parametrize("n", DEMO.chi2_n)
+def test_chi2_tail_frequency_is_the_exact_tail(n, u):
+    # P(chi2_n >= n + 2 sqrt(nu) + 2u); the worst of the 12 rows is 1.81 sigma
+    check = gf.chi2_tail_check(n, u, DEMO.n_conc_traj, seed=DEMO.seed)
+    exact = stats.chi2.sf(n + 2.0 * math.sqrt(n * u) + 2.0 * u, n)
+    assert _within_4_sigma(check.empirical, exact, check.n_samples)
+
+
+@pytest.mark.parametrize("case", DEMO.concentration_cases, ids=str)
+def test_reference_tame_frequency_is_the_exact_law(case):
+    # under the reference measure y_t are iid N(0, I_N): P(tame) = F_N(thr)^(T+1)
+    n_dim, c_const, horizon = case
+    spec = gf.build_model(DEMO.model_id, **{**DEMO.model_params, "n": n_dim})
+    report = gf.concentration_experiment(spec, horizon, c_const, DEMO.n_conc_traj,
+                                         seed=DEMO.seed)
+    exact = stats.chi2.cdf(report.threshold_reference, n_dim) ** (horizon + 1)
+    assert _within_4_sigma(report.empirical_reference, exact, report.n_traj)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])

@@ -539,14 +539,13 @@ def oracle_stuck_at_first_cell(obs):
     return run
 
 
-def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0):
+def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0, weights=np.full(4, 0.25)):
     """One ``grid_filter_step`` from t=0 on a [0, 1] model with N=2, through
-    a chain built on [lower, upper]."""
+    a chain built on [lower, upper] with K=4."""
     spec = interval_spec(lower=0.0, upper=1.0)
     chain_spec = spec if (lower, upper) == (0.0, 1.0) else interval_spec(lower, upper)
     chain = gf.build_chain(chain_spec, gf.Grid(chain_spec.space, 4), "quadrature")
-    state = gf.FilterState(t=0, weights=np.full(4, 0.25), estimate=np.zeros(1),
-                           log_norm=0.0)
+    state = gf.FilterState(t=0, weights=weights, estimate=np.zeros(1), log_norm=0.0)
     return lambda: gf.grid_filter_step(chain, spec, state, np.array(y))
 
 
@@ -587,10 +586,14 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0):
      r"chain was built on the box \[\[0.5\], \[2.5\]\], the model's box is \[\[0.\], \[1.\]\]"),
     (step_to_t1_on_unit_interval(np.zeros((2, 2, 2))), gf.DomainError,
      r"y must be \(N,\) or \(B, N\), not \(2, 2, 2\)"),
+    (step_to_t1_on_unit_interval([0.0, 0.0, 0.0]), gf.DomainError,
+     r"observation at t=1 in trajectory b=0 has 3 components, the model expects N=2"),
+    (step_to_t1_on_unit_interval(np.zeros((4, 2)), weights=np.full((3, 4), 0.25)),
+     gf.DomainError, r"the state holds a stack of 3 trajectories and y one of 4 at t=1"),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
         "exact_weights_vanish", "step_nan", "step_inf", "step_stack_inf", "step_other_box",
-        "step_rank3"])
+        "step_rank3", "step_components", "step_stack_sizes"])
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -1,9 +1,13 @@
 """Refusals of the model registry and the finite-state kernel, a fuzz of
-single config values, and the constant model's frozen dynamics."""
+single config values, the linear families' declared constants, and the
+constant model's frozen dynamics."""
 
 import configparser
+import dataclasses
 import inspect
 import io
+import itertools
+import math
 import re
 
 import numpy as np
@@ -80,6 +84,41 @@ def test_constant_demo_holds_its_state():
     spec = gf.build_model("constant", value=0.25)
     traj = gf.simulate(spec, 4, seed=0)
     assert np.array_equal(traj.states, np.full((5, 1), 0.25))
+
+
+def linear_channel_constants(family, n, alpha, beta, sigma_xi_sq, lower, upper, obs_scale):
+    """The declared constants of mean alpha*x and covariance beta(x) I, written
+    out: beta(x) = beta + x^2 on gauss_walk, beta on finite_chain."""
+    hi = max(abs(lower), abs(upper))
+    lo = 0.0 if lower <= 0.0 <= upper else min(abs(lower), abs(upper))
+    if family == "finite_chain":
+        floor = ceiling = beta + sigma_xi_sq
+    else:
+        floor, ceiling = beta + lo**2 + sigma_xi_sq, beta + hi**2 + sigma_xi_sq
+    s = math.sqrt(1.25 / floor) if obs_scale is None else float(obs_scale)
+    walk = family == "gauss_walk"
+    return gf.AssumptionConstants(
+        lambda_inf=s**2 * floor, lambda_sup=s**2 * ceiling,
+        mu_sup=s * abs(alpha) * math.sqrt(n) * hi, k_mu=s * abs(alpha) * math.sqrt(n),
+        k_sigma=s**2 * 2.0 * hi if walk else 0.0,
+        k_det=None if walk else 0.0, k_inv=None if walk else 0.0)
+
+
+@pytest.mark.parametrize("family", ["gauss_walk", "finite_chain"])
+def test_linear_families_declare_their_closed_form_constants(family):
+    # int bounds, int and negative alpha, int beta and a given obs_scale
+    for params in itertools.product([1, 3], [1.0, -2.5, 3], [0.25, 1], [0.5],
+                                    [(0, 1), (-2, 3), (0.25, 2.0), (-3.5, -0.5)],
+                                    [None, 0.7, 2]):
+        n, alpha, beta, sigma_xi_sq, (lower, upper), obs_scale = params
+        given = {} if obs_scale is None else {"obs_scale": obs_scale}
+        declared = gf.build_model(family, n=n, alpha=alpha, beta=beta,
+                                  sigma_xi_sq=sigma_xi_sq, lower=lower, upper=upper,
+                                  **given).constants
+        expected = linear_channel_constants(family, n, alpha, beta, sigma_xi_sq, lower,
+                                            upper, obs_scale)
+        assert declared == expected, params  # == on floats: bit for bit
+        assert {type(v) for v in dataclasses.astuple(declared)} <= {float, type(None)}
 
 
 @pytest.mark.parametrize("seed", range(4))
