@@ -125,6 +125,10 @@ def _load_trajectory(cfg: RunConfig, spec: SystemSpec) -> Trajectory:
         raise ConfigError(
             f"{path} was simulated from model {meta.get('model_id')!r}, "
             f"config says {cfg.model_id!r}")
+    if meta.get("horizon", str(len(data) - 1)) != str(len(data) - 1):
+        raise ConfigError(
+            f"{path} has {len(data)} rows, but its metadata's horizon = "
+            f"{meta['horizon']} needs one per time step 0..{meta['horizon']}")
     return Trajectory(states=data[:, 1:1 + m], observations=data[:, 1 + m:])
 
 

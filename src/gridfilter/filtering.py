@@ -77,12 +77,13 @@ class FilterRunResult:
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis, shifted by the maximum; an
-    all -inf row gives -inf."""
+    """log(sum(exp(x))) over the last axis, shifted by the maximum, with one
+    temporary the size of ``x``; an all -inf row gives -inf."""
     shift = np.max(x, axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
+    scaled = x - shift
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - shift), axis=-1)) + shift[..., 0]
+        return np.log(np.sum(np.exp(scaled, out=scaled), axis=-1)) + shift[..., 0]
 
 
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
@@ -112,7 +113,9 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     that is not finite (naming t, and b in a stack) and a chain on another
     box.
     The estimate is an einsum, not a BLAS product, so each row of a stack
-    equals its single run bit for bit.
+    equals its single run bit for bit.  The log, the likelihood sum and the
+    exp run in place in the predicted array, which the step allocated: it
+    never writes into ``state.weights`` or ``chain.initial``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
     only ``log_norm`` moves.
@@ -135,14 +138,15 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
         ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
-    if state.t == -1:
-        predicted = state.weights
-        tau = np.zeros(np.broadcast_shapes(predicted.shape, ll.shape)[:-1])[()]
-    else:
-        predicted, tau = chain.certified_predict(state.weights, ll)
+    # logw is this step's own array, so the update runs in place in it
     with np.errstate(divide="ignore"):
-        log_predicted = np.log(predicted)
-    logw = log_predicted + ll
+        if state.t == -1:
+            logw = np.log(state.weights) + ll
+            tau = np.zeros(logw.shape[:-1])[()]
+        else:
+            logw, tau = chain.certified_predict(state.weights, ll)
+            np.log(logw, out=logw)
+            logw += ll
     increment = _logsumexp(logw)
     vanished = np.isneginf(increment) | np.isnan(increment)
     if np.any(vanished):
@@ -151,7 +155,8 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         raise DegenerateUpdateError(
             f"all weights vanished at t={t} in trajectory b={b}; max "
             f"log-likelihood was {np.max(ll_b):.6g} over reachable cells")
-    weights = np.exp(logw - increment[..., None])
+    logw -= increment[..., None]
+    weights = np.exp(logw, out=logw)
     return FilterState(
         t=t,
         weights=weights,
@@ -163,8 +168,9 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 
 def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                   observations: np.ndarray, t0: int = 0) -> None:
-    """Reject a chain on another box (where there is a chain) and malformed
-    or non-finite observations, the first of which is at time ``t0``."""
+    """Reject a chain on another box (where there is a chain) and malformed,
+    empty (T+1 = 0) or non-finite observations, the first of which is at
+    time ``t0``."""
     box = spec.space
     chain_box = box if chain is None else chain.grid.space
     if not (np.array_equal(box.lower, chain_box.lower)
@@ -175,6 +181,9 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
     if observations.ndim > 3:
         raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not "
                           f"{observations.shape}")
+    if observations.shape[-2] == 0:
+        raise DomainError(f"observations of shape {observations.shape} hold no "
+                          f"time step (T+1 = 0)")
     if observations.shape[-1] != spec.obs.n:
         raise DomainError(
             f"observation at t={t0} in trajectory b=0 has {observations.shape[-1]} "

@@ -11,6 +11,7 @@ the serialized metadata.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,9 +120,12 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
 
 # An FFT-predicted entry errs by at most delta = _FFT_C eps log2(L) ||profile||
 # ||u|| (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-# ch. 24); rows certified worse than _TAU_MAX are summed directly.
+# ch. 24); rows certified worse than _TAU_MAX are summed directly.  Rows go
+# through the FFT in slices of at most _FFT_SLICE transform entries, so the
+# FFT buffers stay small however many rows a step predicts.
 _FFT_C = 4.0
 _TAU_MAX = 1e-13
+_FFT_SLICE = 1 << 15
 
 
 class QuantizedChain:
@@ -175,9 +179,12 @@ class QuantizedChain:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, int, float]:
-        """rfft of the profile at L = 2^ceil(log2(2K-1)), L, and ||profile||_2."""
+        """rfft of the profile at L = 2^ceil(log2(2K-1)), L, and the entry
+        error bound delta per unit ||u||_2."""
         n_fft = 1 << (len(self.profile) - 1).bit_length()
-        return np.fft.rfft(self.profile, n_fft), n_fft, float(np.linalg.norm(self.profile))
+        delta_per_norm = (_FFT_C * sys.float_info.epsilon * np.log2(max(n_fft, 2))
+                          * float(np.linalg.norm(self.profile)))
+        return np.fft.rfft(self.profile, n_fft), n_fft, delta_per_norm
 
     def _checked(self, weights: np.ndarray) -> np.ndarray:
         k = self.grid.total_points
@@ -210,31 +217,43 @@ class QuantizedChain:
         variation distance between the posteriors ``predicted * exp(log_lik)``
         of this and of ``predict``.
 
-        A profile chain predicts all rows by one batched real FFT of
-        u = weights / row_mass at length L = 2^ceil(log2(2K-1)), clamped at 0;
-        each entry is within delta = 4 eps log2(max(L, 2)) ||profile|| ||u||
-        of the direct sum.  With a = exp(log_lik - max log_lik), tau =
-        delta sum(a) / sum(max(predicted - delta, 0) a).  A row with tau
-        above 1e-13 (or not finite) is recomputed by ``predict`` and equals
-        it bit for bit.  A matrix chain returns the product and tau = 0.
+        A profile chain predicts the rows by real FFTs of u = weights /
+        row_mass at length L = 2^ceil(log2(2K-1)), in slices of at most
+        2^15 transform entries, clamped at 0; each entry is within delta =
+        4 eps log2(max(L, 2)) ||profile|| ||u|| of the direct sum.  With a =
+        exp(log_lik - max log_lik), tau = delta sum(a) / sum(max(predicted -
+        delta, 0) a).  A row with tau above 1e-13 (or not finite) is
+        recomputed by ``predict`` and equals it bit for bit.  A matrix chain
+        returns the product and tau = 0.  Either way ``predicted`` is a new
+        array of the broadcast shape, which the caller may overwrite.
         """
         weights, log_lik = np.broadcast_arrays(self._checked(weights), log_lik)
         if self.profile is None:
             return weights @ self._matrix, np.zeros(weights.shape[:-1])[()]
         k = self.grid.total_points
-        spectrum, n_fft, profile_norm = self._spectrum
-        u = weights / self.row_mass
-        full = np.fft.irfft(np.fft.rfft(u, n_fft) * spectrum, n_fft)
-        predicted = np.maximum(full[..., k - 1:2 * k - 1], 0.0)
-        delta = (_FFT_C * np.finfo(float).eps * np.log2(max(n_fft, 2)) * profile_norm
-                 * np.linalg.norm(u, axis=-1, keepdims=True))
+        spectrum, n_fft, delta_per_norm = self._spectrum
+        predicted, tau = np.empty(weights.shape), np.empty(weights.shape[:-1])
+        # 2-D views: the rows of a (K,) call are one row
+        w, ll, p = (x.reshape(-1, k) for x in (weights, log_lik, predicted))
+        t = tau.reshape(-1)
+        step = max(1, _FFT_SLICE // n_fft)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.exp(log_lik - np.max(log_lik, axis=-1, keepdims=True))
-            tau = (delta[..., 0] * np.sum(a, axis=-1)
-                   / np.sum(np.maximum(predicted - delta, 0.0) * a, axis=-1))
-        refused = ~(tau <= _TAU_MAX)
+            for first in range(0, len(p), step):
+                s = slice(first, first + step)
+                u = w[s] / self.row_mass
+                f = np.fft.rfft(u, n_fft)
+                f *= spectrum
+                np.maximum(np.fft.irfft(f, n_fft)[:, k - 1:2 * k - 1], 0.0, out=p[s])
+                delta = delta_per_norm * np.linalg.norm(u, axis=-1, keepdims=True)
+                a = ll[s] - np.max(ll[s], axis=-1, keepdims=True)
+                np.exp(a, out=a)
+                margin = p[s] - delta
+                np.maximum(margin, 0.0, out=margin)
+                margin *= a
+                t[s] = delta[:, 0] * np.sum(a, axis=-1) / np.sum(margin, axis=-1)
+        refused = ~(t <= _TAU_MAX)
         if np.any(refused):
-            predicted[refused] = self.predict(weights[refused])
+            p[refused] = self.predict(w[refused])
         return predicted, tau[()]
 
 

@@ -105,7 +105,8 @@ def _linear_system(model_id: str, space: StateSpace, kernel: TransitionKernel,
     """The system observed with mean alpha*x in every coordinate and
     covariance beta_fn(x) * I, for states with |x| <= hi and beta_fn ranging
     over beta_range with Lipschitz constant k_beta; ``fixed`` are declared
-    constants that these formulas do not give."""
+    constants that these formulas do not give.  A formula constant that
+    overflows is refused naming the box."""
     raw_floor = beta_range[0] + sigma_xi_sq
     if obs_scale is None and raw_floor <= 0.0:
         raise ConfigError("cannot derive obs_scale for a singular covariance floor")
@@ -122,14 +123,20 @@ def _linear_system(model_id: str, space: StateSpace, kernel: TransitionKernel,
     obs = ObservationModel(n=n, mean_fn=mean_fn, cov_fn=cov_fn,
                            sigma_xi_sq=sigma_xi_sq, obs_scale=scale,
                            stationary=True)
-    constants = AssumptionConstants(
+    declared = dict(
         lambda_inf=scale**2 * raw_floor,
         lambda_sup=scale**2 * (beta_range[1] + sigma_xi_sq),
         mu_sup=scale * abs(alpha) * math.sqrt(n) * hi,
         k_mu=scale * abs(alpha) * math.sqrt(n),
         k_sigma=scale**2 * k_beta,
-        **fixed,
     )
+    overflowed = [name for name, value in declared.items() if not math.isfinite(value)]
+    if overflowed:
+        raise ConfigError(
+            f"[model] the declared {', '.join(overflowed)} overflow with lower = "
+            f"{space.lower[0]:g} and upper = {space.upper[0]:g}; narrow the box or "
+            f"shrink alpha, beta or obs_scale")
+    constants = AssumptionConstants(**declared, **fixed)
     return SystemSpec(space=space, kernel=kernel, obs=obs, constants=constants,
                       model_id=model_id)
 
@@ -179,9 +186,14 @@ def gauss_walk_demo(n: int = 2, alpha: float = 1.0, beta: float = 0.25,
                               density=density, initial_density=initial_density,
                               increment_cell_mass=increment_cell_mass)
     lo2, hi2 = _abs_extremes(lower, upper)
+    try:
+        beta_range = (beta + lo2**2, beta + hi2**2)
+    except OverflowError:
+        raise ConfigError(f"[model] lower = {lower:g} and upper = {upper:g}: beta + x^2 "
+                          f"overflows at the box's edge; narrow the box") from None
     return _linear_system("gauss_walk", space, kernel, hi2, n, alpha,
-                          lambda x1: beta + x1**2, (beta + lo2**2, beta + hi2**2),
-                          2.0 * hi2, sigma_xi_sq, obs_scale)
+                          lambda x1: beta + x1**2, beta_range, 2.0 * hi2, sigma_xi_sq,
+                          obs_scale)
 
 
 def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,

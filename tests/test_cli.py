@@ -176,6 +176,24 @@ def test_non_finite_trajectory_value_is_usage_error(workdir, capsys):
     assert not list((tmp / "out").glob("estimates_*.csv"))
 
 
+@pytest.mark.parametrize("keep, message", [
+    (lambda line: not line[0].isdigit(),
+     "has 0 rows, but its metadata's horizon = 6 needs one per time step 0..6"),
+    (lambda line: not line[0].isdigit() or int(line.split(",")[0]) < 3,
+     "has 3 rows, but its metadata's horizon = 6 needs one per time step 0..6"),
+    (lambda line: not line.startswith("# horizon") and not line[0].isdigit(),
+     "input error: observations of shape (0, 2) hold no time step (T+1 = 0)"),
+], ids=["header_only", "truncated", "header_only_without_horizon"])
+def test_trajectory_without_all_its_rows_is_usage_error(workdir, capsys, keep, message):
+    tmp, cfg = workdir
+    main(["simulate", "--config", cfg])
+    path = tmp / "out" / "trajectory_seed2.csv"
+    path.write_text("".join(filter(keep, path.read_text().splitlines(keepends=True))))
+    assert main(["filter", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp / "out").glob("estimates_*.csv"))
+
+
 def test_trajectory_of_another_model_is_usage_error(workdir, capsys):
     tmp, cfg = workdir
     main(["simulate", "--config", cfg])
@@ -419,7 +437,7 @@ def test_bad_concentration_cases_are_usage_errors(workdir, capsys, case):
     ("id = gauss_walk", "id = gauss_walk\nobs_scale = abc", "simulate",
      "[model] obs_scale must be a real number, not 'abc'"),
     ("id = gauss_walk", "id = gauss_walk\nupper = 1e300", "simulate",
-     "model 'gauss_walk': OverflowError"),
+     "config error: [model] lower = 0 and upper = 1e+300: beta + x^2 overflows"),
     ("id = gauss_walk", "id = finite_chain", "converge",
      "config error: build method 'quadrature' needs the kernel's density"),
 ], ids=["c-negative", "c-zero", "c-nan", "resolution-zero", "n_samples-zero",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import gridfilter as gf
 from gridfilter.filtering import _logsumexp
+from gridfilter.quantize import _FFT_SLICE
 
 
 def interval_spec(lower=0.5, upper=2.5, n=2):
@@ -124,9 +126,14 @@ def test_oracle_refuses_excessive_path_counts():
 def test_empty_observation_sequence():
     spec = interval_spec()
     chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
-    res = gf.run_grid_filter(spec, chain, np.empty((0, 2)))
-    assert res.estimates.shape == (0, 1)
-    assert res.log_norms.shape == (0,)
+    exact = gf.build_model("finite_chain", n=2)
+    for run in (lambda obs: gf.run_grid_filter(spec, chain, obs),
+                lambda obs: gf.path_sum_oracle(spec, chain, obs),
+                lambda obs: gf.exact_forward_filter(exact, obs)):
+        for shape in ((0, 2), (3, 0, 2)):
+            with pytest.raises(gf.DomainError, match=re.escape(
+                    f"observations of shape {shape} hold no time step (T+1 = 0)")):
+                run(np.empty(shape))
 
 
 def test_reduced_and_full_likelihood_agree_on_estimates():
@@ -498,14 +505,62 @@ def test_permuted_stack_predicts_bit_identically(k2048):
     assert np.array_equal(permuted.final_state.weights, run.final_state.weights[perm])
 
 
-def test_every_row_of_a_stack_equals_its_single_run(k2048):
-    spec, chain, obs = k2048
+def assert_rows_equal_single_runs(spec, chain, obs):
+    """Each row of the stacked run on ``obs`` equals its single run bit for
+    bit; returns the stacked run."""
     stacked = gf.run_grid_filter(spec, chain, obs)
     for b in range(len(obs)):
         single = gf.run_grid_filter(spec, chain, obs[b])
         for field in ("estimates", "log_norms", "predict_tau"):
             assert np.array_equal(getattr(stacked, field)[b], getattr(single, field))
         assert np.array_equal(stacked.final_state.weights[b], single.final_state.weights)
+    return stacked
+
+
+def test_every_row_of_a_stack_equals_its_single_run(k2048):
+    assert_rows_equal_single_runs(*k2048)
+
+
+def test_a_stack_wider_than_one_fft_slice_equals_its_single_runs(k2048):
+    spec, chain, _ = k2048
+    _, obs = gf.simulate_batch(spec, 20, 9, seed=2)
+    obs[8, 8] = 100.0  # the row past the first slice takes the fallback
+    assert len(obs) > _FFT_SLICE // chain._spectrum[1]
+    stacked = assert_rows_equal_single_runs(spec, chain, obs)
+    assert np.any(stacked.predict_tau[8] > 1e-13)
+
+
+def test_stack_filter_peak_memory_stays_near_a_few_stacks(k2048):
+    # (24, 2048) floats take 0.375 MiB; the step holds a few such arrays and
+    # FFT buffers of one slice, not ten stacks and full-width transforms
+    spec, chain, _ = k2048
+    _, obs = gf.simulate_batch(spec, 20, 24, seed=3)
+    gf.run_grid_filter(spec, chain, obs)
+    tracemalloc.start()
+    try:
+        gf.run_grid_filter(spec, chain, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 2**20
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["profile", "matrix"])
+def test_step_writes_into_no_array_of_its_caller(dense):
+    spec, chain = walk(0.0, 1.0, 0.5, 64)
+    if dense:
+        chain = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
+    _, obs = gf.simulate_batch(spec, 1, 3, seed=0)
+    initial = chain.initial.copy()
+    stack = np.full((3, 64), 1.0 / 64)
+    for t, weights, y in [(-1, chain.initial, obs[0, 0]), (-1, chain.initial, obs[:, 0]),
+                          (0, chain.initial, obs[:, 1]), (0, stack, obs[:, 1]),
+                          (0, stack[0], obs[0, 1])]:
+        before = weights.copy()
+        state = gf.FilterState(t=t, weights=weights, estimate=np.zeros(1), log_norm=0.0)
+        after = gf.grid_filter_step(chain, spec, state, y)
+        assert np.array_equal(weights, before) and np.array_equal(chain.initial, initial)
+        assert not np.shares_memory(after.weights, weights)
 
 
 def with_observation(t, value, steps=4, n=1):

@@ -67,14 +67,21 @@ def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5))
     (lambda: gf.build_model("finite_chain", kind=3), gf.ConfigError,
      re.escape("[model] kind must be a word, not 3")),
     (lambda: gf.build_model("gauss_walk", upper=1e300), gf.ConfigError,
-     "model 'gauss_walk': OverflowError"),
+     re.escape("[model] lower = 0 and upper = 1e+300: beta + x^2 overflows")),
+    (lambda: gf.build_model("gauss_walk", lower=-1e200, upper=1e200), gf.ConfigError,
+     re.escape("[model] lower = -1e+200 and upper = 1e+200: beta + x^2 overflows")),
+    (lambda: gf.build_model("gauss_walk", upper=1.3e154), gf.ConfigError,
+     re.escape("[model] the declared lambda_sup overflow with lower = 0 and upper = 1.3e+154")),
+    (lambda: gf.build_model("gauss_walk", alpha=1e308, upper=10.0), gf.ConfigError,
+     re.escape("the declared mu_sup, k_mu overflow with lower = 0 and upper = 10")),
     (lambda: gf.build_model("finite_chain", kind="random", seed=-1), gf.ConfigError,
      re.escape("[model] seed must be >= 0")),
 ], ids=["states_ndim", "shapes", "row_stochastic", "initial_law", "nan_matrix",
         "nan_initial_law", "step_sigma", "singular_floor", "n_states", "stick_prob",
         "kind", "value", "parameter", "observation_dimension", "nan_step_sigma",
         "inf_beta", "empty_box", "float_n", "word_n", "word_obs_scale", "int_kind",
-        "overflow_upper", "negative_seed"])
+        "overflow_upper", "overflow_box", "overflow_lambda_sup", "overflow_alpha",
+        "negative_seed"])
 def test_registry_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
