@@ -25,7 +25,7 @@ from .errors import (BudgetExceededError, DegenerateUpdateError, DomainError,
                      ModelDefinitionError)
 from .likelihood import QuadFormWorkspace, log_lambda_hat_at_points
 from .model import SystemSpec
-from .quantize import QuantizedChain
+from .quantize import _FFT_SLICE, QuantizedChain
 from .registry import FiniteStateKernel
 
 __all__ = [
@@ -97,7 +97,7 @@ def initial_filter_state(chain: QuantizedChain) -> FilterState:
 
 def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState,
                      y: np.ndarray, workspace: Optional[QuadFormWorkspace] = None,
-                     use_full_likelihood: bool = False) -> FilterState:
+                     use_full_likelihood: bool = False, *, first_row: int = 0) -> FilterState:
     """Advance the posterior by one observation, for one trajectory or a stack.
 
     ``y`` is (N,) or (B, N) and ``state.weights`` is (K,) or (B, K); the
@@ -118,7 +118,9 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     never writes into ``state.weights`` or ``chain.initial``.
     ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
     extra factor is constant across cells, so estimates are unchanged and
-    only ``log_norm`` moves.
+    only ``log_norm`` moves.  A row whose weights all vanish raises
+    ``DegenerateUpdateError`` naming t and the trajectory, counted from
+    ``first_row``: the place of ``y[0]`` in a caller's larger stack.
     """
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
@@ -153,7 +155,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
         b = int(np.flatnonzero(vanished)[0])
         ll_b = np.broadcast_to(ll, logw.shape).reshape(-1, logw.shape[-1])[b]
         raise DegenerateUpdateError(
-            f"all weights vanished at t={t} in trajectory b={b}; max "
+            f"all weights vanished at t={t} in trajectory b={first_row + b}; max "
             f"log-likelihood was {np.max(ll_b):.6g} over reachable cells")
     logw -= increment[..., None]
     weights = np.exp(logw, out=logw)
@@ -200,29 +202,50 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
                     use_full_likelihood: bool = False) -> FilterRunResult:
     """Fold the step over observations of shape (T+1, N) or (B, T+1, N).
 
-    A stack of B trajectories shares the chain and advances in one
-    ``chain.certified_predict`` call per step, which never reads a profile
-    chain's dense matrix; its estimates are (B, T+1, M), and its
-    log-normalizers and prediction certificates (B, T+1).  A certificate
-    above 1e-13 marks a step whose row was predicted by the direct sum.
-    Inputs are validated here, once, with ``DomainError``.
+    A stack of B trajectories shares the chain and is filtered in slices of
+    rows: at each step every slice makes one ``chain.certified_predict``
+    call, and the run writes into preallocated results and one (B, K) array
+    of weights that carries the stack from step to step.  A profile chain
+    takes at most 2^14 // L rows per slice, L its FFT length (4 at
+    K = 2048), so the FFT buffers stay small however large B is; it never
+    reads its dense matrix.  A matrix chain takes the whole stack in one
+    slice.  Each row goes through the same ufuncs in any slice, so it equals
+    its single run bit for bit, and a time-varying likelihood is still
+    built once per step.  The estimates are (B, T+1, M), the
+    log-normalizers and prediction certificates (B, T+1), and the final
+    state holds (B, K) weights.  A certificate above 1e-13 marks a step
+    whose row was predicted by the direct sum.  Inputs are validated here,
+    once, with ``DomainError``.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)
     *lead, steps, _ = observations.shape
     workspace = QuadFormWorkspace(spec, chain.grid.centers)
-    state = initial_filter_state(chain)
     estimates = np.empty((*lead, steps, chain.grid.space.dim))
     log_norms = np.empty((*lead, steps))
     predict_tau = np.empty((*lead, steps))
+    weights = np.empty((*lead, chain.grid.total_points))
+    slices = [slice(None)]
+    if lead:
+        rows = max(1, lead[0] if chain.profile is None else _FFT_SLICE // chain._spectrum[1])
+        slices = [slice(first, first + rows) for first in range(0, lead[0], rows)]
+    initial = initial_filter_state(chain)
     for t in range(steps):
-        state = grid_filter_step(chain, spec, state, observations[..., t, :],
-                                 workspace, use_full_likelihood)
-        estimates[..., t, :] = state.estimate
-        log_norms[..., t] = state.log_norm
-        predict_tau[..., t] = state.predict_tau
+        for s in slices:
+            prev = initial if t == 0 else FilterState(
+                t - 1, weights[s], estimates[s][..., t - 1, :], log_norms[s][..., t - 1])
+            state = grid_filter_step(chain, spec, prev, observations[s][..., t, :],
+                                     workspace, use_full_likelihood, first_row=s.start or 0)
+            weights[s] = state.weights
+            estimates[s][..., t, :] = state.estimate
+            log_norms[s][..., t] = state.log_norm
+            predict_tau[s][..., t] = state.predict_tau
+    final_state = FilterState(t=steps - 1, weights=weights,
+                              estimate=estimates[..., -1, :].copy(),
+                              log_norm=log_norms[..., -1].copy()[()],
+                              predict_tau=predict_tau[..., -1].copy()[()])
     return FilterRunResult(
-        estimates=estimates, log_norms=log_norms, final_state=state,
+        estimates=estimates, log_norms=log_norms, final_state=final_state,
         predict_tau=predict_tau)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._cholesky import cholesky_stack
 from .errors import DomainError, ModelDefinitionError
-from .model import SystemSpec
+from .model import _SLICE_ENTRIES, SystemSpec
 
 __all__ = [
     "QuadFormWorkspace",
@@ -81,19 +81,26 @@ class QuadFormWorkspace:
         self._cache: Optional[np.ndarray] = None
 
     def _compute(self, t: int) -> np.ndarray:
-        spec, pts = self.spec, self.points
-        means = spec.obs.mean(t, pts)
-        chol = cholesky_stack(spec.obs.total_cov(t, pts), t, pts)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        linv = np.linalg.inv(chol)
-        linv_t = np.swapaxes(linv, 1, 2)
-        prec = linv_t @ linv
-        w = (linv @ means[..., None])[..., 0]
-        q = (linv_t @ w[..., None])[..., 0]
-        i, j = self._upper
-        quad = np.where(i == j, -0.5, -1.0)[:, None] * prec[:, i, j].T
-        const = -0.5 * (np.sum(w * w, axis=1) + logdet)
-        return np.concatenate([quad, q.T, const[None]])
+        """A, built over slices of points whose (P, N, N) stacks hold at
+        most ``_SLICE_ENTRIES`` entries; a point's column does not depend
+        on its slice."""
+        spec, i, j = self.spec, *self._upper
+        coef = np.empty((len(i) + spec.obs.n + 1, len(self.points)))
+        step = max(1, _SLICE_ENTRIES // spec.obs.n**2)
+        for first in range(0, len(self.points), step):
+            pts, out = self.points[first:first + step], coef[:, first:first + step]
+            means = spec.obs.mean(t, pts)
+            chol = cholesky_stack(spec.obs.total_cov(t, pts), t, pts)
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+            linv = np.linalg.inv(chol)
+            linv_t = np.swapaxes(linv, 1, 2)
+            prec = linv_t @ linv
+            w = (linv @ means[..., None])[..., 0]
+            q = (linv_t @ w[..., None])[..., 0]
+            out[:len(i)] = np.where(i == j, -0.5, -1.0)[:, None] * prec[:, i, j].T
+            out[len(i):-1] = q.T
+            out[-1] = -0.5 * (np.sum(w * w, axis=1) + logdet)
+        return coef
 
     def coefficients(self, t: int) -> np.ndarray:
         """The (F, K) coefficient matrix A at step t."""

@@ -74,10 +74,15 @@ def _checked(a, shape: tuple, name: str, t: int) -> np.ndarray:
 # Most corners ``StateSpace.corners`` lists; a larger box gives lower and upper.
 _MAX_CORNERS = 4096
 
+# Most entries per slice when a chain's profile, its initial law or a
+# likelihood workspace is built a slice of cells or points at a time.
+_SLICE_ENTRIES = 1 << 12
+
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Axis-aligned closed box ``Z = [lower_1, upper_1] x ... x [lower_M, upper_M]``."""
+    """Axis-aligned closed box ``Z = [lower_1, upper_1] x ... x [lower_M, upper_M]``
+    with finite bounds, lower < upper and a finite width on every axis."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -91,6 +96,12 @@ class StateSpace:
             raise ModelDefinitionError("bounds must be finite")
         if not np.all(lo < hi):
             raise ModelDefinitionError("need lower < upper in every coordinate")
+        with np.errstate(over="ignore"):
+            wide = ~np.isfinite(hi - lo)
+        if np.any(wide):
+            d = int(np.argmax(wide))
+            raise ModelDefinitionError(f"the width of axis {d}, upper - lower, overflows "
+                                       f"with lower = {lo[d]:g} and upper = {hi[d]:g}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

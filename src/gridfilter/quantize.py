@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChainConstructionError, ConfigError, DomainError
-from .model import StateSpace, SystemSpec, _checked, _gl_panels, make_rng
+from .model import (_SLICE_ENTRIES, StateSpace, SystemSpec, _checked, _gl_panels,
+                    make_rng)
 
 __all__ = [
     "Grid",
@@ -120,12 +121,12 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
 
 # An FFT-predicted entry errs by at most delta = _FFT_C eps log2(L) ||profile||
 # ||u|| (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-# ch. 24); rows certified worse than _TAU_MAX are summed directly.  Rows go
-# through the FFT in slices of at most _FFT_SLICE transform entries, so the
-# FFT buffers stay small however many rows a step predicts.
+# ch. 24); rows certified worse than _TAU_MAX are summed directly.
+# ``run_grid_filter`` hands a profile chain at most _FFT_SLICE // L rows at a
+# time, so the FFT buffers stay small however many trajectories it filters.
 _FFT_C = 4.0
 _TAU_MAX = 1e-13
-_FFT_SLICE = 1 << 15
+_FFT_SLICE = 1 << 14
 
 
 class QuantizedChain:
@@ -218,58 +219,59 @@ class QuantizedChain:
         of this and of ``predict``.
 
         A profile chain predicts the rows by real FFTs of u = weights /
-        row_mass at length L = 2^ceil(log2(2K-1)), in slices of at most
-        2^15 transform entries, clamped at 0; each entry is within delta =
+        row_mass at length L = 2^ceil(log2(2K-1)), all rows in one
+        transform, clamped at 0; each entry is within delta =
         4 eps log2(max(L, 2)) ||profile|| ||u|| of the direct sum.  With a =
         exp(log_lik - max log_lik), tau = delta sum(a) / sum(max(predicted -
         delta, 0) a).  A row with tau above 1e-13 (or not finite) is
         recomputed by ``predict`` and equals it bit for bit.  A matrix chain
         returns the product and tau = 0.  Either way ``predicted`` is a new
-        array of the broadcast shape, which the caller may overwrite.
+        array of the broadcast shape, which the caller may overwrite.  The
+        FFT buffers hold every row given: ``run_grid_filter`` passes at most
+        2^14 // L rows, and a caller that passes a wider stack pays for
+        full-width transforms.
         """
         weights, log_lik = np.broadcast_arrays(self._checked(weights), log_lik)
         if self.profile is None:
             return weights @ self._matrix, np.zeros(weights.shape[:-1])[()]
         k = self.grid.total_points
         spectrum, n_fft, delta_per_norm = self._spectrum
-        predicted, tau = np.empty(weights.shape), np.empty(weights.shape[:-1])
+        predicted = np.empty(weights.shape)
         # 2-D views: the rows of a (K,) call are one row
         w, ll, p = (x.reshape(-1, k) for x in (weights, log_lik, predicted))
-        t = tau.reshape(-1)
-        step = max(1, _FFT_SLICE // n_fft)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for first in range(0, len(p), step):
-                s = slice(first, first + step)
-                u = w[s] / self.row_mass
-                f = np.fft.rfft(u, n_fft)
-                f *= spectrum
-                np.maximum(np.fft.irfft(f, n_fft)[:, k - 1:2 * k - 1], 0.0, out=p[s])
-                delta = delta_per_norm * np.linalg.norm(u, axis=-1, keepdims=True)
-                a = ll[s] - np.max(ll[s], axis=-1, keepdims=True)
-                np.exp(a, out=a)
-                margin = p[s] - delta
-                np.maximum(margin, 0.0, out=margin)
-                margin *= a
-                t[s] = delta[:, 0] * np.sum(a, axis=-1) / np.sum(margin, axis=-1)
-        refused = ~(t <= _TAU_MAX)
+            u = w / self.row_mass
+            f = np.fft.rfft(u, n_fft)
+            f *= spectrum
+            np.maximum(np.fft.irfft(f, n_fft)[:, k - 1:2 * k - 1], 0.0, out=p)
+            delta = delta_per_norm * np.linalg.norm(u, axis=-1, keepdims=True)
+            a = ll - np.max(ll, axis=-1, keepdims=True)
+            np.exp(a, out=a)
+            margin = p - delta
+            np.maximum(margin, 0.0, out=margin)
+            margin *= a
+            tau = delta[:, 0] * np.sum(a, axis=-1) / np.sum(margin, axis=-1)
+        refused = ~(tau <= _TAU_MAX)
         if np.any(refused):
             p[refused] = self.predict(w[refused])
-        return predicted, tau[()]
+        return predicted, tau.reshape(weights.shape[:-1])[()]
 
 
-def _gl_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8-node Gauss-Legendre nodes per axis over every cell: (nodes (n, M),
-    weights (n,), owning cell linear index (n,))."""
+def _gl_cells(grid: Grid, first: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes per axis over the cells whose index on the
+    first axis is in ``first``: (nodes (n, M), weights (n,), owning cell's
+    linear index counted from the first of them (n,)).  These cells are
+    contiguous in linear-index order, and so are their nodes."""
     per_dim = []
     for d in range(grid.space.dim):
-        nodes, weights = _gl_panels(grid.edges(d))
-        owner = np.repeat(np.arange(grid.a_per_dim[d]), 8)
-        per_dim.append((nodes, weights, owner))
+        cells = first if d == 0 else range(grid.a_per_dim[d])
+        nodes, weights = _gl_panels(grid.edges(d)[cells.start:cells.stop + 1])
+        per_dim.append((nodes, weights, np.repeat(np.arange(len(cells)), 8)))
     mesh_n, mesh_w, mesh_o = (np.meshgrid(*axes, indexing="ij") for axes in zip(*per_dim))
     nodes = np.stack([g.ravel() for g in mesh_n], axis=-1)
     weights = np.prod(np.stack([g.ravel() for g in mesh_w], axis=-1), axis=1)
     owner = np.ravel_multi_index(tuple(g.ravel() for g in mesh_o),
-                                 grid.a_per_dim, order="C")
+                                 (len(first), *grid.a_per_dim[1:]), order="C")
     return nodes, weights, owner
 
 
@@ -286,13 +288,16 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
     unknown method or one the kernel cannot serve ConfigError.
 
     A kernel declaring ``increment_cell_mass`` (1-D boxes only) has rows
-    that are one shifted step profile up to a per-row constant.  One call of
-    the hook on the 2K-1 offset cells [(d - 1/2) h, (d + 1/2) h],
-    d = -(K-1)..K-1, gives that profile, and the chain is the profile alone,
-    at O(K) memory: no K x K matrix is made unless an oracle reads
-    ``transition``.  Kernels without the hook take the row-by-row path, the
-    reference for the profile path; their chains, like monte_carlo ones, are
-    dense matrices.
+    that are one shifted step profile up to a per-row constant.  The hook on
+    the 2K-1 offset cells [(d - 1/2) h, (d + 1/2) h], d = -(K-1)..K-1, called
+    on at most 2^12 of them at a time, gives that profile, and the chain is
+    the profile alone, at O(K) memory: no K x K matrix is made unless an
+    oracle reads ``transition``.  Kernels without the hook take the
+    row-by-row path, the reference for the profile path; their chains, like
+    monte_carlo ones, are dense matrices.  The quadrature initial law is
+    weighed over slices of the first axis's cells with at most 2^12 nodes
+    (or over one of them, if it has more); each cell's mass is the same sum
+    as over all nodes at once.
     """
     k = grid.total_points
     centers = grid.centers
@@ -301,11 +306,11 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
         for name in ("density", "initial_density"):
             if getattr(spec.kernel, name) is None:
                 raise ConfigError(f"build method 'quadrature' needs the kernel's {name}")
-        nodes, weights, owner = _gl_cells(grid)
 
-        def cell_mass(dens, name, t):
-            dens = _checked(dens, (len(nodes),), name, t)
-            return np.bincount(owner, weights=dens * weights, minlength=k)
+        def cell_mass(cells, density, name, t):
+            nodes, weights, owner = cells
+            dens = _checked(density(nodes), (len(nodes),), name, t)
+            return np.bincount(owner, weights=dens * weights)
 
         hook = spec.kernel.increment_cell_mass
         if hook is not None:
@@ -314,14 +319,24 @@ def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
                     f"increment_cell_mass needs a 1-D box, the state box has "
                     f"M={grid.space.dim} axes")
             # profile[d + k - 1] is the mass d cells from the source
-            d, h = np.arange(1 - k, k), grid.widths[0]
-            operator = _checked(hook((d - 0.5) * h, (d + 0.5) * h), (2 * k - 1,),
-                                "increment_cell_mass", 1)
+            operator, h = np.empty(2 * k - 1), grid.widths[0]
+            for s in range(0, 2 * k - 1, _SLICE_ENTRIES):
+                d = np.arange(s, min(s + _SLICE_ENTRIES, 2 * k - 1)) + 1 - k
+                operator[s:s + len(d)] = _checked(hook((d - 0.5) * h, (d + 0.5) * h),
+                                                  d.shape, "increment_cell_mass", 1)
         else:
+            cells = _gl_cells(grid, range(grid.a_per_dim[0]))
             operator = np.empty((k, k))
             for row, x_prev in enumerate(centers):
-                operator[row] = cell_mass(spec.kernel.density(1, x_prev, nodes), "density", 1)
-        initial = cell_mass(spec.kernel.initial_density(nodes), "initial_density", 0)
+                operator[row] = cell_mass(cells, partial(spec.kernel.density, 1, x_prev),
+                                          "density", 1)
+        # the initial law, over slices of the first axis's cells
+        a0 = grid.a_per_dim[0]
+        step = max(1, _SLICE_ENTRIES // (k // a0 * 8**grid.space.dim))
+        initial = np.concatenate([
+            cell_mass(_gl_cells(grid, range(i, min(i + step, a0))),
+                      spec.kernel.initial_density, "initial_density", 0)
+            for i in range(0, a0, step)])
         label = "quadrature"
     elif method == "monte_carlo":
         m = grid.space.dim

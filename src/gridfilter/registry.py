@@ -84,7 +84,12 @@ class FiniteStateKernel(TransitionKernel):
 
 
 def _interval_space(lower: float, upper: float) -> StateSpace:
-    return StateSpace(lower=np.array([float(lower)]), upper=np.array([float(upper)]))
+    """The box [lower, upper]; one that ``StateSpace`` refuses is refused
+    naming the ``[model]`` keys."""
+    try:
+        return StateSpace(lower=np.array([float(lower)]), upper=np.array([float(upper)]))
+    except ModelDefinitionError as exc:
+        raise ConfigError(f"[model] lower = {lower:g} and upper = {upper:g}: {exc}") from None
 
 
 def _abs_extremes(lower: float, upper: float) -> tuple[float, float]:

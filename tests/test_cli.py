@@ -456,6 +456,19 @@ def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["finite_chain", "gauss_walk"])
+def test_a_box_whose_width_overflows_is_a_usage_error(workdir, capsys, model):
+    tmp, cfg = workdir
+    text = (tmp / "run.ini").read_text()
+    (tmp / "run.ini").write_text(text.replace(
+        "id = gauss_walk", f"id = {model}\nlower = -1e308\nupper = 1e308"))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert ("config error: [model] lower = -1e+308 and upper = 1e+308: the width of "
+            "axis 0, upper - lower, overflows") in capsys.readouterr().err
+    assert not list(tmp.glob("out/*.csv"))
+
+
 def test_config_render_parse_identity():
     cfg = gf.RunConfig(model_id="gauss_walk",
                        model_params={"n": 3, "beta": 0.4, "lower": 0.0},

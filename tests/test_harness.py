@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +177,23 @@ def test_sweep_steps_its_trajectories_as_one_batch(audited):
     curve = gf.convergence_sweep(spec, 6, (4, 8), 24, 1.0, seed=3, a_ref=64)
     assert batches == [(t, 24) for t in range(1, 7)]
     assert curve.n_total == 24
+
+
+def test_sweep_peak_memory_on_the_demo_parameters():
+    # demo.ini's converge: a = 8..256 on 24 trajectories against a = 2048,
+    # and the a = 4096 gap check.  Measured 1.30 MiB (numpy 2.4, x86-64);
+    # 2.43 MiB when the reference run stepped all 24 rows at once and each
+    # chain weighed its initial law's quadrature nodes in one pass.
+    cfg = gf.load_config(str(Path(__file__).resolve().parent.parent
+                             / "demos" / "configs" / "demo.ini"))
+    spec = gf.audit_derived_constants(gf.build_model(cfg.model_id, **cfg.model_params),
+                                      n_pairs=cfg.n_pairs, seed=cfg.seed)
+    tracemalloc.start()
+    try:
+        curve = gf.convergence_sweep(spec, cfg.horizon, cfg.resolutions, cfg.n_traj,
+                                     cfg.c_const, seed=cfg.seed, a_ref=cfg.a_ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.reference_converged
+    assert peak < 1.6 * 2**20

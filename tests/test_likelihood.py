@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridfilter as gf
+from gridfilter import likelihood
 
 
 def make_spec(n, mean_fn, cov_fn, sigma_xi_sq=1.0, lam=(1.5, 4.0)):
@@ -279,3 +280,19 @@ def test_stacked_observations_match_one_at_a_time():
     # a length-1 observation must not broadcast across N components
     with pytest.raises(gf.DomainError, match="N=2"):
         gf.log_lambda_hat_at_points(spec, 0, grid.centers, np.array([0.5]))
+
+
+@pytest.mark.parametrize("model", ["gauss_walk", "time_varying"])
+def test_sliced_workspace_equals_the_unsliced_build(monkeypatch, model):
+    # K = 2048 points go through in slices of 4096 // N^2 points: 2 slices
+    # of the stationary N = 2 model, 5 of the time-varying N = 3 one
+    spec = gf.build_model("gauss_walk") if model == "gauss_walk" \
+        else time_varying_full_covariance(3)
+    points = gf.Grid(spec.space, 2048).centers
+    assert likelihood._SLICE_ENTRIES // spec.obs.n**2 < len(points)
+    workspace = gf.QuadFormWorkspace(spec, points)
+    sliced = [workspace.coefficients(t).copy() for t in range(3)]
+    monkeypatch.setattr(likelihood, "_SLICE_ENTRIES", 1 << 40)
+    whole = gf.QuadFormWorkspace(spec, points)
+    for t in range(3):
+        assert np.array_equal(whole.coefficients(t), sliced[t])

@@ -376,6 +376,17 @@ def test_model_refusals(make, message):
         make()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_box_whose_width_overflows_is_refused_without_a_warning():
+    # each bound is finite, their difference is not
+    with pytest.raises(gf.ModelDefinitionError, match=re.escape(
+            "the width of axis 1, upper - lower, overflows with lower = -1e+308 "
+            "and upper = 1e+308")):
+        gf.StateSpace(lower=np.array([0.0, -1e308]), upper=np.array([1.0, 1e308]))
+    widest = gf.StateSpace(lower=np.array([-8e307]), upper=np.array([8e307]))
+    assert np.all(np.isfinite(gf.Grid(widest, 4).centers))
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: gf.simulate(gf.build_model("gauss_walk"), -1, seed=0), "horizon must be >= 0"),
     (lambda: gf.verify_assumptions(gf.build_model("gauss_walk"), n_probe=1, seed=0),

@@ -76,12 +76,15 @@ def finite_kernel(states=np.zeros((2, 1)), matrix=np.eye(2), initial=(0.5, 0.5))
      re.escape("the declared mu_sup, k_mu overflow with lower = 0 and upper = 10")),
     (lambda: gf.build_model("finite_chain", kind="random", seed=-1), gf.ConfigError,
      re.escape("[model] seed must be >= 0")),
+    (lambda: gf.build_model("finite_chain", lower=-1e308, upper=1e308), gf.ConfigError,
+     re.escape("[model] lower = -1e+308 and upper = 1e+308: the width of axis 0, "
+               "upper - lower, overflows")),
 ], ids=["states_ndim", "shapes", "row_stochastic", "initial_law", "nan_matrix",
         "nan_initial_law", "step_sigma", "singular_floor", "n_states", "stick_prob",
         "kind", "value", "parameter", "observation_dimension", "nan_step_sigma",
         "inf_beta", "empty_box", "float_n", "word_n", "word_obs_scale", "int_kind",
         "overflow_upper", "overflow_box", "overflow_lambda_sup", "overflow_alpha",
-        "negative_seed"])
+        "negative_seed", "overflow_width"])
 def test_registry_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()
