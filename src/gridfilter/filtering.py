@@ -1,4 +1,4 @@
-"""Grid filter recursion, brute-force path-sum oracle, and exact finite-state filter.
+"""Grid filter recursion and brute-force path-sum oracle.
 
 The grid filter tracks a weight per cell center.  Each step propagates the
 weights through the quantized chain, multiplies in the reduced likelihood
@@ -8,10 +8,8 @@ increments accumulate into ``log_norm``, the log of the un-normalized
 conditional mass.
 
 ``path_sum_oracle`` computes the same ratio by enumerating every chain path
-and is the ground truth the recursion is tested against.
-``exact_forward_filter`` is the classical scaled forward algorithm for models
-whose dynamics really are a finite-state chain; it deliberately runs in
-scaled linear domain so the two implementations share no recursion code.
+and is the ground truth the recursion is tested against; a model's exact
+filter, where it has one, is its ``SystemSpec.optimal_filter``.
 """
 
 from __future__ import annotations
@@ -21,12 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BudgetExceededError, DegenerateUpdateError, DomainError,
-                     ModelDefinitionError)
+from .errors import BudgetExceededError, DegenerateUpdateError, DomainError
 from .likelihood import QuadFormWorkspace, log_lambda_hat_at_points
 from .model import SystemSpec
 from .quantize import _FFT_SLICE, QuantizedChain
-from .registry import FiniteStateKernel
 
 __all__ = [
     "FilterState",
@@ -35,11 +31,13 @@ __all__ = [
     "grid_filter_step",
     "run_grid_filter",
     "path_sum_oracle",
-    "exact_forward_filter",
 ]
 
 _ORACLE_MAX_T = 6
 _ORACLE_MAX_PATHS = 10**6
+# Largest observation entry accepted: sqrt(float max), ~1.34e154.  Past it the
+# products y_i y_j of the likelihood's features overflow.
+_Y_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass
@@ -110,8 +108,8 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     ``DomainError``, and so do a ``y`` of rank above 2, stacks of weights
     and of ``y`` of different sizes, neither 1 (naming both and t), and the
     inputs ``run_grid_filter`` refuses: a ``y`` whose last axis is not N or
-    that is not finite (naming t, and b in a stack) and a chain on another
-    box.
+    that is not finite or above ``_Y_MAX`` (naming t, and b in a stack) and a
+    chain on another box.
     The estimate is an einsum, not a BLAS product, so each row of a stack
     equals its single run bit for bit.  The log, the likelihood sum and the
     exp run in place in the predicted array, which the step allocated: it
@@ -133,9 +131,10 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
             and 1 not in (len(y), len(state.weights))):
         raise DomainError(f"the state holds a stack of {len(state.weights)} trajectories "
                           f"and y one of {len(y)} at t={t}")
-    # three cheap tests per step; the full check only runs when one fails
+    # three cheap tests per step (the last one fails on NaN too); the full
+    # check only runs when one fails
     if (chain.grid.space is not spec.space or y.shape[-1:] != (spec.obs.n,)
-            or not np.isfinite(y).all()):
+            or not (np.abs(y) <= _Y_MAX).all()):
         _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
@@ -171,8 +170,8 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                   observations: np.ndarray, t0: int = 0) -> None:
     """Reject a chain on another box (where there is a chain) and malformed,
-    empty (T+1 = 0) or non-finite observations, the first of which is at
-    time ``t0``."""
+    empty (T+1 = 0), non-finite or overflowing (above ``_Y_MAX`` in
+    magnitude) observations, the first of which is at time ``t0``."""
     box = spec.space
     chain_box = box if chain is None else chain.grid.space
     if not (np.array_equal(box.lower, chain_box.lower)
@@ -191,11 +190,12 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
             f"observation at t={t0} in trajectory b=0 has {observations.shape[-1]} "
             f"components, the model expects N={spec.obs.n}")
     stack = observations if observations.ndim == 3 else observations[None]
-    bad = np.argwhere(~np.all(np.isfinite(stack), axis=-1))
+    bad = np.argwhere(~np.all(np.abs(stack) <= _Y_MAX, axis=-1))
     if bad.size:
         b, t = bad[0]
-        raise DomainError(
-            f"non-finite observation at t={t0 + t} in trajectory b={b}: {stack[b, t]}")
+        what = ("non-finite observation" if not np.isfinite(stack[b, t]).all() else
+                f"observation above {_Y_MAX:.3g} in magnitude, whose square overflows,")
+        raise DomainError(f"{what} at t={t0 + t} in trajectory b={b}: {stack[b, t]}")
 
 
 def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
@@ -293,39 +293,4 @@ def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
             raise DegenerateUpdateError(f"all path weights vanished at t={t}")
         w = np.exp(log_path - shift)
         estimates[t] = (w @ centers[last]) / np.sum(w)
-    return estimates
-
-
-def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarray:
-    """Optimal filter for dynamics that are exactly a finite-state chain.
-
-    Classical forward algorithm with per-step scaling, run in linear domain,
-    over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
-    must expose states, transition matrix and initial law.  Observations
-    are refused as in ``run_grid_filter``.
-    """
-    kernel = spec.kernel
-    if not isinstance(kernel, FiniteStateKernel):
-        raise ModelDefinitionError(
-            "exact filtering needs dynamics supported on finitely many known "
-            "states with a known transition matrix")
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    _check_inputs(spec, None, observations)
-    *lead, steps, _ = observations.shape
-    states = kernel.states
-    workspace = QuadFormWorkspace(spec, states)
-    alpha = kernel.initial_probs.copy()
-    estimates = np.empty((*lead, steps, states.shape[1]))
-    for t in range(steps):
-        if t > 0:
-            alpha = alpha @ kernel.transition_matrix
-        ll = log_lambda_hat_at_points(spec, t, states, observations[..., t, :],
-                                      workspace)
-        emission = np.exp(ll - np.max(ll, axis=-1, keepdims=True))
-        alpha = alpha * emission
-        total = alpha.sum(axis=-1, keepdims=True)
-        if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
-            raise DegenerateUpdateError(f"forward weights vanished at t={t}")
-        alpha = alpha / total
-        estimates[..., t, :] = alpha @ states
     return estimates

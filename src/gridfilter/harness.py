@@ -3,10 +3,11 @@
 The sweep simulates trajectories, drops the ones outside the tame observation
 set, filters each kept trajectory at every requested resolution, and measures
 the per-trajectory worst-over-time l1 gap to a reference filter.  The
-reference is exact when the dynamics are a finite-state chain; otherwise it
-is a surrogate grid filter at a much finer resolution, cross-checked against
-a twice-finer run (the self-consistency gap must stay below a tenth of the
-smallest measured error, else the curve is flagged unconverged).
+reference is exact when the model supplies its optimal filter
+(``SystemSpec.optimal_filter``); otherwise it is a surrogate grid filter at
+a much finer resolution, cross-checked against a twice-finer run (the
+self-consistency gap must stay below a tenth of the smallest measured error,
+else the curve is flagged unconverged).
 
 The analytic budget assembled alongside has three ingredients: a growth
 constant for the likelihood-product error (two printed variants, one growing
@@ -22,17 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .concentration import (_binomial_std_err, gamma_data, membership_bound,
                             omega_hat_membership, tame_threshold)
 from .errors import ConfigError, GridFilterError
-from .filtering import exact_forward_filter, run_grid_filter
+from .filtering import run_grid_filter
 from .model import SystemSpec, _simulate
 from .quantize import Grid, QuantizedChain, build_chain, quantize_points
-from .registry import FiniteStateKernel
 
 __all__ = [
     "KGReport",
@@ -119,17 +119,6 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
         bound_log=bound_log)
 
 
-def _reference(spec: SystemSpec, observations: np.ndarray, a_ref: Optional[int],
-               chain_at: Callable[[int], QuantizedChain]) -> tuple[np.ndarray, str]:
-    """Reference estimates for observations (T+1, N) or (B, T+1, N) and their
-    label: the exact filter when ``a_ref`` is None (finite-state dynamics),
-    else a grid filter on ``chain_at(a_ref)``."""
-    if a_ref is None:
-        return exact_forward_filter(spec, observations), "exact"
-    estimates = run_grid_filter(spec, chain_at(a_ref), observations).estimates
-    return estimates, f"surrogate(a={a_ref})"
-
-
 @dataclass
 class ConvergenceCurve:
     """Measured filter error per resolution, with rejection accounting;
@@ -188,16 +177,18 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
                       n_samples: int = 100_000) -> ConvergenceCurve:
     """Filter-error curve across resolutions against the reference filter.
 
-    ``a_ref`` defaults to 8x the largest resolution; a smaller surrogate
-    raises ConfigError before any work.  The kept trajectories are filtered
-    as one stack per chain.
+    The reference is ``spec.optimal_filter`` where the model supplies one,
+    and ``a_ref`` is then ignored.  Otherwise it is a grid filter at
+    ``a_ref``, which defaults to 8x the largest resolution; a smaller
+    surrogate raises ConfigError before any work.  The kept trajectories are
+    filtered as one stack per chain.
     """
     resolutions = tuple(int(a) for a in resolutions)
     if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing and nonempty")
     if n_traj < 1:
         raise ConfigError("need n_traj >= 1")
-    if isinstance(spec.kernel, FiniteStateKernel):
+    if spec.optimal_filter is not None:
         a_ref = None
     else:
         a_ref = 8 * resolutions[-1] if a_ref is None else int(a_ref)
@@ -215,7 +206,11 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
     if not np.any(kept):
         raise GridFilterError("every sampled trajectory fell outside the tame set")
     states, observations = states[kept], observations[kept]
-    references, label = _reference(spec, observations, a_ref, chain_at)
+    if a_ref is None:
+        references, label = spec.optimal_filter(spec, observations), "exact"
+    else:
+        references = run_grid_filter(spec, chain_at(a_ref), observations).estimates
+        label = f"surrogate(a={a_ref})"
 
     mean_errors = np.empty(len(resolutions))
     max_errors = np.empty(len(resolutions))

@@ -242,13 +242,16 @@ class AssumptionConstants:
 
 @dataclass
 class SystemSpec:
-    """Bundle of state space, dynamics, observation channel and declared constants."""
+    """Bundle of state space, dynamics, observation channel, declared constants
+    and, where the model has one, its exact filter ``optimal_filter(spec,
+    observations)``: observations (T+1, N) or (B, T+1, N) to estimates."""
 
     space: StateSpace
     kernel: TransitionKernel
     obs: ObservationModel
     constants: AssumptionConstants
     model_id: str = "custom"
+    optimal_filter: Optional[Callable[["SystemSpec", np.ndarray], np.ndarray]] = None
 
 
 # Panel counts of the mass quadrature in ``_check_density_mass``: the first

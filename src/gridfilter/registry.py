@@ -3,7 +3,7 @@
 Three families cover the test surface:
 
 * ``finite_chain``: the state really is a finite Markov chain sitting on the
-  cell centers of a uniform grid, so the optimal filter is computable exactly.
+  cell centers of a uniform grid; its optimal filter is ``exact_forward_filter``.
 * ``gauss_walk``: truncated Gaussian random walk on an interval, linear
   observation mean alpha*x in every coordinate, state-dependent covariance
   (beta + x^2) I.  The canonical continuous-state example.
@@ -26,13 +26,16 @@ import numbers
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from .errors import ConfigError, ModelDefinitionError
+from .errors import ConfigError, DegenerateUpdateError, ModelDefinitionError
+from .filtering import _check_inputs
+from .likelihood import QuadFormWorkspace, log_lambda_hat_at_points
 from .model import (AssumptionConstants, ObservationModel, StateSpace,
                     SystemSpec, TransitionKernel, make_rng)
 from .quantize import Grid
 
 __all__ = [
     "FiniteStateKernel",
+    "exact_forward_filter",
     "gauss_walk_demo",
     "finite_chain_demo",
     "constant_demo",
@@ -81,6 +84,44 @@ class FiniteStateKernel(TransitionKernel):
 
     def _sample_initial(self, rng: np.random.Generator, size: int):
         return self._draw(np.broadcast_to(self._init_cdf, (int(size), len(self.states))), rng)
+
+
+def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarray:
+    """Optimal filter for dynamics that are exactly a finite-state chain.
+
+    Classical forward algorithm with per-step scaling, run in linear domain,
+    over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
+    must expose states, transition matrix and initial law.  Observations
+    are refused as in ``run_grid_filter``; weights that all vanish raise
+    ``DegenerateUpdateError`` naming t and the trajectory b.
+    """
+    kernel = spec.kernel
+    if not isinstance(kernel, FiniteStateKernel):
+        raise ModelDefinitionError(
+            "exact filtering needs dynamics supported on finitely many known "
+            "states with a known transition matrix")
+    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    _check_inputs(spec, None, observations)
+    *lead, steps, _ = observations.shape
+    states = kernel.states
+    workspace = QuadFormWorkspace(spec, states)
+    alpha = kernel.initial_probs.copy()
+    estimates = np.empty((*lead, steps, states.shape[1]))
+    for t in range(steps):
+        if t > 0:
+            alpha = alpha @ kernel.transition_matrix
+        ll = log_lambda_hat_at_points(spec, t, states, observations[..., t, :],
+                                      workspace)
+        emission = np.exp(ll - np.max(ll, axis=-1, keepdims=True))
+        alpha = alpha * emission
+        total = alpha.sum(axis=-1, keepdims=True)
+        vanished = ~(np.isfinite(total) & (total > 0.0))
+        if np.any(vanished):
+            raise DegenerateUpdateError(f"forward weights vanished at t={t} in trajectory "
+                                        f"b={int(np.flatnonzero(vanished)[0])}")
+        alpha = alpha / total
+        estimates[..., t, :] = alpha @ states
+    return estimates
 
 
 def _interval_space(lower: float, upper: float) -> StateSpace:
@@ -228,9 +269,11 @@ def finite_chain_demo(n_states: int = 8, n: int = 1, alpha: float = 1.0,
         raise ConfigError(f"unknown chain kind {kind!r}")
     pi = np.full(k, 1.0 / k)
     kernel = FiniteStateKernel(states=states, transition_matrix=p, initial_probs=pi)
-    return _linear_system("finite_chain", space, kernel, _abs_extremes(lower, upper)[1],
+    spec = _linear_system("finite_chain", space, kernel, _abs_extremes(lower, upper)[1],
                           n, alpha, lambda x1: np.full(x1.shape, float(beta)),
                           (beta, beta), 0.0, sigma_xi_sq, obs_scale, k_det=0.0, k_inv=0.0)
+    spec.optimal_filter = exact_forward_filter
+    return spec
 
 
 def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,

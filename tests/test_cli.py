@@ -162,18 +162,32 @@ def test_corrupt_trajectory_row_is_usage_error(workdir, capsys):
     assert "row 3" in err
 
 
-def test_non_finite_trajectory_value_is_usage_error(workdir, capsys):
+def filter_with_y0_at_t3(workdir, value):
+    """``filter``'s exit status on the simulated trajectory with y0 at t=3
+    replaced by ``value``."""
     tmp, cfg = workdir
     main(["simulate", "--config", cfg])
     path = tmp / "out" / "trajectory_seed2.csv"
     lines = path.read_text().splitlines()
     row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
     t, x0, _, y1 = lines[row].split(",")
-    lines[row] = ",".join([t, x0, "nan", y1])
+    lines[row] = ",".join([t, x0, value, y1])
     path.write_text("\n".join(lines) + "\n")
-    assert main(["filter", "--config", cfg]) == 2
+    return main(["filter", "--config", cfg])
+
+
+def test_non_finite_trajectory_value_is_usage_error(workdir, capsys):
+    assert filter_with_y0_at_t3(workdir, "nan") == 2
     assert "input error: non-finite observation at t=3" in capsys.readouterr().err
-    assert not list((tmp / "out").glob("estimates_*.csv"))
+    assert not list((workdir[0] / "out").glob("estimates_*.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_trajectory_value_whose_square_overflows_is_usage_error(workdir, capsys):
+    assert filter_with_y0_at_t3(workdir, "1e200") == 2
+    assert ("input error: observation above 1.34e+154 in magnitude, whose square "
+            "overflows, at t=3 in trajectory b=0") in capsys.readouterr().err
+    assert not list((workdir[0] / "out").glob("estimates_*.csv"))
 
 
 @pytest.mark.parametrize("keep, message", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfilter as gf
+from gridfilter import filtering
 from gridfilter.filtering import _logsumexp
 from gridfilter.quantize import _FFT_SLICE
 
@@ -560,13 +561,16 @@ def test_run_equals_the_step_folded_over_the_whole_stack(dense):
     assert run.final_state.t == state.t == 12
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_a_vanished_row_is_named_by_its_place_in_the_whole_stack(k2048):
     spec, chain, _ = k2048
     _, obs = gf.simulate_batch(spec, 6, 9, seed=0)
-    obs[5, 3] = 1e200  # its square overflows: row 1 of the second slice
-    with pytest.raises(gf.DegenerateUpdateError, match=r"t=3 in trajectory b=5;"):
+    # at obs_scale 0.05 the quadratic form overflows to -inf at every cell
+    # for an entry of 1e153, below the 1.34e154 the run refuses; row 1 of
+    # the second slice
+    spec = dataclasses.replace(spec, obs=dataclasses.replace(spec.obs, obs_scale=0.05))
+    obs[5, 3] = 1e153
+    with np.errstate(over="ignore"), pytest.raises(
+            gf.DegenerateUpdateError, match=r"t=3 in trajectory b=5; max log-likelihood was -inf"):
         gf.run_grid_filter(spec, chain, obs)
 
 
@@ -617,6 +621,19 @@ def test_step_writes_into_no_array_of_its_caller(dense):
         assert not np.shares_memory(after.weights, weights)
 
 
+# The largest observation entry the filters take, sqrt(float max), and how
+# they refuse one above it.
+Y_MAX = 1.3407807929942596e154
+OVERFLOW = re.escape("observation above 1.34e+154 in magnitude, whose square overflows, ")
+
+
+def test_the_largest_accepted_entry_squares_without_overflow():
+    assert filtering._Y_MAX == Y_MAX == np.sqrt(np.finfo(float).max)
+    assert np.isfinite(Y_MAX * Y_MAX)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.nextafter(Y_MAX, np.inf) ** 2)
+
+
 def with_observation(t, value, steps=4, n=1):
     obs = np.zeros((steps, n))
     obs[t, 0] = value
@@ -638,7 +655,9 @@ def oracle_on_unit_interval(obs, lower=0.0, upper=1.0):
 
 
 def oracle_stuck_at_first_cell(obs):
-    spec = interval_spec(n=1)
+    """The oracle on a chain that never leaves its first cell, at obs_scale
+    0.01, where an entry of 1e153 overflows the quadratic form to -inf."""
+    spec = gf.build_model("gauss_walk", lower=0.5, upper=2.5, n=1, obs_scale=0.01)
     chain = gf.QuantizedChain(gf.Grid(spec.space, 2), np.eye(2), [1.0, 0.0],
                               build_method="injected")
 
@@ -680,11 +699,25 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0, weights=np.full(4, 0.25
         gf.FilterState(t=-2, weights=np.full(2, 0.5), estimate=np.zeros(1), log_norm=0.0),
         np.zeros(2)),
      ValueError, r"state.t must be >= -1"),
-    (oracle_stuck_at_first_cell(with_observation(1, 1e155)), gf.DegenerateUpdateError,
+    (oracle_stuck_at_first_cell(with_observation(1, 1e153)), gf.DegenerateUpdateError,
      "all path weights vanished at t=1"),
     (lambda: gf.exact_forward_filter(finite_chain_stuck_at_first_state(),
                                      with_observation(1, 1e4)),
-     gf.DegenerateUpdateError, "forward weights vanished at t=1"),
+     gf.DegenerateUpdateError, "forward weights vanished at t=1 in trajectory b=0"),
+    (lambda: gf.exact_forward_filter(finite_chain_stuck_at_first_state(),
+                                     np.stack([np.zeros((4, 1)), with_observation(2, 1e4)])),
+     gf.DegenerateUpdateError, "forward weights vanished at t=2 in trajectory b=1"),
+    (lambda: gf.run_grid_filter(interval_spec(), gf.build_chain(
+        interval_spec(), gf.Grid(interval_spec().space, 4)), np.stack(
+            [np.zeros((4, 2)), with_observation(2, 1e200, n=2)])),
+     gf.DomainError, OVERFLOW + r"at t=2 in trajectory b=1: \[1.e\+200 0.e\+000\]"),
+    (oracle_on_unit_interval(with_observation(3, -1e200)), gf.DomainError,
+     OVERFLOW + "at t=3 in trajectory b=0"),
+    (lambda: gf.exact_forward_filter(gf.build_model("finite_chain"),
+                                     np.stack([np.zeros((4, 1)), with_observation(1, 1e200)])),
+     gf.DomainError, OVERFLOW + "at t=1 in trajectory b=1"),
+    (step_to_t1_on_unit_interval([[0.0, 0.0], [0.0, np.nextafter(Y_MAX, np.inf)]]),
+     gf.DomainError, OVERFLOW + "at t=1 in trajectory b=1"),
     (step_to_t1_on_unit_interval([np.nan, 0.0]), gf.DomainError,
      r"non-finite observation at t=1 in trajectory b=0: \[nan  0.\]"),
     (step_to_t1_on_unit_interval([np.inf, 0.0]), gf.DomainError,
@@ -701,8 +734,11 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0, weights=np.full(4, 0.25
      gf.DomainError, r"the state holds a stack of 3 trajectories and y one of 4 at t=1"),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
-        "exact_weights_vanish", "step_nan", "step_inf", "step_stack_inf", "step_other_box",
-        "step_rank3", "step_components", "step_stack_sizes"])
+        "exact_weights_vanish", "exact_stack_weights_vanish", "run_overflow",
+        "oracle_overflow", "exact_overflow", "step_overflow", "step_nan", "step_inf",
+        "step_stack_inf", "step_other_box", "step_rank3", "step_components",
+        "step_stack_sizes"])
+@pytest.mark.filterwarnings("error")
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -9,7 +9,6 @@ import pytest
 
 import gridfilter as gf
 from gridfilter import harness
-from gridfilter.harness import _reference
 
 
 @pytest.fixture(scope="module")
@@ -68,26 +67,50 @@ def test_kg_measured_errors_track_half_cell(audited):
         assert 0.0 < m <= hc + 1e-12
 
 
-def chain_at_for(spec):
-    return lambda a: gf.build_chain(spec, gf.Grid(spec.space, a), "quadrature")
+def finite_sweep(spec, **kwargs):
+    return gf.convergence_sweep(spec, 5, (2, 4), 3, 1.0, build_method="monte_carlo",
+                                n_samples=2_000, **kwargs)
 
 
 def test_reference_filter_delegates_to_exact():
     fspec = gf.build_model("finite_chain", n_states=4)
-    traj = gf.simulate(fspec, 5, seed=0)
-    est, label = _reference(fspec, traj.observations, None, chain_at_for(fspec))
-    assert label == "exact"
-    assert np.allclose(est, gf.exact_forward_filter(fspec, traj.observations))
+    assert fspec.optimal_filter is gf.exact_forward_filter
+    # the audit copies the spec with dataclasses.replace, which keeps the filter
+    audited_finite = gf.audit_derived_constants(fspec, n_pairs=50, seed=0)
+    assert audited_finite.optimal_filter is gf.exact_forward_filter
+    calls = []
+
+    def spy(spec, observations):
+        calls.append(observations.shape)
+        return gf.exact_forward_filter(spec, observations)
+
+    curve = finite_sweep(dataclasses.replace(audited_finite, optimal_filter=spy))
+    assert (curve.reference_label, curve.a_ref, curve.reference_gap) == ("exact", None, None)
+    assert calls == [(curve.n_kept, 6, 1)]
+    assert np.array_equal(curve.mean_sup_errors, finite_sweep(fspec).mean_sup_errors)
 
 
 def test_reference_filter_enforces_resolution_margin(audited):
     with pytest.raises(gf.ConfigError, match=re.escape(
             "surrogate resolution 64 is below 8x the largest experimental resolution 16")):
         gf.convergence_sweep(audited, 3, (8, 16), 2, 1.0, a_ref=64)
-    traj = gf.simulate(audited, 3, seed=0)
-    est, label = _reference(audited, traj.observations, 128, chain_at_for(audited))
-    assert label == "surrogate(a=128)"
-    assert est.shape == (4, 1)
+    curve = gf.convergence_sweep(audited, 3, (8, 16), 2, 1.0, a_ref=128)
+    assert (curve.reference_label, curve.a_ref) == ("surrogate(a=128)", 128)
+    assert curve.reference_gap is not None
+
+
+def test_a_hand_built_finite_chain_spec_without_a_filter_takes_the_surrogate():
+    # the reference is exact only where the spec supplies its filter: a
+    # FiniteStateKernel alone does not make it so
+    fspec = gf.build_model("finite_chain", n_states=4)
+    hand_built = gf.SystemSpec(space=fspec.space, kernel=fspec.kernel, obs=fspec.obs,
+                               constants=fspec.constants)
+    assert hand_built.optimal_filter is None
+    with pytest.raises(gf.ConfigError, match="surrogate resolution 1 is below 8x"):
+        finite_sweep(hand_built, a_ref=1)
+    curve = finite_sweep(hand_built)
+    assert (curve.reference_label, curve.a_ref) == ("surrogate(a=32)", 32)
+    assert curve.reference_converged is not None
 
 
 def test_sweep_refuses_a_small_surrogate_before_any_work(monkeypatch, audited):

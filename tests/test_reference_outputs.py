@@ -1,12 +1,16 @@
 """The benchmark's reference outputs, checked in-process.
 
-``converge`` on demos/configs/demo.ini, and ``simulate`` then ``filter`` on
-perfbench/configs/filter_long.ini, write CSVs that match the copies under
-perfbench/reference (compared by the benchmark's own ``compare_csv``), and a
-rerun into a fresh directory writes the same bytes.
+``converge`` and ``verify`` on demos/configs/demo.ini, and ``simulate`` then
+``filter`` on perfbench/configs/filter_long.ini, write CSVs that match the
+copies under perfbench/reference (compared by the benchmark's own
+``compare_csv``), and a rerun into a fresh directory writes the same bytes.
+``converge`` on a finite chain measures against the exact filter and reruns
+byte-identically too, and a surrogate below 8x the largest resolution is
+refused before any CSV is written.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +38,8 @@ WORKLOADS = {
     "converge_demo": ("demos/configs/demo.ini", ("converge",), ("curve.csv", "kg.csv")),
     "filter_long": ("perfbench/configs/filter_long.ini", ("simulate", "filter"),
                     ("estimates_seed0_a2048.csv",)),
+    "verify_demo": ("demos/configs/demo.ini", ("verify",),
+                    ("bounds.csv", "chi2.csv", "concentration.csv")),
 }
 
 
@@ -49,3 +55,34 @@ def test_outputs_match_the_reference_and_rerun_byte_identically(tmp_path, worklo
     for name in names:
         assert compare_csv(REFERENCE / workload / name, runs[0] / name) == []
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def demo_ini_with(tmp_path, *edits):
+    """demo.ini with each (pattern, replacement) line edit applied, as a path."""
+    text = (ROOT / "demos" / "configs" / "demo.ini").read_text()
+    for pattern, replacement in edits:
+        text, count = re.subn(pattern, replacement, text, flags=re.MULTILINE)
+        assert count == 1, pattern
+    path = tmp_path / "edited.ini"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_exact_reference_reruns_byte_identically(tmp_path):
+    config = demo_ini_with(tmp_path, (r"^id = .*", "id = finite_chain"), (r"^step_sigma.*\n", ""),
+                           (r"^build_method = .*", "build_method = monte_carlo"),
+                           (r"^n_samples = .*", "n_samples = 20000"),
+                           (r"^resolutions = .*", "resolutions = 2 4 8"))
+    runs = [tmp_path / "run", tmp_path / "rerun"]
+    for out in runs:
+        assert main(["converge", "--config", config, "--out", str(out)]) == 0
+    assert "# reference = exact" in (runs[0] / "curve.csv").read_text().splitlines()
+    for name in ("curve.csv", "kg.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_a_surrogate_below_8x_the_largest_resolution_exits_2_without_a_curve(tmp_path):
+    config = demo_ini_with(tmp_path, (r"^a_ref = .*", "a_ref = 8"))
+    assert main(["converge", "--config", config, "--out", str(tmp_path / "small")]) == 2
+    assert not (tmp_path / "small" / "curve.csv").exists()
