@@ -76,12 +76,12 @@ class FilterRunResult:
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the last axis, shifted by the maximum, with one
-    temporary the size of ``x``; an all -inf row gives -inf."""
-    shift = np.max(x, axis=-1, keepdims=True)
+    temporary the size of ``x``; an all -inf row gives -inf, with the divide
+    warning the caller may silence."""
+    shift = x.max(axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     scaled = x - shift
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(scaled, out=scaled), axis=-1)) + shift[..., 0]
+    return np.log(np.exp(scaled, out=scaled).sum(axis=-1)) + shift[..., 0]
 
 
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
@@ -95,7 +95,9 @@ def initial_filter_state(chain: QuantizedChain) -> FilterState:
 
 def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState,
                      y: np.ndarray, workspace: Optional[QuadFormWorkspace] = None,
-                     use_full_likelihood: bool = False, *, first_row: int = 0) -> FilterState:
+                     use_full_likelihood: bool = False, *, first_row: int = 0,
+                     fft_buffers: Optional[tuple[np.ndarray, np.ndarray]] = None
+                     ) -> FilterState:
     """Advance the posterior by one observation, for one trajectory or a stack.
 
     ``y`` is (N,) or (B, N) and ``state.weights`` is (K,) or (B, K); the
@@ -104,12 +106,13 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
     ``chain.certified_predict`` against it: on a chain with an offset
     profile one batched FFT convolution, with each row whose certificate
     ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
-    matrix product otherwise.  Weights whose last axis is not K raise
-    ``DomainError``, and so do a ``y`` of rank above 2, stacks of weights
-    and of ``y`` of different sizes, neither 1 (naming both and t), and the
-    inputs ``run_grid_filter`` refuses: a ``y`` whose last axis is not N or
-    that is not finite or above ``_Y_MAX`` (naming t, and b in a stack) and a
-    chain on another box.
+    matrix product otherwise.  ``fft_buffers`` go to it as its ``buffers``;
+    without them it allocates its own.  Weights whose last axis is not K
+    raise ``DomainError``, and so do a ``y`` of rank above 2, stacks of
+    weights and of ``y`` of different sizes, neither 1 (naming both and t),
+    and the inputs ``run_grid_filter`` refuses: a ``y`` whose last axis is
+    not N or that is not finite or above ``_Y_MAX`` (naming t, and b in a
+    stack), an empty stack and a chain on another box.
     The estimate is an einsum, not a BLAS product, so each row of a stack
     equals its single run bit for bit.  The log, the likelihood sum and the
     exp run in place in the predicted array, which the step allocated: it
@@ -131,10 +134,10 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
             and 1 not in (len(y), len(state.weights))):
         raise DomainError(f"the state holds a stack of {len(state.weights)} trajectories "
                           f"and y one of {len(y)} at t={t}")
-    # three cheap tests per step (the last one fails on NaN too); the full
+    # four cheap tests per step (the last one fails on NaN too); the full
     # check only runs when one fails
     if (chain.grid.space is not spec.space or y.shape[-1:] != (spec.obs.n,)
-            or not (np.abs(y) <= _Y_MAX).all()):
+            or not y.size or not (np.abs(y) <= _Y_MAX).all()):
         _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
@@ -145,17 +148,17 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
             logw = np.log(state.weights) + ll
             tau = np.zeros(logw.shape[:-1])[()]
         else:
-            logw, tau = chain.certified_predict(state.weights, ll)
+            logw, tau = chain.certified_predict(state.weights, ll, fft_buffers)
             np.log(logw, out=logw)
             logw += ll
-    increment = _logsumexp(logw)
-    vanished = np.isneginf(increment) | np.isnan(increment)
-    if np.any(vanished):
+        increment = _logsumexp(logw)
+    vanished = ~(increment > -np.inf)  # -inf or NaN
+    if vanished.any():
         b = int(np.flatnonzero(vanished)[0])
         ll_b = np.broadcast_to(ll, logw.shape).reshape(-1, logw.shape[-1])[b]
         raise DegenerateUpdateError(
             f"all weights vanished at t={t} in trajectory b={first_row + b}; max "
-            f"log-likelihood was {np.max(ll_b):.6g} over reachable cells")
+            f"log-likelihood was {ll_b.max():.6g} over reachable cells")
     logw -= increment[..., None]
     weights = np.exp(logw, out=logw)
     return FilterState(
@@ -170,7 +173,7 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                   observations: np.ndarray, t0: int = 0) -> None:
     """Reject a chain on another box (where there is a chain) and malformed,
-    empty (T+1 = 0), non-finite or overflowing (above ``_Y_MAX`` in
+    empty (T+1 = 0 or B = 0), non-finite or overflowing (above ``_Y_MAX`` in
     magnitude) observations, the first of which is at time ``t0``."""
     box = spec.space
     chain_box = box if chain is None else chain.grid.space
@@ -185,6 +188,9 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
     if observations.shape[-2] == 0:
         raise DomainError(f"observations of shape {observations.shape} hold no "
                           f"time step (T+1 = 0)")
+    if observations.ndim == 3 and len(observations) == 0:
+        raise DomainError(f"observations of shape {observations.shape} hold no "
+                          f"trajectory (B = 0)")
     if observations.shape[-1] != spec.obs.n:
         raise DomainError(
             f"observation at t={t0} in trajectory b=0 has {observations.shape[-1]} "
@@ -208,10 +214,14 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
     of weights that carries the stack from step to step.  A profile chain
     takes at most 2^14 // L rows per slice, L its FFT length (4 at
     K = 2048), so the FFT buffers stay small however large B is; it never
-    reads its dense matrix.  A matrix chain takes the whole stack in one
-    slice.  Each row goes through the same ufuncs in any slice, so it equals
-    its single run bit for bit, and a time-varying likelihood is still
-    built once per step.  The estimates are (B, T+1, M), the
+    reads its dense matrix.  The run allocates one pair of those buffers,
+    ``chain.fft_buffers`` for its widest slice, passes it to every step (a
+    short last slice uses its first rows) and drops it on return, so it
+    pays their page faults once rather than at every step (see
+    ``certified_predict``).  A matrix chain takes the whole stack in one
+    slice.  Each row goes through the same ufuncs in any slice, so it
+    equals its single run bit for bit, and a time-varying likelihood is
+    still built once per step.  The estimates are (B, T+1, M), the
     log-normalizers and prediction certificates (B, T+1), and the final
     state holds (B, K) weights.  A certificate above 1e-13 marks a step
     whose row was predicted by the direct sum.  Inputs are validated here,
@@ -224,18 +234,21 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
     estimates = np.empty((*lead, steps, chain.grid.space.dim))
     log_norms = np.empty((*lead, steps))
     predict_tau = np.empty((*lead, steps))
+    slices, buffers = [slice(None)], None
+    if chain.profile is not None:
+        rows = max(1, _FFT_SLICE // chain._spectrum[1])
+        if lead:
+            slices = [slice(first, first + rows) for first in range(0, lead[0], rows)]
+        buffers = chain.fft_buffers(min(rows, lead[0]) if lead else 1)
     weights = np.empty((*lead, chain.grid.total_points))
-    slices = [slice(None)]
-    if lead:
-        rows = max(1, lead[0] if chain.profile is None else _FFT_SLICE // chain._spectrum[1])
-        slices = [slice(first, first + rows) for first in range(0, lead[0], rows)]
     initial = initial_filter_state(chain)
     for t in range(steps):
         for s in slices:
             prev = initial if t == 0 else FilterState(
                 t - 1, weights[s], estimates[s][..., t - 1, :], log_norms[s][..., t - 1])
             state = grid_filter_step(chain, spec, prev, observations[s][..., t, :],
-                                     workspace, use_full_likelihood, first_row=s.start or 0)
+                                     workspace, use_full_likelihood, first_row=s.start or 0,
+                                     fft_buffers=buffers)
             weights[s] = state.weights
             estimates[s][..., t, :] = state.estimate
             log_norms[s][..., t] = state.log_norm

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -211,8 +212,17 @@ class QuantizedChain:
         return np.array([np.correlate(self.profile, u[::-1], "valid")
                          for u in rows]).reshape(weights.shape)
 
-    def certified_predict(self, weights: np.ndarray,
-                          log_lik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fft_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """New, uninitialized complex (rows, L//2+1) and real (rows, L)
+        arrays: the spectrum and the signal of ``certified_predict``'s
+        transforms of up to ``rows`` rows on this profile chain, L its FFT
+        length."""
+        n_fft = self._spectrum[1]
+        return np.empty((rows, n_fft // 2 + 1), complex), np.empty((rows, n_fft))
+
+    def certified_predict(self, weights: np.ndarray, log_lik: np.ndarray,
+                          buffers: Optional[tuple[np.ndarray, np.ndarray]] = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
         """``predict`` for (K,) or (B, K) weights and the step's log-likelihood
         (they broadcast), and tau, (B,) or a scalar: a bound on the total
         variation distance between the posteriors ``predicted * exp(log_lik)``
@@ -226,35 +236,53 @@ class QuantizedChain:
         delta, 0) a).  A row with tau above 1e-13 (or not finite) is
         recomputed by ``predict`` and equals it bit for bit.  A matrix chain
         returns the product and tau = 0.  Either way ``predicted`` is a new
-        array of the broadcast shape, which the caller may overwrite.  The
-        FFT buffers hold every row given: ``run_grid_filter`` passes at most
-        2^14 // L rows, and a caller that passes a wider stack pays for
-        full-width transforms.
+        array of the broadcast shape, which the caller may overwrite.
+
+        The transforms write through ``out=`` into the first rows of
+        ``buffers``, a pair from ``fft_buffers(R)`` with R at least the
+        number of rows, which also hold the call's (rows, K) temporaries
+        while the transforms do not need them; their contents on return are
+        scratch.  Without
+        ``buffers`` the call allocates its own.  At 4 rows of K = 2048 each
+        is just above glibc's 128 KiB mmap threshold, so fresh ones on every
+        call of a loop pay page faults every time: ``run_grid_filter``
+        allocates one pair per run, for its at most 2^14 // L rows per call,
+        and the chain, which may be shared, keeps none.
         """
-        weights, log_lik = np.broadcast_arrays(self._checked(weights), log_lik)
+        weights = self._checked(weights)
+        if weights.shape != np.shape(log_lik):
+            weights, log_lik = np.broadcast_arrays(weights, log_lik)
         if self.profile is None:
             return weights @ self._matrix, np.zeros(weights.shape[:-1])[()]
         k = self.grid.total_points
         spectrum, n_fft, delta_per_norm = self._spectrum
-        predicted = np.empty(weights.shape)
         # 2-D views: the rows of a (K,) call are one row
-        w, ll, p = (x.reshape(-1, k) for x in (weights, log_lik, predicted))
+        w, ll = weights.reshape(-1, k), log_lik.reshape(-1, k)
+        n = len(w)
+        f, x = (b[:n] for b in (buffers or self.fft_buffers(n)))
+        # contiguous (n, K) scratch over the buffers' first n K entries, free
+        # in the spectrum before the forward and after the inverse transform,
+        # and in the signal before the inverse transform and after the clamp
+        f_free, x_free = (b.reshape(-1)[:n * k].reshape(n, k) for b in (f.view(float), x))
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = w / self.row_mass
-            f = np.fft.rfft(u, n_fft)
+            u = np.divide(w, self.row_mass, out=x_free)
+            # ||u||, summed as np.linalg.norm sums it
+            squares = np.multiply(u, u, out=f_free)
+            delta = delta_per_norm * np.sqrt(squares.sum(axis=-1, keepdims=True))
+            np.fft.rfft(u, n_fft, out=f)
             f *= spectrum
-            np.maximum(np.fft.irfft(f, n_fft)[:, k - 1:2 * k - 1], 0.0, out=p)
-            delta = delta_per_norm * np.linalg.norm(u, axis=-1, keepdims=True)
-            a = ll - np.max(ll, axis=-1, keepdims=True)
+            np.fft.irfft(f, n_fft, out=x)
+            p = np.maximum(x[:, k - 1:2 * k - 1], 0.0)
+            a = np.subtract(ll, ll.max(axis=-1, keepdims=True), out=f_free)
             np.exp(a, out=a)
-            margin = p - delta
+            margin = np.subtract(p, delta, out=x_free)
             np.maximum(margin, 0.0, out=margin)
             margin *= a
-            tau = delta[:, 0] * np.sum(a, axis=-1) / np.sum(margin, axis=-1)
+            tau = delta[:, 0] * a.sum(axis=-1) / margin.sum(axis=-1)
         refused = ~(tau <= _TAU_MAX)
-        if np.any(refused):
+        if refused.any():
             p[refused] = self.predict(w[refused])
-        return predicted, tau.reshape(weights.shape[:-1])[()]
+        return p.reshape(weights.shape), tau.reshape(weights.shape[:-1])[()]
 
 
 def _gl_cells(grid: Grid, first: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

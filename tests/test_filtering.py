@@ -603,6 +603,32 @@ def test_stack_filter_peak_memory_stays_near_a_few_stacks(k2048):
     assert peak < 1.5 * 2**20
 
 
+def test_one_run_transforms_every_slice_in_the_same_two_buffers(monkeypatch, k2048):
+    # slices of 4 + 4 + 1 rows; the short one writes into the first row
+    spec, chain, _ = k2048
+    _, obs = gf.simulate_batch(spec, 6, 9, seed=0)
+    chain._spectrum  # the profile's own transform is not the run's
+    outs = {"rfft": [], "irfft": []}
+    for name, calls in outs.items():
+        def spy(*args, out=None, _transform=getattr(np.fft, name), _calls=calls, **kwargs):
+            _calls.append(out)
+            return _transform(*args, out=out, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    gf.run_grid_filter(spec, chain, obs)
+    monkeypatch.undo()
+    buffers = []
+    for name, calls in outs.items():
+        assert all(out is not None for out in calls), name
+        assert [len(out) for out in calls] == [4, 4, 1] * 6, name
+        buffers.append(calls[0].base)
+        assert buffers[-1] is not None and all(out.base is buffers[-1] for out in calls), name
+    assert buffers[0].shape == (4, 2049) and buffers[1].shape == (4, 4096)
+    held = [v for value in vars(chain).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
+    assert not any(np.shares_memory(buffer, v) for buffer in buffers
+                   for v in held if isinstance(v, np.ndarray))
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["profile", "matrix"])
 def test_step_writes_into_no_array_of_its_caller(dense):
     spec, chain = walk(0.0, 1.0, 0.5, 64)
@@ -732,12 +758,20 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0, weights=np.full(4, 0.25
      r"observation at t=1 in trajectory b=0 has 3 components, the model expects N=2"),
     (step_to_t1_on_unit_interval(np.zeros((4, 2)), weights=np.full((3, 4), 0.25)),
      gf.DomainError, r"the state holds a stack of 3 trajectories and y one of 4 at t=1"),
+    (lambda: gf.run_grid_filter(interval_spec(), gf.build_chain(
+        interval_spec(), gf.Grid(interval_spec().space, 4)), np.empty((0, 4, 2))),
+     gf.DomainError, re.escape("observations of shape (0, 4, 2) hold no trajectory (B = 0)")),
+    (lambda: gf.exact_forward_filter(gf.build_model("finite_chain"), np.empty((0, 4, 1))),
+     gf.DomainError, re.escape("observations of shape (0, 4, 1) hold no trajectory (B = 0)")),
+    (step_to_t1_on_unit_interval(np.empty((0, 2))), gf.DomainError,
+     re.escape("observations of shape (0, 1, 2) hold no trajectory (B = 0)")),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
         "exact_weights_vanish", "exact_stack_weights_vanish", "run_overflow",
         "oracle_overflow", "exact_overflow", "step_overflow", "step_nan", "step_inf",
         "step_stack_inf", "step_other_box", "step_rank3", "step_components",
-        "step_stack_sizes"])
+        "step_stack_sizes", "run_no_trajectory", "exact_no_trajectory",
+        "step_no_trajectory"])
 @pytest.mark.filterwarnings("error")
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):

@@ -475,6 +475,27 @@ def test_certified_predict_bounds_the_posterior_error(walk, stack, seed):
     assert np.array_equal(predicted[~accepted], exact[~accepted])
 
 
+@settings(max_examples=40, deadline=None)
+@given(walks, st.integers(1, 5), st.integers(0, 3), st.integers(0, 2**16))
+def test_certified_predict_into_given_buffers_equals_its_own(walk, stack, spare, seed):
+    # buffers with spare rows and stale contents: the call uses their first
+    # rows, and its results share no memory with them
+    chain = drifting_walk_chain(*walk)
+    k = chain.grid.total_points
+    rng = gf.make_rng(seed)
+    weights = rng.random((stack, k)) * 10.0 ** -rng.integers(0, 301, (stack, k))
+    weights[:, rng.integers(k)] = 1.0
+    log_lik = -0.5 * rng.uniform(0.0, 1e4, (stack, 1)) * (chain.grid.centers[:, 0] - 1.0) ** 2
+    buffers = chain.fft_buffers(stack + spare)
+    for w, ll in ((weights, log_lik), (weights[0], log_lik[0])):
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        predicted, tau = chain.certified_predict(w, ll, buffers)
+        own, own_tau = chain.certified_predict(w, ll)
+        assert np.array_equal(predicted, own) and np.array_equal(tau, own_tau)
+        assert not any(np.shares_memory(predicted, buffer) for buffer in buffers)
+
+
 def test_outlier_observation_takes_the_direct_fallback():
     spec = gf.build_model("gauss_walk")
     chain = gf.build_chain(spec, gf.Grid(spec.space, 512), "quadrature")

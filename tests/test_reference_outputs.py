@@ -5,8 +5,10 @@
 copies under perfbench/reference (compared by the benchmark's own
 ``compare_csv``), and a rerun into a fresh directory writes the same bytes.
 ``converge`` on a finite chain measures against the exact filter and reruns
-byte-identically too, and a surrogate below 8x the largest resolution is
-refused before any CSV is written.
+byte-identically too, a surrogate below 8x the largest resolution is
+refused before any CSV is written, and a random walk whose step is narrower
+than a cell (an identity chain at a = 2) simulates, filters and verifies
+without a warning and reruns byte-identically.
 """
 
 import importlib.util
@@ -14,8 +16,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gridfilter as gf
 from gridfilter.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +90,20 @@ def test_a_surrogate_below_8x_the_largest_resolution_exits_2_without_a_curve(tmp
     config = demo_ini_with(tmp_path, (r"^a_ref = .*", "a_ref = 8"))
     assert main(["converge", "--config", config, "--out", str(tmp_path / "small")]) == 2
     assert not (tmp_path / "small" / "curve.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_step_narrower_than_a_cell_runs_and_reruns_byte_identically(tmp_path):
+    config = demo_ini_with(tmp_path, (r"^step_sigma = .*", "step_sigma = 0.001"))
+    cfg = gf.load_config(config)
+    spec = gf.build_model(cfg.model_id, **cfg.model_params)
+    assert np.array_equal(gf.build_chain(spec, gf.Grid(spec.space, 2)).transition, np.eye(2))
+    runs = [tmp_path / "run", tmp_path / "rerun"]
+    for out in runs:
+        for command in (["simulate"], ["filter", "--resolution", "2"], ["verify"]):
+            assert main([*command, "--config", config, "--out", str(out)]) == 0, command
+    names = sorted(path.name for path in runs[0].glob("*.csv"))
+    assert "estimates_seed0_a2.csv" in names and "bounds.csv" in names
+    assert names == sorted(path.name for path in runs[1].glob("*.csv"))
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
