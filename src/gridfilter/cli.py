@@ -2,15 +2,16 @@
 
 Subcommands: simulate, filter, converge, verify-bounds, verify-concentration,
 verify.  Exit codes: 0 on success, 1 when a scientific check fails, 2 on
-usage or configuration errors and on input the library refuses (DomainError,
-such as a non-finite value in a trajectory CSV).  Outputs are pure functions
-of (config, flags), so reruns are byte-identical.  verify-concentration and
-verify run the tame-set cases in min(cases, CPUs) worker processes, beside
-the other checks; each case has its own streams, so the outputs do not
-depend on the worker count.  ``main`` builds the model once and hands it to
-the command; a worker rebuilds its case's model from the config.  This
-module names every column and metadata key of the files it writes; the
-library writes none.
+usage or configuration errors, on a config, trajectory or output path that
+cannot be read or written (ConfigError naming the path), and on input the
+library refuses (DomainError, such as a non-finite value in a trajectory
+CSV).  Outputs are pure functions of (config, flags), so reruns are
+byte-identical.  verify-concentration and verify run the tame-set cases in
+min(cases, CPUs) worker processes, beside the other checks; each case has
+its own streams, so the outputs do not depend on the worker count.  ``main``
+builds the model once and hands it to the command; a worker rebuilds its
+case's model from the config.  This module names every column and metadata
+key of the files it writes; the library writes none.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .csvio import _fmt
+from .csvio import _file_access, _fmt
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "render_config", "load_config"]
@@ -163,8 +163,7 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    """Parse the file at ``path``; one that cannot be read or is not UTF-8 is
+    a ConfigError naming the path."""
+    with _file_access("read config", path), open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())

@@ -1,7 +1,12 @@
-"""Shared CSV conventions: '#'-prefixed metadata lines, header row, numeric body."""
+"""Shared CSV conventions: '#'-prefixed metadata lines, header row, numeric body.
+
+A file that cannot be opened, written or decoded as UTF-8 is a ConfigError
+naming its path, as a malformed row is.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -12,15 +17,28 @@ from .errors import ConfigError
 __all__ = ["write_csv", "read_csv"]
 
 
+@contextlib.contextmanager
+def _file_access(action: str, path: str):
+    """Raise an OSError or a UnicodeDecodeError of the block as a ConfigError
+    saying ``cannot <action> <path>``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot {action} {path}: {exc}") from exc
+
+
 def write_csv(path: str, meta: Mapping[str, object], header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key} = {value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write ``path``, making its directory; a ConfigError names the path when
+    either cannot be made or written (an existing file in the directory's place)."""
+    with _file_access("write", path):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            for key, value in meta.items():
+                fh.write(f"# {key} = {value}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(value: object) -> str:
@@ -42,12 +60,13 @@ def read_csv(path: str, numeric: bool = True) -> tuple[dict[str, str], list[str]
     With ``numeric`` (the default) the body becomes a float array and a
     ConfigError names the offending data row (1-based, counted after the
     header) on a malformed or wrong-width line.  ``numeric=False`` keeps the
-    cells as strings for mixed tables such as check reports.
+    cells as strings for mixed tables such as check reports.  A path that
+    cannot be read (a directory) or is not UTF-8 is a ConfigError too.
     """
     meta: dict[str, str] = {}
     header: list[str] = []
     body: list[list] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _file_access("read", path), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:

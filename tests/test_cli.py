@@ -3,6 +3,7 @@ import dataclasses
 import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import gridfilter as gf
 from gridfilter import cli
 from gridfilter.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """\
 [model]
@@ -50,6 +52,11 @@ def workdir(tmp_path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def snapshot(directory):
+    """Every file under ``directory``, with its bytes."""
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
 
 
 def test_simulate_writes_trajectory(workdir, capsys):
@@ -206,6 +213,46 @@ def test_trajectory_without_all_its_rows_is_usage_error(workdir, capsys, keep, m
     assert main(["filter", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
     assert not list((tmp / "out").glob("estimates_*.csv"))
+
+
+def out_is_a_file(tmp, cfg):
+    (tmp / "taken").write_text("")
+    return ["simulate", "--config", cfg, "--out", str(tmp / "taken")], tmp / "taken"
+
+
+def out_under_a_file(tmp, cfg):
+    (tmp / "taken").write_text("")
+    out = tmp / "taken" / "sub"
+    return ["simulate", "--config", cfg, "--out", str(out)], out
+
+
+def trajectory_is_a_directory(tmp, cfg):
+    path = tmp / "out" / "trajectory_seed2.csv"
+    path.mkdir(parents=True)
+    return ["filter", "--config", cfg], path
+
+
+def config_is_not_utf8(tmp, cfg):
+    with open(cfg, "ab") as fh:
+        fh.write(b"; \xff\n")
+    return ["simulate", "--config", cfg], cfg
+
+
+def trajectory_is_not_utf8(tmp, cfg):
+    assert main(["simulate", "--config", cfg]) == 0
+    path = tmp / "out" / "trajectory_seed2.csv"
+    path.write_bytes(b"# \xff\n" + path.read_bytes())
+    return ["filter", "--config", cfg], path
+
+
+@pytest.mark.parametrize("make", [out_is_a_file, out_under_a_file, trajectory_is_a_directory,
+                                  config_is_not_utf8, trajectory_is_not_utf8])
+def test_a_file_the_cli_cannot_read_or_write_is_a_usage_error(workdir, capsys, make):
+    argv, path = make(*workdir)
+    capsys.readouterr()
+    assert main(argv) == 2  # not an uncaught OSError or UnicodeDecodeError
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ") and str(path) in err, err
 
 
 def test_trajectory_of_another_model_is_usage_error(workdir, capsys):
@@ -464,10 +511,12 @@ def test_bad_run_values_are_usage_errors(workdir, capsys, old, new, command, mes
     tmp, cfg = workdir
     # the filter needs a trajectory on disk to get as far as building its chain
     assert main(["simulate", "--config", cfg]) == 0
+    before = snapshot(tmp / "out")
     text = (tmp / "run.ini").read_text()
     (tmp / "run.ini").write_text(text.replace(old, new))
     assert main([command, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+    assert snapshot(tmp / "out") == before  # no CSV written or changed
 
 
 @pytest.mark.filterwarnings("error")
@@ -483,15 +532,22 @@ def test_a_box_whose_width_overflows_is_a_usage_error(workdir, capsys, model):
     assert not list(tmp.glob("out/*.csv"))
 
 
-def test_config_render_parse_identity():
-    cfg = gf.RunConfig(model_id="gauss_walk",
-                       model_params={"n": 3, "beta": 0.4, "lower": 0.0},
-                       horizon=11, seed=7, out_dir="results",
-                       resolutions=(4, 8, 16), a_ref=256, c_const=1.5,
-                       chi2_u=(0.25, 1.0), chi2_n=(2,),
-                       concentration_cases=((2, 1.0, 4),))
-    text = gf.render_config(cfg)
-    assert gf.parse_config(text) == cfg
+CHECKED_IN_CONFIGS = sorted(ROOT.glob("*/configs/*.ini"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gf.RunConfig(model_id="gauss_walk",
+                         model_params={"n": 3, "beta": 0.4, "lower": 0.0},
+                         horizon=11, seed=7, out_dir="results",
+                         resolutions=(4, 8, 16), a_ref=256, c_const=1.5,
+                         chi2_u=(0.25, 1.0), chi2_n=(2,),
+                         concentration_cases=((2, 1.0, 4),)),
+    *[lambda path=path: gf.load_config(str(path)) for path in CHECKED_IN_CONFIGS],
+], ids=["hand_built", *[path.name for path in CHECKED_IN_CONFIGS]])
+def test_config_render_parse_identity(make):
+    cfg = make()
+    # repr, not ==: a model parameter 2 equals 2.0, which build_model refuses
+    assert repr(gf.parse_config(gf.render_config(cfg))) == repr(cfg)
 
 
 def test_model_params_keep_words_as_strings():
