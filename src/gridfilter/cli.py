@@ -27,7 +27,7 @@ from .bounds import (_with_derived, audit_derived_constants, check_adjugate_boun
                      check_lipschitz_suite, check_product_bound, check_theta_bound)
 from .concentration import ConcentrationReport, chi2_tail_check, concentration_experiment
 from .config import RunConfig, load_config
-from .csvio import read_csv, write_csv
+from .csvio import _file_access, read_csv, write_csv
 from .errors import ConfigError, DomainError, GridFilterError
 from .filtering import run_grid_filter
 from .harness import convergence_sweep
@@ -45,7 +45,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = replace(load_config(path), **given)
         cfg.validate()
-        return handler(cfg, build_model(cfg.model_id, **cfg.model_params))
+        spec = build_model(cfg.model_id, **cfg.model_params)
+        with _file_access("write", cfg.out_dir):  # refuse a bad --out before any work
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        return handler(cfg, spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

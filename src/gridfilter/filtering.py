@@ -5,7 +5,8 @@ weights through the quantized chain, multiplies in the reduced likelihood
 ratio of the new observation in log domain, renormalizes, and reads the
 estimate off as the weighted mean of the centers.  The per-step normalizer
 increments accumulate into ``log_norm``, the log of the un-normalized
-conditional mass.
+conditional mass.  ``filter_steps`` is the one loop that runs the recursion
+over a trajectory or a stack, and ``run_grid_filter`` collects what it yields.
 
 ``path_sum_oracle`` computes the same ratio by enumerating every chain path
 and is the ground truth the recursion is tested against; a model's exact
@@ -15,7 +16,7 @@ filter, where it has one, is its ``SystemSpec.optimal_filter``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "FilterRunResult",
     "initial_filter_state",
     "grid_filter_step",
+    "filter_steps",
     "run_grid_filter",
     "path_sum_oracle",
 ]
@@ -44,15 +46,15 @@ _Y_MAX = float(np.sqrt(np.finfo(float).max))
 class FilterState:
     """Posterior over grid centers after absorbing observations up to time t.
 
-    ``t == -1`` is the pre-observation state holding the chain's initial law.
-    ``weights`` are normalized along the last axis (they sum to one);
-    ``log_norm`` carries the accumulated log normalizers.  ``predict_tau``
-    is this step's certificate from ``QuantizedChain.certified_predict``: a
-    bound on the posterior's total variation error from the prediction,
-    above 1e-13 where the row fell back to the direct sum, and 0 at t=0.
-    A state filtering a stack of B trajectories holds (B, K) weights, (B, M)
-    estimates, (B,) normalizers and (B,) certificates; a single trajectory
-    drops the B axis.
+    One trajectory holds (K,) ``weights``, an (M,) ``estimate`` and scalar
+    ``log_norm`` and ``predict_tau``; a stack of B adds a leading B axis to
+    each.  ``t == -1`` is the state before any observation, holding the
+    chain's initial law.  ``weights`` sum to one along the last axis, and
+    ``log_norm`` is the accumulated log normalizer.  ``predict_tau`` is the
+    step's certificate from ``QuantizedChain.certified_predict`` (0 at t=0):
+    a bound on the posterior's total variation error from the prediction,
+    above 1e-13 where the row fell back to the direct sum.  A state that
+    ``filter_steps`` yields shares its arrays with the next one it yields.
     """
 
     t: int
@@ -70,8 +72,7 @@ class FilterRunResult:
 
     estimates: np.ndarray
     log_norms: np.ndarray
-    final_state: Optional[FilterState] = None
-    predict_tau: Optional[np.ndarray] = None
+    predict_tau: np.ndarray
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -85,12 +86,8 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
-    return FilterState(
-        t=-1,
-        weights=chain.initial.copy(),
-        estimate=np.einsum("...k,km->...m", chain.initial, chain.grid.centers),
-        log_norm=0.0,
-    )
+    return FilterState(-1, chain.initial.copy(),
+                       np.einsum("...k,km->...m", chain.initial, chain.grid.centers), 0.0)
 
 
 def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState,
@@ -100,28 +97,20 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
                      ) -> FilterState:
     """Advance the posterior by one observation, for one trajectory or a stack.
 
-    ``y`` is (N,) or (B, N) and ``state.weights`` is (K,) or (B, K); the
-    two broadcast, so a single initial state can start a whole stack.  The
-    likelihood is evaluated first, and the prediction is
-    ``chain.certified_predict`` against it: on a chain with an offset
-    profile one batched FFT convolution, with each row whose certificate
-    ``predict_tau`` exceeds 1e-13 recomputed by the direct ``predict``; the
-    matrix product otherwise.  ``fft_buffers`` go to it as its ``buffers``;
-    without them it allocates its own.  Weights whose last axis is not K
-    raise ``DomainError``, and so do a ``y`` of rank above 2, stacks of
-    weights and of ``y`` of different sizes, neither 1 (naming both and t),
-    and the inputs ``run_grid_filter`` refuses: a ``y`` whose last axis is
-    not N or that is not finite or above ``_Y_MAX`` (naming t, and b in a
-    stack), an empty stack and a chain on another box.
-    The estimate is an einsum, not a BLAS product, so each row of a stack
-    equals its single run bit for bit.  The log, the likelihood sum and the
-    exp run in place in the predicted array, which the step allocated: it
-    never writes into ``state.weights`` or ``chain.initial``.
-    ``use_full_likelihood`` multiplies in the un-reduced ratio instead; the
-    extra factor is constant across cells, so estimates are unchanged and
-    only ``log_norm`` moves.  A row whose weights all vanish raises
-    ``DegenerateUpdateError`` naming t and the trajectory, counted from
-    ``first_row``: the place of ``y[0]`` in a caller's larger stack.
+    ``y`` is (N,) or (B, N) and ``state.weights`` (K,) or (B, K); the two
+    broadcast, so one initial state can start a stack.  The result is a new
+    state at t = ``state.t`` + 1 in arrays the step allocated: it never
+    writes into ``state`` or ``chain.initial``.  The prediction is
+    ``chain.certified_predict`` against the step's likelihood, with
+    ``fft_buffers`` as its ``buffers``.  ``ValueError``: ``state.t`` below
+    -1.  ``DomainError``: weights whose last axis is not K, a ``y`` of rank
+    above 2, stacks of weights and of ``y`` of different sizes, neither 1
+    (naming both and t), and any input ``filter_steps`` refuses.
+    ``DegenerateUpdateError``: a row whose weights all vanish, naming t and
+    its place b counted from ``first_row``.  The estimate is an einsum, not
+    a BLAS product, so a row's estimate is the same bits in any stack.
+    ``use_full_likelihood`` multiplies in the un-reduced ratio, whose
+    extra factor is constant across cells: only ``log_norm`` moves.
     """
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
@@ -204,62 +193,73 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
         raise DomainError(f"{what} at t={t0 + t} in trajectory b={b}: {stack[b, t]}")
 
 
-def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
-                    use_full_likelihood: bool = False) -> FilterRunResult:
-    """Fold the step over observations of shape (T+1, N) or (B, T+1, N).
+def filter_steps(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
+                 use_full_likelihood: bool = False) -> Iterator[FilterState]:
+    """Step the grid filter over observations (T+1, N) or (B, T+1, N),
+    yielding the ``FilterState`` after each step t = 0..T.
 
-    A stack of B trajectories shares the chain and is filtered in slices of
-    rows: at each step every slice makes one ``chain.certified_predict``
-    call, and the run writes into preallocated results and one (B, K) array
-    of weights that carries the stack from step to step.  A profile chain
-    takes at most 2^14 // L rows per slice, L its FFT length (4 at
-    K = 2048), so the FFT buffers stay small however large B is; it never
-    reads its dense matrix.  The run allocates one pair of those buffers,
-    ``chain.fft_buffers`` for its widest slice, passes it to every step (a
-    short last slice uses its first rows) and drops it on return, so it
-    pays their page faults once rather than at every step (see
-    ``certified_predict``).  A matrix chain takes the whole stack in one
-    slice.  Each row goes through the same ufuncs in any slice, so it
-    equals its single run bit for bit, and a time-varying likelihood is
-    still built once per step.  The estimates are (B, T+1, M), the
-    log-normalizers and prediction certificates (B, T+1), and the final
-    state holds (B, K) weights.  A certificate above 1e-13 marks a step
-    whose row was predicted by the direct sum.  Inputs are validated here,
-    once, with ``DomainError``.
+    The input is checked at the call, before any step, with ``DomainError``:
+    a chain on another box, observations of rank above 3, with no time step
+    or no trajectory (naming the shape), whose last axis is not N, or with
+    an entry that is not finite or is above ``_Y_MAX`` in magnitude (naming
+    t and b).  A step raises ``DegenerateUpdateError`` where a row's weights
+    all vanish, naming t and b.  Every yield holds the same (B, K) weights,
+    (B, M) estimate and (B,) ``log_norm`` and ``predict_tau`` arrays, which
+    the next step overwrites.  A profile chain steps the stack in slices of
+    at most ``_FFT_SLICE // L`` rows, L its FFT length, all transformed in
+    one ``chain.fft_buffers`` pair, and each row equals its single run bit
+    for bit; a matrix chain steps the stack whole.  A time-varying
+    likelihood is built once per step.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)
+    return _steps(spec, chain, observations, use_full_likelihood)
+
+
+def _steps(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
+           use_full_likelihood: bool) -> Iterator[FilterState]:
     *lead, steps, _ = observations.shape
     workspace = QuadFormWorkspace(spec, chain.grid.centers)
-    estimates = np.empty((*lead, steps, chain.grid.space.dim))
-    log_norms = np.empty((*lead, steps))
-    predict_tau = np.empty((*lead, steps))
-    slices, buffers = [slice(None)], None
+    carried = (np.empty((*lead, chain.grid.total_points)),
+               np.empty((*lead, chain.grid.space.dim)), np.empty(lead), np.empty(lead))
+    parts, buffers = [(0, ...)], None
     if chain.profile is not None:
         rows = max(1, _FFT_SLICE // chain._spectrum[1])
         if lead:
-            slices = [slice(first, first + rows) for first in range(0, lead[0], rows)]
+            parts = [(first, slice(first, first + rows)) for first in range(0, lead[0], rows)]
         buffers = chain.fft_buffers(min(rows, lead[0]) if lead else 1)
-    weights = np.empty((*lead, chain.grid.total_points))
-    initial = initial_filter_state(chain)
+    # each slice's state is a view of the carried arrays
+    parts = [(first, s, FilterState(-1, *(a[s] for a in carried))) for first, s in parts]
     for t in range(steps):
-        for s in slices:
-            prev = initial if t == 0 else FilterState(
-                t - 1, weights[s], estimates[s][..., t - 1, :], log_norms[s][..., t - 1])
-            state = grid_filter_step(chain, spec, prev, observations[s][..., t, :],
-                                     workspace, use_full_likelihood, first_row=s.start or 0,
-                                     fft_buffers=buffers)
-            weights[s] = state.weights
-            estimates[s][..., t, :] = state.estimate
-            log_norms[s][..., t] = state.log_norm
-            predict_tau[s][..., t] = state.predict_tau
-    final_state = FilterState(t=steps - 1, weights=weights,
-                              estimate=estimates[..., -1, :].copy(),
-                              log_norm=log_norms[..., -1].copy()[()],
-                              predict_tau=predict_tau[..., -1].copy()[()])
-    return FilterRunResult(
-        estimates=estimates, log_norms=log_norms, final_state=final_state,
-        predict_tau=predict_tau)
+        for first, s, part in parts:
+            new = grid_filter_step(chain, spec, part if t else initial_filter_state(chain),
+                                   observations[s][..., t, :], workspace, use_full_likelihood,
+                                   first_row=first, fft_buffers=buffers)
+            part.weights[...], part.estimate[...] = new.weights, new.estimate
+            part.log_norm[...], part.predict_tau[...] = new.log_norm, new.predict_tau
+            part.t = t
+            del new  # its arrays go before the next step allocates its own
+        yield FilterState(t, *carried)
+
+
+def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
+                    use_full_likelihood: bool = False) -> FilterRunResult:
+    """Collect ``filter_steps`` over observations (T+1, N) or (B, T+1, N)
+    into estimates (.., T+1, M), log-normalizers (.., T+1) and prediction
+    certificates (.., T+1), preallocated and written one t at a time.  It
+    raises what ``filter_steps`` raises (``DomainError`` before any step,
+    ``DegenerateUpdateError``), and on a profile chain each row of a stack
+    equals its single run bit for bit."""
+    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    steps = filter_steps(spec, chain, observations, use_full_likelihood)
+    *lead, horizon, _ = observations.shape
+    run = FilterRunResult(np.empty((*lead, horizon, chain.grid.space.dim)),
+                          np.empty((*lead, horizon)), np.empty((*lead, horizon)))
+    for state in steps:
+        run.estimates[..., state.t, :] = state.estimate
+        run.log_norms[..., state.t] = state.log_norm
+        run.predict_tau[..., state.t] = state.predict_tau
+    return run
 
 
 def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
@@ -270,7 +270,7 @@ def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
     reduced likelihood of each visited center); nothing is marginalized until
     the final ratio.  Refuses horizons beyond T=6 or more than 10^6 paths,
     naming the budget it would need.  Inputs are refused as in
-    ``run_grid_filter``, and so is a stack of trajectories.
+    ``filter_steps``, and so is a stack of trajectories.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)

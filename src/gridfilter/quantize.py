@@ -123,7 +123,7 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
 # An FFT-predicted entry errs by at most delta = _FFT_C eps log2(L) ||profile||
 # ||u|| (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
 # ch. 24); rows certified worse than _TAU_MAX are summed directly.
-# ``run_grid_filter`` hands a profile chain at most _FFT_SLICE // L rows at a
+# ``filter_steps`` hands a profile chain at most _FFT_SLICE // L rows at a
 # time, so the FFT buffers stay small however many trajectories it filters.
 _FFT_C = 4.0
 _TAU_MAX = 1e-13
@@ -242,12 +242,9 @@ class QuantizedChain:
         ``buffers``, a pair from ``fft_buffers(R)`` with R at least the
         number of rows, which also hold the call's (rows, K) temporaries
         while the transforms do not need them; their contents on return are
-        scratch.  Without
-        ``buffers`` the call allocates its own.  At 4 rows of K = 2048 each
-        is just above glibc's 128 KiB mmap threshold, so fresh ones on every
-        call of a loop pay page faults every time: ``run_grid_filter``
-        allocates one pair per run, for its at most 2^14 // L rows per call,
-        and the chain, which may be shared, keeps none.
+        scratch.  Without ``buffers`` the call allocates its own;
+        ``filter_steps`` allocates one pair per run, for its at most
+        2^14 // L rows per call, and the chain, which may be shared, keeps none.
         """
         weights = self._checked(weights)
         if weights.shape != np.shape(log_lik):

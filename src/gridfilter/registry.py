@@ -92,7 +92,7 @@ def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarr
     Classical forward algorithm with per-step scaling, run in linear domain,
     over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
     must expose states, transition matrix and initial law.  Observations
-    are refused as in ``run_grid_filter``; weights that all vanish raise
+    are refused as in ``filter_steps``; weights that all vanish raise
     ``DegenerateUpdateError`` naming t and the trajectory b.
     """
     kernel = spec.kernel

@@ -255,6 +255,21 @@ def test_a_file_the_cli_cannot_read_or_write_is_a_usage_error(workdir, capsys, m
     assert err.startswith("config error: cannot ") and str(path) in err, err
 
 
+@pytest.mark.parametrize("command", ["converge", "verify"])
+def test_an_out_naming_a_file_is_refused_before_any_work(workdir, capsys, monkeypatch, command):
+    tmp, cfg = workdir
+    (tmp / "taken").write_text("")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+    for name in ("convergence_sweep", "audit_derived_constants", "verify_assumptions",
+                 "check_product_bound"):
+        monkeypatch.setattr(cli, name, never)
+    assert main([command, "--config", cfg, "--out", str(tmp / "taken")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {tmp / 'taken'}: "), err
+
+
 def test_trajectory_of_another_model_is_usage_error(workdir, capsys):
     tmp, cfg = workdir
     main(["simulate", "--config", cfg])

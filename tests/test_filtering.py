@@ -272,10 +272,16 @@ def test_stack_of_one_is_bit_identical_to_single_run():
     assert np.array_equal(stacked.log_norms[0], single.log_norms)
 
 
+def last_state(spec, chain, obs):
+    """The state ``filter_steps`` yields after its last step."""
+    *_, state = gf.filter_steps(spec, chain, obs)
+    return state
+
+
 def test_vanished_column_is_named():
     spec = interval_spec(n=1)
     chain = gf.build_chain(spec, gf.Grid(spec.space, 4), "quadrature")
-    state = gf.run_grid_filter(spec, chain, np.zeros((3, 2, 1))).final_state
+    state = last_state(spec, chain, np.zeros((3, 2, 1)))
     state.weights[1] = 0.0  # total mass loss in trajectory 1 only
     with pytest.raises(gf.DegenerateUpdateError, match=r"t=2 in trajectory b=1"):
         gf.grid_filter_step(chain, spec, state, np.zeros((3, 1)))
@@ -431,7 +437,7 @@ def test_state_of_another_length_is_a_domain_error():
     spec = interval_spec()
     chain = gf.build_chain(spec, gf.Grid(spec.space, 8), "quadrature")
     other = gf.build_chain(spec, gf.Grid(spec.space, 6), "quadrature")
-    state = gf.run_grid_filter(spec, other, np.zeros((1, 2))).final_state
+    state = last_state(spec, other, np.zeros((1, 2)))
     with pytest.raises(gf.DomainError, match="length 6 .*K=8"):
         gf.grid_filter_step(chain, spec, state, np.zeros(2))
 
@@ -459,7 +465,7 @@ def test_run_records_the_prediction_certificates():
     assert stacked.predict_tau.shape == (3, 13) and single.predict_tau.shape == (13,)
     assert np.all(stacked.predict_tau[:, 0] == 0.0) and single.predict_tau[0] == 0.0
     assert np.all(stacked.predict_tau[:, 1:] > 0.0)
-    assert np.array_equal(stacked.final_state.predict_tau, stacked.predict_tau[:, -1])
+    assert np.array_equal(last_state(spec, chain, obs).predict_tau, stacked.predict_tau[:, -1])
     # a matrix chain's product carries no certificate
     dense = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
     assert np.all(gf.run_grid_filter(spec, dense, obs).predict_tau == 0.0)
@@ -503,18 +509,20 @@ def test_permuted_stack_predicts_bit_identically(k2048):
     assert np.any(run.predict_tau[2] > 1e-13) and np.all(run.predict_tau[0] <= 1e-13)
     for field in ("estimates", "log_norms", "predict_tau"):
         assert np.array_equal(getattr(permuted, field), getattr(run, field)[perm])
-    assert np.array_equal(permuted.final_state.weights, run.final_state.weights[perm])
+    assert np.array_equal(last_state(spec, chain, obs[perm]).weights,
+                          last_state(spec, chain, obs).weights[perm])
 
 
 def assert_rows_equal_single_runs(spec, chain, obs):
     """Each row of the stacked run on ``obs`` equals its single run bit for
     bit; returns the stacked run."""
     stacked = gf.run_grid_filter(spec, chain, obs)
+    weights = last_state(spec, chain, obs).weights
     for b in range(len(obs)):
         single = gf.run_grid_filter(spec, chain, obs[b])
         for field in ("estimates", "log_norms", "predict_tau"):
             assert np.array_equal(getattr(stacked, field)[b], getattr(single, field))
-        assert np.array_equal(stacked.final_state.weights[b], single.final_state.weights)
+        assert np.array_equal(weights[b], last_state(spec, chain, obs[b]).weights)
     return stacked
 
 
@@ -541,6 +549,26 @@ def test_a_stack_with_a_short_last_slice_equals_its_single_runs_at_k4096():
     assert np.any(stacked.predict_tau[4] > 1e-13)
 
 
+def assert_steps_equal_the_run(spec, chain, obs):
+    """Each state ``filter_steps`` yields equals the step folded over the
+    whole stack, and the states, copied and collected, equal
+    ``run_grid_filter``, all bit for bit."""
+    run = gf.run_grid_filter(spec, chain, obs)
+    folded = gf.initial_filter_state(chain)
+    workspace = gf.QuadFormWorkspace(spec, chain.grid.centers)
+    collected = {"estimates": [], "log_norms": [], "predict_tau": []}
+    for state in gf.filter_steps(spec, chain, obs):
+        folded = gf.grid_filter_step(chain, spec, folded, obs[..., state.t, :], workspace)
+        for field in ("weights", "estimate", "log_norm", "predict_tau"):
+            assert np.array_equal(getattr(state, field), getattr(folded, field)), field
+        for values, value in zip(collected.values(),
+                                 (state.estimate, state.log_norm, state.predict_tau)):
+            values.append(np.copy(value))
+    assert state.t == obs.shape[-2] - 1
+    for field, values in collected.items():
+        assert np.array_equal(np.stack(values, axis=obs.ndim - 2), getattr(run, field))
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["profile", "matrix"])
 def test_run_equals_the_step_folded_over_the_whole_stack(dense):
     # a matrix chain's stack is one slice, so its rows keep the bits of one
@@ -549,16 +577,8 @@ def test_run_equals_the_step_folded_over_the_whole_stack(dense):
     if dense:
         chain = gf.QuantizedChain(chain.grid, chain.transition, chain.initial)
     _, obs = gf.simulate_batch(spec, 12, 11, seed=5)
-    run = gf.run_grid_filter(spec, chain, obs)
-    workspace = gf.QuadFormWorkspace(spec, chain.grid.centers)
-    state = gf.initial_filter_state(chain)
-    for t in range(13):
-        state = gf.grid_filter_step(chain, spec, state, obs[:, t], workspace)
-        assert np.array_equal(run.estimates[:, t], state.estimate)
-        assert np.array_equal(run.log_norms[:, t], state.log_norm)
-        assert np.array_equal(run.predict_tau[:, t], state.predict_tau)
-    assert np.array_equal(run.final_state.weights, state.weights)
-    assert run.final_state.t == state.t == 12
+    assert_steps_equal_the_run(spec, chain, obs)
+    assert_steps_equal_the_run(spec, chain, obs[3])
 
 
 def test_a_vanished_row_is_named_by_its_place_in_the_whole_stack(k2048):
@@ -627,6 +647,44 @@ def test_one_run_transforms_every_slice_in_the_same_two_buffers(monkeypatch, k20
             for v in (value if isinstance(value, tuple) else (value,))]
     assert not any(np.shares_memory(buffer, v) for buffer in buffers
                    for v in held if isinstance(v, np.ndarray))
+
+
+def test_collected_steps_equal_the_run_on_a_stack_of_three_slices(k2048):
+    spec, chain, _ = k2048
+    _, obs = gf.simulate_batch(spec, 20, 9, seed=2)
+    obs[8, 8] = 100.0  # the one row of the short last slice takes the fallback
+    assert _FFT_SLICE // chain._spectrum[1] == 4  # slices of 4 + 4 + 1 rows
+    assert_steps_equal_the_run(spec, chain, obs)
+    assert_steps_equal_the_run(spec, chain, obs[8])
+    assert np.any(gf.run_grid_filter(spec, chain, obs[8]).predict_tau > 1e-13)
+
+
+def test_zipped_iterators_at_two_resolutions_each_give_their_own_run():
+    # slices of 32 rows at K = 256 and of 8 + 3 at K = 1024
+    runs = []
+    for k in (256, 1024):
+        spec, chain = walk(0.0, 1.0, 0.5, k)
+        runs.append((spec, chain, gf.simulate_batch(spec, 12, 11, seed=k)[1]))
+    results = [gf.run_grid_filter(*run) for run in runs]
+    finals = [last_state(*run).weights.copy() for run in runs]
+    for states in zip(*(gf.filter_steps(*run) for run in runs)):
+        for state, result in zip(states, results):
+            assert np.array_equal(state.estimate, result.estimates[:, state.t])
+            assert np.array_equal(state.log_norm, result.log_norms[:, state.t])
+            assert np.array_equal(state.predict_tau, result.predict_tau[:, state.t])
+    for state, weights in zip(states, finals):
+        assert np.array_equal(state.weights, weights)
+
+
+@pytest.mark.parametrize("stack", [True, False], ids=["stack", "single"])
+def test_every_step_yields_the_same_arrays(k2048, stack):
+    spec, chain, obs = k2048
+    states = list(gf.filter_steps(spec, chain, obs if stack else obs[0]))
+    assert [state.t for state in states] == list(range(21))
+    for field in ("weights", "estimate", "log_norm", "predict_tau"):
+        arrays = [getattr(state, field) for state in states]
+        assert isinstance(arrays[0], np.ndarray)
+        assert all(array is arrays[0] for array in arrays), field
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["profile", "matrix"])
@@ -765,13 +823,21 @@ def step_to_t1_on_unit_interval(y, lower=0.0, upper=1.0, weights=np.full(4, 0.25
      gf.DomainError, re.escape("observations of shape (0, 4, 1) hold no trajectory (B = 0)")),
     (step_to_t1_on_unit_interval(np.empty((0, 2))), gf.DomainError,
      re.escape("observations of shape (0, 1, 2) hold no trajectory (B = 0)")),
+    # the iterator refuses when it is called, before any next()
+    (lambda: gf.filter_steps(interval_spec(), gf.build_chain(
+        interval_spec(), gf.Grid(interval_spec().space, 4)), np.stack(
+            [np.zeros((4, 2)), with_observation(3, np.nan, n=2)])),
+     gf.DomainError, r"non-finite observation at t=3 in trajectory b=1"),
+    (lambda: gf.filter_steps(interval_spec(), gf.build_chain(
+        interval_spec(0.0, 1.0), gf.Grid(interval_spec(0.0, 1.0).space, 4)), np.zeros((3, 2))),
+     gf.DomainError, r"chain was built on the box \[\[0.\], \[1.\]\]"),
 ], ids=["oracle_nan", "oracle_inf", "oracle_stack", "oracle_other_box", "exact_nan", "exact_inf",
         "exact_components", "step_before_start", "oracle_weights_vanish",
         "exact_weights_vanish", "exact_stack_weights_vanish", "run_overflow",
         "oracle_overflow", "exact_overflow", "step_overflow", "step_nan", "step_inf",
         "step_stack_inf", "step_other_box", "step_rank3", "step_components",
         "step_stack_sizes", "run_no_trajectory", "exact_no_trajectory",
-        "step_no_trajectory"])
+        "step_no_trajectory", "steps_nan_at_call", "steps_other_box_at_call"])
 @pytest.mark.filterwarnings("error")
 def test_filtering_refusals(make, error, message):
     with pytest.raises(error, match=message):

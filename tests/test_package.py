@@ -15,7 +15,7 @@ MODULES = (bounds, concentration, config, csvio, errors, filtering, harness, lik
 
 def test_package_all_joins_the_module_lists():
     assert gf.__all__ == [name for module in MODULES for name in module.__all__]
-    assert len(gf.__all__) == len(set(gf.__all__)) == 69
+    assert len(gf.__all__) == len(set(gf.__all__)) == 70
 
 
 def test_each_exported_name_is_its_defining_modules_object():
@@ -70,3 +70,23 @@ def test_lower_layers_import_neither_the_registry_nor_the_cli():
     naming = [name for name, tree in trees.items()
               if "FiniteStateKernel" in named_identifiers(tree)]
     assert naming == ["registry"]
+
+
+def callers(tree, name):
+    """The top-level functions and methods of an AST that call ``name``."""
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return {node.name for node in defs for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+
+
+def test_one_generator_steps_the_filter_and_owns_its_fft_buffers():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    stepping = {(module, caller) for module, tree in trees.items()
+                for caller in callers(tree, "grid_filter_step")}
+    assert stepping == {("filtering", "_steps")}
+    buffering = {(module, caller) for module, tree in trees.items() if module != "quantize"
+                 for caller in callers(tree, "fft_buffers")}
+    assert buffering == {("filtering", "_steps")}
