@@ -1,12 +1,5 @@
-"""Grid-based approximate filtering for conditionally Gaussian systems.
-
-The package splits into model definition (`model`, `registry`), state
-quantization (`quantize`), likelihood evaluation and the filter recursion
-(`likelihood`, `filtering`), brute-force oracles for small instances
-(`filtering`), and the verification layer (`bounds`, `concentration`,
-`harness`).  The `gridfilter` console script drives the same code paths from
-INI configs.
-"""
+"""Grid-based approximate filtering for conditionally Gaussian systems, and
+its verification suite; ``__all__`` joins the modules' ``__all__`` lists."""
 
 from . import (bounds, concentration, config, csvio, errors, filtering, harness,
                likelihood, model, quantize, registry)
@@ -24,7 +17,6 @@ from .registry import *
 
 __version__ = "0.1.0"
 
-# Each module's ``__all__`` is the one list of its public names.
 __all__ = [name for module in (bounds, concentration, config, csvio, errors, filtering,
                                harness, likelihood, model, quantize, registry)
            for name in module.__all__]

@@ -1,13 +1,7 @@
-"""Standard normal CDF and quantile as numpy array code.
-
-``ndtr`` follows the cephes layout: ``0.5 + 0.5 erf(x/sqrt2)`` near zero and
-``0.5 erfc(|x|/sqrt2)`` on the far side (``1 - h`` for x > 0), with erf and
-erfc from W. J. Cody, "Rational Chebyshev approximations for the error
-function", Math. Comp. 23 (1969), as in his SPECFUN routine CALERF.  The
-erfc factor exp(-x^2/2) is split as exp(-xs^2/2) exp(-(x-xs)(x+xs)/2) with
-xs = trunc(16|x|)/16, whose square is exact, so the tail keeps its relative
-precision.  ``ndtri`` is Wichura's AS 241 (PPND16), Applied Statistics 37
-(1988).  Both return 0/1 and -inf/+inf at the ends and pass NaN through.
+"""Standard normal CDF and quantile.  ``ndtr`` takes erf and erfc from
+W. J. Cody, Math. Comp. 23 (1969), in the cephes layout; ``ndtri`` is
+Wichura's AS 241, Applied Statistics 37 (1988).  Both give 0/1 and
+-inf/+inf at the ends and pass NaN through.
 """
 
 from __future__ import annotations
@@ -35,8 +29,7 @@ _FRAC_1_SQRTPI = 5.6418958354775628695e-1
 _FRAC_1_SQRT2 = 7.0710678118654752440e-1
 # ndtr(-_X_MAX) is 0 and ndtr(_X_MAX) is 1 in double precision.
 _X_MAX = 40.0
-# Elements per pass: 128 KiB per temporary.  On whole arrays of 2e5 values
-# the temporaries spill out of L2 and each pass runs up to twice as long.
+# Elements per pass, 128 KiB per temporary.
 _CHUNK = 1 << 14
 
 # AS 241: q A(r) / B(r), r = 0.180625 - q^2, for |q| = |p - 1/2| <= 0.425 ...
@@ -77,8 +70,7 @@ def _rational(num, den, x):
 
 
 def _split(mask):
-    """Indices where ``mask`` holds and where it does not: integer gathers
-    and scatters cost a third of boolean-mask ones on mixed masks."""
+    """Indices where ``mask`` holds and where it does not."""
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
@@ -96,8 +88,8 @@ def _erfc_scaled(y):
 
 
 def _by_chunks(kernel, x):
-    """``kernel`` applied to the flattened ``x`` in slices of at most _CHUNK
-    elements, so that its temporaries stay in cache."""
+    """``kernel`` applied to the flattened ``x`` in slices of at most
+    ``_CHUNK`` elements."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty(flat.shape)

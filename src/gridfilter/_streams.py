@@ -1,11 +1,4 @@
-"""Per-path random streams drawn as one generator.
-
-``model._simulate`` advances the paths of many seeds together and returns
-them as (B, T+1, .) arrays: ``convergence_sweep`` reads the arrays, and
-``simulate``, under either law, wraps its one row in a ``Trajectory``.
-Each path keeps its own counter-based streams, so it is the same whether it
-is drawn alone or in a batch.
-"""
+"""Per-path random streams drawn as one generator."""
 
 from __future__ import annotations
 
@@ -16,10 +9,9 @@ from .errors import ModelDefinitionError
 
 class PathStreams:
     """One generator per path, drawn as one ``rng``: a draw whose leading size
-    is the path count B takes row b from generator b, so every path gets
-    exactly the values it gets when drawn alone.  Offers ``random``,
-    ``uniform`` and ``standard_normal``; any other method, or a size without
-    the leading B, raises ModelDefinitionError naming it."""
+    is the path count B takes row b from generator b, the values path b gets
+    drawn alone.  ModelDefinitionError, naming it: a method other than
+    ``random``, ``uniform`` and ``standard_normal``, or a size without B."""
 
     def __init__(self, gens: list[np.random.Generator]):
         self._gens = gens

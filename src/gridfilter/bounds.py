@@ -1,11 +1,6 @@
-"""Numerical checks of the deterministic inequalities behind the error budget.
-
-Every check samples randomized instances, evaluates both sides of one
-inequality, and reports the worst left/right ratio; a ratio of one means the
-bound is tight, anything meaningfully above one falsifies it.  Empirical
-constants are maxima over the sampled instances, with no extrapolation claim
-beyond them.
-"""
+"""Randomized checks of the deterministic inequalities behind the error
+budget: each reports the worst left/right ratio over its trials, and passes
+at most ``1 + PASS_SLACK``; its empirical constants are maxima over them."""
 
 from __future__ import annotations
 
@@ -61,14 +56,9 @@ def _matrix_norm(m: np.ndarray, norm: str) -> float:
 
 def product_difference_sides(a_seq: Sequence[np.ndarray], b_seq: Sequence[np.ndarray],
                              norm: str = "fro") -> tuple[float, float]:
-    """Both sides of the telescoping product bound
-
-        ||prod A_i - prod B_i|| <= sum_i (prod_{j<i} ||A_j||)
-                                          (prod_{j>i} ||B_j||) ||A_i - B_i||
-
-    for square matrices under a submultiplicative norm.  Scalars enter as
-    1x1 matrices.
-    """
+    """Both sides of ||prod A_i - prod B_i|| <= sum_i (prod_{j<i} ||A_j||)
+    (prod_{j>i} ||B_j||) ||A_i - B_i|| for square factors of one size (a
+    scalar is 1x1) in the "fro" or "spectral" norm; ValueError otherwise."""
     a_seq = [np.atleast_2d(np.asarray(a, dtype=float)) for a in a_seq]
     b_seq = [np.atleast_2d(np.asarray(b, dtype=float)) for b in b_seq]
     if len(a_seq) != len(b_seq) or not a_seq:
@@ -170,7 +160,7 @@ def _adjugate_trials(n_dim: int, n_trials: int, seed: int) -> tuple[np.ndarray, 
 
 def check_adjugate_bound(n_dim: int, n_trials: int, seed: int = 0) -> BoundReport:
     """||adj(C)||_F <= sqrt(n) det(C) on random SPD matrices with eigenvalues
-    above one, all trials evaluated as one stack."""
+    above one; ValueError for n_dim or n_trials below 1."""
     if n_dim < 1 or n_trials < 1:
         raise ValueError("need n_dim >= 1 and n_trials >= 1")
     c, adj = _adjugate_trials(n_dim, n_trials, seed)
@@ -182,7 +172,8 @@ def check_adjugate_bound(n_dim: int, n_trials: int, seed: int = 0) -> BoundRepor
 def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
                   k_sigma: float) -> float:
     """Closed-form inverse-difference constant from the eigenvalue floor and
-    the determinant/minor/covariance Lipschitz constants; needs lambda_inf > 1."""
+    the determinant, minor and covariance Lipschitz constants;
+    AssumptionViolationError for lambda_inf <= 1."""
     if lambda_inf <= 1.0:
         raise AssumptionViolationError(
             f"inverse-difference budget needs an eigenvalue floor > 1, "
@@ -193,9 +184,8 @@ def k_inv_formula(lambda_inf: float, k_det: float, k_det_minor: float,
 
 
 def _at_times(fn, ts: np.ndarray, pts: np.ndarray, shape: tuple) -> np.ndarray:
-    """``fn(t, x)`` at every (ts[i], pts[i]), one batched call per distinct t;
-    each value has ``shape``.  The distinct times come from a Python set, not
-    ``np.unique``, which imports ``numpy.ma``; each t fills only its own rows."""
+    """``fn(t, x)`` of ``shape`` at every (ts[i], pts[i]), one batched call
+    per distinct t, found by a set (``np.unique`` imports ``numpy.ma``)."""
     out = np.empty((len(pts),) + shape)
     for t in set(ts.tolist()):
         sel = ts == t
@@ -205,16 +195,10 @@ def _at_times(fn, ts: np.ndarray, pts: np.ndarray, shape: tuple) -> np.ndarray:
 
 def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
                           horizon: int = 0) -> BoundReport:
-    """Estimate the determinant, minor and inverse Lipschitz constants of the
-    total covariance map and check the covariance bound and the closed-form
-    inverse constant against them.
-
-    Ratios entering the verdict: entrywise covariance differences against the
-    declared constant, and the empirical inverse-difference quotient against
-    the closed form.  The determinant and minor constants are the maxima of
-    their own quotients (reported, tight at one by construction).  All pairs
-    are evaluated as stacks, the minors one (i, j) at a time.
-    """
+    """The determinant, minor and inverse Lipschitz constants of the total
+    covariance map over ``n_pairs`` state pairs; the verdict takes the entry
+    differences against the declared k_sigma and the inverse quotient
+    against ``k_inv_formula``.  ValueError: n_pairs < 1."""
     if n_pairs < 1:
         raise ValueError("need n_pairs >= 1")
     rng = make_rng(seed, 11)
@@ -249,8 +233,7 @@ def check_lipschitz_suite(spec: SystemSpec, n_pairs: int, seed: int = 0,
     else:
         formula = k_inv_formula(decl.lambda_inf, k_det_hat, k_minor_hat, decl.k_sigma)
     inv_ratio = float(_ratios(k_inv_emp, formula))
-    # The sampled pairs against the estimated determinant constant; tight at 1
-    # when any pair moved the covariance.
+    # tight at 1 when any pair moved the covariance
     det_worst = np.max(_ratios(det_diff, n * k_det_hat * cdiff), initial=0.0)
     worst = max(sigma_worst, det_worst, inv_ratio)
     return BoundReport(
@@ -277,25 +260,26 @@ def _with_derived(spec: SystemSpec, report: BoundReport) -> SystemSpec:
 
 def audit_derived_constants(spec: SystemSpec, n_pairs: int = 2000, seed: int = 0,
                             horizon: int = 0) -> SystemSpec:
-    """Return a copy of the spec whose constants carry the estimated
-    determinant constant and the closed-form inverse constant."""
+    """A copy of the spec whose constants carry the estimated k_det and the
+    closed-form k_inv; AssumptionViolationError when the suite fails."""
     return _with_derived(spec, check_lipschitz_suite(spec, n_pairs, seed, horizon))
 
 
+def _theta(constants, s: float | np.ndarray) -> float | np.ndarray:
+    """Theta at s = ||y|| + mu_sup, a float or an array of them."""
+    return constants.k_mu * 2.0 * s / constants.lambda_inf + constants.k_inv * s * s
+
+
 def theta_bound(spec: SystemSpec, y: np.ndarray) -> float | np.ndarray:
-    """Lipschitz budget, in the state, of the observation quadratic form:
-
-        Theta(y) = 2 k_mu (||y|| + mu_sup) / lambda_inf
-                   + k_inv (||y|| + mu_sup)^2,
-
-    a float for one observation (N,), a (B,) array for a (B, N) stack.
-    """
+    """The quadratic form's Lipschitz budget in the state, Theta(y) = 2 k_mu
+    (||y|| + mu_sup) / lambda_inf + k_inv (||y|| + mu_sup)^2: a float for
+    one observation (N,), a (B,) array for a (B, N) stack.  ConfigError: the
+    constants lack k_inv."""
     c = spec.constants
     if c.k_inv is None:
         raise ConfigError("constants lack k_inv; run audit_derived_constants first")
     y = np.asarray(y, dtype=float)
-    s = _row_norms(np.atleast_2d(y)) + c.mu_sup
-    theta = c.k_mu * 2.0 * s / c.lambda_inf + c.k_inv * s * s
+    theta = _theta(c, _row_norms(np.atleast_2d(y)) + c.mu_sup)
     return theta if y.ndim == 2 else float(theta[0])
 
 

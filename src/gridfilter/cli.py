@@ -1,18 +1,8 @@
-"""Command-line front end.
-
-Subcommands: simulate, filter, converge, verify-bounds, verify-concentration,
-verify.  Exit codes: 0 on success, 1 when a scientific check fails, 2 on
-usage or configuration errors, on a config, trajectory or output path that
-cannot be read or written (ConfigError naming the path), and on input the
-library refuses (DomainError, such as a non-finite value in a trajectory
-CSV).  Outputs are pure functions of (config, flags), so reruns are
-byte-identical.  verify-concentration and verify run the tame-set cases in
-min(cases, CPUs) worker processes, beside the other checks; each case has
-its own streams, so the outputs do not depend on the worker count.  ``main``
-builds the model once and hands it to the command; a worker rebuilds its
-case's model from the config.  This module names every column and metadata
-key of the files it writes; the library writes none.
-"""
+"""Command line: simulate, filter, converge, verify-bounds,
+verify-concentration and verify.  Exit codes: 0 success, 1 a failed check,
+2 a usage or config error, a path that cannot be read or written, or input
+the library refuses (DomainError).  Outputs are byte-identical on rerun and
+for any worker count.  This module names every column and metadata key."""
 
 from __future__ import annotations
 
@@ -206,9 +196,8 @@ def cmd_verify_bounds(cfg: RunConfig, spec: SystemSpec) -> int:
 
 
 def _concentration_case(cfg: RunConfig, case: tuple) -> ConcentrationReport:
-    """One ``[verify] concentration`` case, run in a worker process.  It
-    takes the config, not a spec, because a SystemSpec holds closures that
-    cannot be pickled."""
+    """One ``[verify] concentration`` case, in a worker process; a worker
+    takes the config, since a SystemSpec holds closures."""
     n_dim, c_const, horizon = case
     spec = build_model(cfg.model_id, **{**cfg.model_params, "n": n_dim})
     return concentration_experiment(spec, horizon, c_const, cfg.n_conc_traj, seed=cfg.seed)
@@ -216,9 +205,9 @@ def _concentration_case(cfg: RunConfig, case: tuple) -> ConcentrationReport:
 
 def cmd_verify_concentration(cfg: RunConfig, spec: SystemSpec,
                              beside=lambda cfg, spec: 0) -> int:
-    """Run the concentration cases in min(cases, CPUs) worker processes,
-    each building its model from ``cfg``, and ``beside(cfg, spec)`` and the
-    chi-squared checks here meanwhile; the result is the larger exit code."""
+    """The concentration cases in min(cases, CPUs) worker processes, and
+    ``beside(cfg, spec)`` and the chi-squared checks meanwhile here; returns
+    the larger exit code."""
     # Imported here only: they would add over 1 MiB of RSS to every command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -1,19 +1,9 @@
-"""Observation-norm concentration: the high-probability set the error budget lives on.
-
-A trajectory of horizon T is "tame" when
+"""The tame set the error budget lives on: a path of horizon T is tame when
 
     sup_{t <= T} ||y_t||^2 < gamma * C * N * (1 + log(T + 1)),
 
-strictly.  Under the reference coupling the observations are i.i.d. standard
-normal and gamma = 5 suffices; under the data-generating law the threshold
-inflates to gamma = 5 * lambda_sup * (1 + mu_sup)^2.  Either way the tame set
-misses at most (T+1)^{1-CN} e^{-CN} of the probability; the experiment here
-measures both frequencies and compares them against that floor with a
-three-sigma binomial allowance.
-
-The chi-squared building block: for U ~ chi2(N),
-
-    P(U >= N + 2 sqrt(N u) + 2 u) <= exp(-u).
+which misses at most (T+1)^{1-CN} e^{-CN} of the probability.  For
+U ~ chi2(N), P(U >= N + 2 sqrt(N u) + 2 u) <= exp(-u).
 """
 
 from __future__ import annotations
@@ -65,6 +55,8 @@ class TailCheck:
 
 
 def chi2_tail_check(n_dim: int, u: float, n_samples: int, seed: int = 0) -> TailCheck:
+    """Frequency of chi2(n_dim) draws at or above N + 2 sqrt(N u) + 2 u, against
+    exp(-u); ConfigError for n_dim or n_samples below 1, or u not in [0, inf)."""
     if n_dim < 1 or n_samples < 1 or not 0.0 <= u < math.inf:
         raise ConfigError(f"need n_dim >= 1, n_samples >= 1 and a finite u >= 0, "
                           f"got {n_dim}, {n_samples}, {u!r}")
@@ -77,7 +69,7 @@ def chi2_tail_check(n_dim: int, u: float, n_samples: int, seed: int = 0) -> Tail
 
 
 def gamma_data(constants: AssumptionConstants) -> float:
-    """Threshold inflation under the data-generating law."""
+    """gamma under the data law: max(5 lambda_sup (1 + mu_sup)^2, 5)."""
     return max(5.0 * constants.lambda_sup * (1.0 + constants.mu_sup) ** 2, 5.0)
 
 
@@ -99,15 +91,15 @@ def _check_case(n_dim: int, horizon: int, **positive: float) -> None:
 
 
 def tame_threshold(gamma: float, c_const: float, n_dim: int, horizon: int) -> float:
-    """gamma * C * N * (1 + log(T + 1)); refuses gamma or C outside (0, inf),
-    N < 1 and T < 0."""
+    """gamma * C * N * (1 + log(T + 1)); ConfigError for gamma or C outside
+    (0, inf), N < 1 and T < 0."""
     _check_case(n_dim, horizon, gamma=gamma, c_const=c_const)
     return gamma * c_const * n_dim * (1.0 + math.log(horizon + 1.0))
 
 
 def _sup_sq_norms(steps) -> np.ndarray:
     """Running (B,) maximum of ||y_t||^2 over the (B, N) steps y_0, y_1, ...,
-    squared ``_OBS_CHUNK`` rows at a time; no step is held while the next is drawn."""
+    each dropped before the next is drawn."""
     sup_sq = None
     for y in steps:
         sq = np.empty(len(y))
@@ -121,8 +113,8 @@ def _sup_sq_norms(steps) -> np.ndarray:
 def omega_hat_membership(observations: np.ndarray, c_const: float,
                          gamma: float) -> bool | np.ndarray:
     """Tame-set flag of observations (T+1, N), or (B,) flags of a (B, T+1, N)
-    stack; strict at the threshold.  Squares one (B, N) step at a time.
-    Refuses another shape, and T+1 or N of 0."""
+    stack; a path on the threshold is out.  DomainError: another shape, or
+    T+1 or N of 0."""
     obs = np.asarray(observations, dtype=float)
     if obs.ndim not in (2, 3) or min(obs.shape[-2:]) < 1:
         raise DomainError(f"observations must be (T+1, N) or (B, T+1, N), not {obs.shape}")
@@ -155,12 +147,8 @@ class ConcentrationReport:
 
 
 def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
-    """Analytic floor 1 - (T+1)^{1-CN} e^{-CN} for the tame-set probability.
-
-    The value is clamped to [0, 1]: for CN < 1 and long horizons the formula
-    goes negative, and a probability floor below zero says nothing.  Refuses
-    C outside (0, inf), N < 1 and T < 0.
-    """
+    """Floor 1 - (T+1)^{1-CN} e^{-CN} of the tame-set probability, clamped
+    to [0, 1]; ConfigError for C outside (0, inf), N < 1 and T < 0."""
     _check_case(n_dim, horizon, c_const=c_const)
     cn = c_const * n_dim
     return min(1.0, max(0.0, 1.0 - (horizon + 1.0) ** (1.0 - cn) * math.exp(-cn)))
@@ -168,16 +156,11 @@ def membership_bound(c_const: float, n_dim: int, horizon: int) -> float:
 
 def concentration_experiment(spec: SystemSpec, horizon: int, c_const: float,
                              n_traj: int, seed: int = 0) -> ConcentrationReport:
-    """Simulate under both measures and measure the tame-set frequencies.
-
-    Each measure is drawn one (B, N) step at a time into a running (B,)
-    maximum of ||y_t||^2, so no (B, T+1, N) array is made.  The data law
-    steps the paths of ``simulate_batch(spec, horizon, n_traj, seed)``; the
-    reference measure draws only the observations of ``simulate_batch(...,
-    seed + 1, tilde=True)``, from its (seed + 1, 3) stream.  Passes when each
-    empirical frequency clears the analytic floor minus three binomial
-    standard errors.
-    """
+    """Tame-set frequencies of the paths of ``simulate_batch(spec, horizon,
+    n_traj, seed)`` and of the observations of ``simulate_batch(..., seed +
+    1, tilde=True)``, equal to ``omega_hat_membership`` on them; each passes
+    at the floor less three binomial standard errors.  ConfigError: n_traj
+    < 1, and as in ``tame_threshold``."""
     if n_traj < 1:
         raise ConfigError("need n_traj >= 1")
     n_dim = spec.obs.n

@@ -1,12 +1,6 @@
-"""Run configuration: flat key-value files with nested sections (INI dialect).
-
-Sections: [model] selects and parameterizes a registered system, [run] holds
-horizon/seed/output, [filter] the single-resolution settings, [converge] the
-sweep, [verify] the check suite; any other section, or a key outside [model]
-that ``_KEYS`` does not declare, is refused.  Parsing and rendering
-round-trip exactly; no environment variables are consulted, and the only
-override channel is the documented CLI flag set.
-"""
+"""Run configuration as INI: sections [model], [run], [filter], [converge]
+and [verify].  Another section, or a key outside [model] that ``_KEYS`` does
+not declare, is a ConfigError.  Rendering and parsing round-trip exactly."""
 
 from __future__ import annotations
 
@@ -82,9 +76,8 @@ def _case(item: str) -> tuple[int, float, int]:
     return int(parts[0]), float(parts[1]), int(parts[2])
 
 
-# Every key outside [model], once: section, option, RunConfig field, parser,
-# and the least allowed value (of each element, for a list; None when only a
-# key-specific check in ``validate`` applies).
+# Every key outside [model]: section, option, RunConfig field, parser, and the
+# least value of it or of each element (None: ``validate`` checks it itself).
 _KEYS = (
     ("run", "horizon", "horizon", int, 0),
     ("run", "seed", "seed", int, 0),
@@ -117,6 +110,8 @@ def _coerce(text: str):
 
 
 def parse_config(text: str) -> RunConfig:
+    """The validated RunConfig of INI ``text``; ConfigError naming the
+    section or key."""
     # No default section: a [DEFAULT] key would reach every section unchecked.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
@@ -149,6 +144,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def render_config(cfg: RunConfig) -> str:
+    """INI text that ``parse_config`` reads back into an equal RunConfig."""
     sections = {"model": {"id": cfg.model_id,
                           **{key: _fmt(val) for key, val in cfg.model_params.items()}}}
     for section, option, name, _, _ in _KEYS:

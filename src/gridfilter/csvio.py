@@ -1,8 +1,4 @@
-"""Shared CSV conventions: '#'-prefixed metadata lines, header row, numeric body.
-
-A file that cannot be opened, written or decoded as UTF-8 is a ConfigError
-naming its path, as a malformed row is.
-"""
+"""CSV files of '#'-prefixed metadata lines, a header row and a numeric body."""
 
 from __future__ import annotations
 
@@ -29,8 +25,8 @@ def _file_access(action: str, path: str):
 
 def write_csv(path: str, meta: Mapping[str, object], header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
-    """Write ``path``, making its directory; a ConfigError names the path when
-    either cannot be made or written (an existing file in the directory's place)."""
+    """Write ``path``, making its directory; ConfigError naming the path when
+    either cannot be made or written."""
     with _file_access("write", path):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
@@ -55,14 +51,10 @@ def _fmt(value: object) -> str:
 
 
 def read_csv(path: str, numeric: bool = True) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Parse a metadata-headed CSV back into (meta, header, data).
-
-    With ``numeric`` (the default) the body becomes a float array and a
-    ConfigError names the offending data row (1-based, counted after the
-    header) on a malformed or wrong-width line.  ``numeric=False`` keeps the
-    cells as strings for mixed tables such as check reports.  A path that
-    cannot be read (a directory) or is not UTF-8 is a ConfigError too.
-    """
+    """(meta, header, data) of a file ``write_csv`` wrote: data (rows,
+    columns), floats, or strings unless ``numeric``.  ConfigError: a path
+    that cannot be read or is not UTF-8, no header, or a malformed or
+    wrong-width row, naming it (1-based after the header)."""
     meta: dict[str, str] = {}
     header: list[str] = []
     body: list[list] = []

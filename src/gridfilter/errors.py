@@ -1,9 +1,4 @@
-"""Exception types raised by the library.
-
-Every scientific failure mode gets its own class so callers (and the CLI exit
-code logic) can tell configuration mistakes apart from violated model
-assumptions or numerical degeneracy.
-"""
+"""The library's exception classes, one per failure mode."""
 
 __all__ = ["GridFilterError", "ModelDefinitionError", "AssumptionViolationError",
            "DomainError", "ChainConstructionError", "DegenerateUpdateError",
@@ -15,8 +10,7 @@ class GridFilterError(Exception):
 
 
 class ModelDefinitionError(GridFilterError, ValueError):
-    """A model callback returned something inconsistent (shape, symmetry,
-    positive definiteness, state outside the box)."""
+    """A model or callback output that is inconsistent."""
 
 
 class AssumptionViolationError(GridFilterError, ValueError):
@@ -24,10 +18,8 @@ class AssumptionViolationError(GridFilterError, ValueError):
 
 
 class DomainError(GridFilterError, ValueError):
-    """An input outside what the library accepts: a point outside the
-    state-space box, weights of the wrong length, malformed or non-finite
-    observations, or a chain or workspace built for another box, model or
-    point set."""
+    """An input outside what the library accepts, such as a point outside
+    the box or a non-finite observation."""
 
 
 class ChainConstructionError(GridFilterError, ValueError):

@@ -1,17 +1,5 @@
-"""Grid filter recursion and brute-force path-sum oracle.
-
-The grid filter tracks a weight per cell center.  Each step propagates the
-weights through the quantized chain, multiplies in the reduced likelihood
-ratio of the new observation in log domain, renormalizes, and reads the
-estimate off as the weighted mean of the centers.  The per-step normalizer
-increments accumulate into ``log_norm``, the log of the un-normalized
-conditional mass.  ``filter_steps`` is the one loop that runs the recursion
-over a trajectory or a stack, and ``run_grid_filter`` collects what it yields.
-
-``path_sum_oracle`` computes the same ratio by enumerating every chain path
-and is the ground truth the recursion is tested against; a model's exact
-filter, where it has one, is its ``SystemSpec.optimal_filter``.
-"""
+"""The grid filter recursion, stepped by ``filter_steps`` and collected by
+``run_grid_filter``, and the path-sum oracle it is tested against."""
 
 from __future__ import annotations
 
@@ -37,25 +25,18 @@ __all__ = [
 
 _ORACLE_MAX_T = 6
 _ORACLE_MAX_PATHS = 10**6
-# Largest observation entry accepted: sqrt(float max), ~1.34e154.  Past it the
-# products y_i y_j of the likelihood's features overflow.
+# Largest observation entry accepted; past it the features' y_i y_j overflow.
 _Y_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass
 class FilterState:
-    """Posterior over grid centers after absorbing observations up to time t.
-
-    One trajectory holds (K,) ``weights``, an (M,) ``estimate`` and scalar
-    ``log_norm`` and ``predict_tau``; a stack of B adds a leading B axis to
-    each.  ``t == -1`` is the state before any observation, holding the
-    chain's initial law.  ``weights`` sum to one along the last axis, and
-    ``log_norm`` is the accumulated log normalizer.  ``predict_tau`` is the
-    step's certificate from ``QuantizedChain.certified_predict`` (0 at t=0):
-    a bound on the posterior's total variation error from the prediction,
-    above 1e-13 where the row fell back to the direct sum.  A state that
-    ``filter_steps`` yields shares its arrays with the next one it yields.
-    """
+    """Posterior over the grid centers after the observation at time t (at
+    t = -1, the chain's initial law).  One trajectory holds (K,) ``weights``
+    summing to one, an (M,) ``estimate``, and scalars ``log_norm``, the
+    accumulated log normalizer, and ``predict_tau``, the step's
+    ``certified_predict`` bound (0 at t = 0); a stack adds a leading B axis.
+    A state ``filter_steps`` yields shares its arrays with the next one."""
 
     t: int
     weights: np.ndarray
@@ -66,9 +47,8 @@ class FilterState:
 
 @dataclass
 class FilterRunResult:
-    """Estimates (.., T+1, M), normalizers (.., T+1) and prediction
-    certificates (.., T+1) of a full filtering pass; ``gridfilter filter``
-    writes one run's estimates and normalizers, not its certificates."""
+    """Estimates (.., T+1, M), log normalizers (.., T+1) and prediction
+    certificates (.., T+1) of a run."""
 
     estimates: np.ndarray
     log_norms: np.ndarray
@@ -76,9 +56,8 @@ class FilterRunResult:
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis, shifted by the maximum, with one
-    temporary the size of ``x``; an all -inf row gives -inf, with the divide
-    warning the caller may silence."""
+    """log(sum(exp(x))) over the last axis, shifted by the maximum; an all
+    -inf row gives -inf, with a divide warning."""
     shift = x.max(axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     scaled = x - shift
@@ -86,6 +65,7 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 def initial_filter_state(chain: QuantizedChain) -> FilterState:
+    """The state at t = -1: a copy of the chain's initial law and its mean."""
     return FilterState(-1, chain.initial.copy(),
                        np.einsum("...k,km->...m", chain.initial, chain.grid.centers), 0.0)
 
@@ -95,39 +75,27 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
                      use_full_likelihood: bool = False, *, first_row: int = 0,
                      fft_buffers: Optional[tuple[np.ndarray, np.ndarray]] = None
                      ) -> FilterState:
-    """Advance the posterior by one observation, for one trajectory or a stack.
-
-    ``y`` is (N,) or (B, N) and ``state.weights`` (K,) or (B, K); the two
-    broadcast, so one initial state can start a stack.  The result is a new
-    state at t = ``state.t`` + 1 in arrays the step allocated: it never
-    writes into ``state`` or ``chain.initial``.  The prediction is
-    ``chain.certified_predict`` against the step's likelihood, with
-    ``fft_buffers`` as its ``buffers``.  ``ValueError``: ``state.t`` below
-    -1.  ``DomainError``: weights whose last axis is not K, a ``y`` of rank
-    above 2, stacks of weights and of ``y`` of different sizes, neither 1
-    (naming both and t), and any input ``filter_steps`` refuses.
-    ``DegenerateUpdateError``: a row whose weights all vanish, naming t and
-    its place b counted from ``first_row``.  The estimate is an einsum, not
-    a BLAS product, so a row's estimate is the same bits in any stack.
-    ``use_full_likelihood`` multiplies in the un-reduced ratio, whose
-    extra factor is constant across cells: only ``log_norm`` moves.
-    """
+    """Advance ``state``, weights (K,) or (B, K), by one observation ``y``,
+    (N,) or (B, N), which broadcast: a new state at t = ``state.t`` + 1 in
+    new arrays; ``state`` and ``chain.initial`` are not written.
+    ``fft_buffers`` are ``certified_predict``'s ``buffers``.  A row's result
+    is the same bits in any stack.  ``use_full_likelihood`` moves only
+    ``log_norm``.  Refused as in ``filter_steps``, with b counted from
+    ``first_row``; also ``ValueError`` for ``state.t`` below -1 and
+    ``DomainError`` for weights whose last axis is not K, a ``y`` of rank
+    above 2, and stacks of weights and ``y`` of different sizes, neither 1,
+    naming both and t."""
     if state.t < -1:
         raise ValueError("state.t must be >= -1")
     t = state.t + 1
     y = np.asarray(y, dtype=float)
     if y.ndim > 2:
         raise DomainError(f"y must be (N,) or (B, N), not {y.shape}")
-    # stacks broadcast only when their sizes agree or one is 1
     if (y.ndim == 2 == np.ndim(state.weights) and len(y) != len(state.weights)
             and 1 not in (len(y), len(state.weights))):
         raise DomainError(f"the state holds a stack of {len(state.weights)} trajectories "
                           f"and y one of {len(y)} at t={t}")
-    # four cheap tests per step (the last one fails on NaN too); the full
-    # check only runs when one fails
-    if (chain.grid.space is not spec.space or y.shape[-1:] != (spec.obs.n,)
-            or not y.size or not (np.abs(y) <= _Y_MAX).all()):
-        _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
+    _check_inputs(spec, chain, np.atleast_1d(y)[..., None, :], t)
     ll = log_lambda_hat_at_points(spec, t, chain.grid.centers, y, workspace)
     if use_full_likelihood:
         ll = ll + 0.5 * np.sum(y * y, axis=-1, keepdims=True)
@@ -161,13 +129,12 @@ def grid_filter_step(chain: QuantizedChain, spec: SystemSpec, state: FilterState
 
 def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
                   observations: np.ndarray, t0: int = 0) -> None:
-    """Reject a chain on another box (where there is a chain) and malformed,
-    empty (T+1 = 0 or B = 0), non-finite or overflowing (above ``_Y_MAX`` in
-    magnitude) observations, the first of which is at time ``t0``."""
+    """Refused as in ``filter_steps``, for observations from time ``t0``
+    and a chain, if there is one."""
     box = spec.space
     chain_box = box if chain is None else chain.grid.space
-    if not (np.array_equal(box.lower, chain_box.lower)
-            and np.array_equal(box.upper, chain_box.upper)):
+    if chain_box is not box and not (np.array_equal(box.lower, chain_box.lower)
+                                     and np.array_equal(box.upper, chain_box.upper)):
         raise DomainError(
             f"chain was built on the box [{chain_box.lower}, {chain_box.upper}], "
             f"the model's box is [{box.lower}, {box.upper}]")
@@ -185,9 +152,9 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
             f"observation at t={t0} in trajectory b=0 has {observations.shape[-1]} "
             f"components, the model expects N={spec.obs.n}")
     stack = observations if observations.ndim == 3 else observations[None]
-    bad = np.argwhere(~np.all(np.abs(stack) <= _Y_MAX, axis=-1))
-    if bad.size:
-        b, t = bad[0]
+    bounded = np.abs(stack) <= _Y_MAX  # NaN fails it too
+    if not bounded.all():
+        b, t = np.argwhere(~bounded.all(axis=-1))[0]
         what = ("non-finite observation" if not np.isfinite(stack[b, t]).all() else
                 f"observation above {_Y_MAX:.3g} in magnitude, whose square overflows,")
         raise DomainError(f"{what} at t={t0 + t} in trajectory b={b}: {stack[b, t]}")
@@ -196,20 +163,18 @@ def _check_inputs(spec: SystemSpec, chain: Optional[QuantizedChain],
 def filter_steps(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
                  use_full_likelihood: bool = False) -> Iterator[FilterState]:
     """Step the grid filter over observations (T+1, N) or (B, T+1, N),
-    yielding the ``FilterState`` after each step t = 0..T.
+    yielding the ``FilterState`` after each t = 0..T: the same (B, K)
+    weights, (B, M) estimate and (B,) ``log_norm`` and ``predict_tau``
+    arrays every time (no B axis for one trajectory), which the next step
+    overwrites.  Each row equals its single run bit for bit.
 
-    The input is checked at the call, before any step, with ``DomainError``:
-    a chain on another box, observations of rank above 3, with no time step
-    or no trajectory (naming the shape), whose last axis is not N, or with
-    an entry that is not finite or is above ``_Y_MAX`` in magnitude (naming
-    t and b).  A step raises ``DegenerateUpdateError`` where a row's weights
-    all vanish, naming t and b.  Every yield holds the same (B, K) weights,
-    (B, M) estimate and (B,) ``log_norm`` and ``predict_tau`` arrays, which
-    the next step overwrites.  A profile chain steps the stack in slices of
-    at most ``_FFT_SLICE // L`` rows, L its FFT length, all transformed in
-    one ``chain.fft_buffers`` pair, and each row equals its single run bit
-    for bit; a matrix chain steps the stack whole.  A time-varying
-    likelihood is built once per step.
+    The one list of the filter's refusals.  At the call, before any step,
+    ``DomainError``: a chain built on another box; observations of rank
+    above 3, or with no time step or no trajectory, naming the shape; an
+    observation whose length is not N, or with an entry that is not finite
+    or above ``_Y_MAX`` = sqrt(float max) in magnitude, naming t and b.
+    During a step, ``DegenerateUpdateError``: a row whose weights all
+    vanish, naming t and b.
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)
@@ -244,12 +209,9 @@ def _steps(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
 
 def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.ndarray,
                     use_full_likelihood: bool = False) -> FilterRunResult:
-    """Collect ``filter_steps`` over observations (T+1, N) or (B, T+1, N)
-    into estimates (.., T+1, M), log-normalizers (.., T+1) and prediction
-    certificates (.., T+1), preallocated and written one t at a time.  It
-    raises what ``filter_steps`` raises (``DomainError`` before any step,
-    ``DegenerateUpdateError``), and on a profile chain each row of a stack
-    equals its single run bit for bit."""
+    """``filter_steps`` over observations (T+1, N) or (B, T+1, N), collected
+    into a ``FilterRunResult`` whose rows equal their single runs bit for
+    bit; refused as in ``filter_steps``."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     steps = filter_steps(spec, chain, observations, use_full_likelihood)
     *lead, horizon, _ = observations.shape
@@ -264,14 +226,10 @@ def run_grid_filter(spec: SystemSpec, chain: QuantizedChain, observations: np.nd
 
 def path_sum_oracle(spec: SystemSpec, chain: QuantizedChain,
                     observations: np.ndarray) -> np.ndarray:
-    """Estimates by exhaustive enumeration of all chain paths.
-
-    Every path keeps its own weight (initial mass, transition masses, and the
-    reduced likelihood of each visited center); nothing is marginalized until
-    the final ratio.  Refuses horizons beyond T=6 or more than 10^6 paths,
-    naming the budget it would need.  Inputs are refused as in
-    ``filter_steps``, and so is a stack of trajectories.
-    """
+    """Estimates (T+1, M) of one trajectory, each path weighted on its own
+    until the final ratio.  Refused as in ``filter_steps``, and a stack with
+    ``DomainError``; ``BudgetExceededError`` beyond T = 6 or 10^6 paths,
+    naming the budget."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     _check_inputs(spec, chain, observations)
     if observations.ndim != 2:

@@ -1,23 +1,5 @@
-"""Convergence experiments: filter error against resolution, with analytic budgets.
-
-The sweep simulates trajectories, drops the ones outside the tame observation
-set, filters each kept trajectory at every requested resolution, and measures
-the per-trajectory worst-over-time l1 gap to a reference filter.  The
-reference is exact when the model supplies its optimal filter
-(``SystemSpec.optimal_filter``); otherwise it is a surrogate grid filter at
-a much finer resolution, cross-checked against a twice-finer run (the
-self-consistency gap must stay below a tenth of the smallest measured error,
-else the curve is flagged unconverged).
-
-The analytic budget assembled alongside has three ingredients: a growth
-constant for the likelihood-product error (two printed variants, one growing
-like T log T from bounding every term by its worst case, one growing like
-log T from summing the geometric decay), the worst-case quantization error
-sup_t E|X_t - X_t^A| <= half cell width, and an explicit lower bound for the
-conditional normalizer.  The normalizer bound underflows float64 for
-realistic horizons, so it is carried in logs; sup-over-trajectory quantities
-are maxima over the sampled tame trajectories and labeled estimates.
-"""
+"""Convergence experiments: the filter's error against resolution on tame
+trajectories, beside the analytic error budget."""
 
 from __future__ import annotations
 
@@ -27,6 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import _theta
 from .concentration import (_binomial_std_err, gamma_data, membership_bound,
                             omega_hat_membership, tame_threshold)
 from .errors import ConfigError, GridFilterError
@@ -69,13 +52,10 @@ class KGReport:
 def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
                 resolutions: Sequence[int] = (),
                 state_paths: Optional[np.ndarray] = None) -> KGReport:
-    """Evaluate both growth-constant variants and the per-resolution budget.
-
-    Needs audited constants (k_det and k_inv present).  ``state_paths`` of
-    shape (n_traj, T+1, M), when given, adds a measured sup_t mean
-    quantization error per resolution; the budget column always uses the
-    a-priori half-cell bound so doubling the resolution exactly halves it.
-    """
+    """Both growth constants and the log budget per resolution, from the
+    half-cell bound; ``state_paths`` (n_traj, T+1, M) add the measured sup_t
+    mean quantization error.  ConfigError: constants without k_det or k_inv,
+    or an eigenvalue floor <= 1."""
     c = spec.constants
     if c.k_det is None or c.k_inv is None:
         raise ConfigError("constants lack k_det / k_inv; run audit_derived_constants")
@@ -85,8 +65,7 @@ def kg_evaluate(spec: SystemSpec, horizon: int, c_const: float,
     t1 = horizon + 1.0
     log_lam = math.log(c.lambda_inf)
     gamma = gamma_data(c)
-    amp = math.sqrt(gamma) + c.mu_sup
-    k_o = c.k_mu * 2.0 * amp / c.lambda_inf + c.k_inv * amp * amp
+    k_o = _theta(c, math.sqrt(gamma) + c.mu_sup)
     log_growth = 1.0 + math.log(t1)
     kg_t_log_t = (k_o * c_const * n * log_growth * t1 / c.lambda_inf ** (n / 2.0)
                   + c.k_det * c.k_sigma * n**2 * t1 / (2.0 * c.lambda_inf**n))
@@ -165,8 +144,7 @@ def _sup_l1_errors(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.max(np.sum(np.abs(estimates - reference), axis=-1), axis=-1)
 
 
-# Kept trajectories that the surrogate reference is re-filtered on at twice
-# its resolution, to measure its own gap.
+# Kept trajectories the surrogate reference is checked on at twice its resolution.
 _CHECK_TRAJ = 4
 
 
@@ -175,14 +153,11 @@ def convergence_sweep(spec: SystemSpec, horizon: int, resolutions: Sequence[int]
                       a_ref: Optional[int] = None,
                       build_method: str = "quadrature",
                       n_samples: int = 100_000) -> ConvergenceCurve:
-    """Filter-error curve across resolutions against the reference filter.
-
-    The reference is ``spec.optimal_filter`` where the model supplies one,
-    and ``a_ref`` is then ignored.  Otherwise it is a grid filter at
-    ``a_ref``, which defaults to 8x the largest resolution; a smaller
-    surrogate raises ConfigError before any work.  The kept trajectories are
-    filtered as one stack per chain.
-    """
+    """Sup_t l1 errors per resolution of the tame trajectories against
+    ``spec.optimal_filter``, or else a grid filter at ``a_ref`` (8x the
+    largest resolution by default).  ConfigError, before any work:
+    resolutions not strictly increasing, n_traj < 1, or ``a_ref`` below 8x
+    the largest.  GridFilterError: no trajectory is tame."""
     resolutions = tuple(int(a) for a in resolutions)
     if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing and nonempty")

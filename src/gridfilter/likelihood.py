@@ -1,21 +1,9 @@
-"""Per-step observation log-likelihood ratios, in two normalizations.
-
-For an observation y at state x with scaled mean m = mean(t, x) and total
-covariance C = C_t(x), the full log ratio against a standard normal reference
-is
+"""Log-likelihood ratios of an observation y against a standard normal
+reference, at state x with scaled mean m and total covariance C:
 
     log_lambda = ||y||^2 / 2 - (y - m)' C^{-1} (y - m) / 2 - log(det C) / 2,
 
-and the reduced form drops the observation-only term:
-
-    log_lambda_hat = log_lambda - ||y||^2 / 2.
-
-The dropped factor depends on the observations alone, so it cancels from
-every filtering ratio; the reduced form is what the recursions use because
-its running sums stay uniformly bounded above.  All quadratic forms and log
-determinants go through Cholesky factors C = L L'.  The per-point functions
-solve with L and are the oracle; the batched path keeps the coefficients of
-the quadratic form per point set, so a step is one small contraction.
+and the reduced log_lambda_hat = log_lambda - ||y||^2 / 2 the recursions use.
 """
 
 from __future__ import annotations
@@ -63,15 +51,10 @@ def log_lambda(spec: SystemSpec, t: int, x: np.ndarray, y: np.ndarray) -> float:
 
 
 class QuadFormWorkspace:
-    """The reduced log ratio at a fixed point set as a quadratic form in y.
-
-    With P = C^{-1}, q = P m and r = m'q, log_lambda_hat(y) at point k is
-    -(y'Py - 2q'y + r + log det C) / 2 = phi(y) . A[:, k] for the features
-    phi(y) = [y_i y_j for i <= j, y, 1] (F = N(N+1)/2 + N + 1 of them) and one
-    (F, K) matrix A built from the Cholesky factors.  Stationary observation
-    models build A once; time-varying ones keep only the A of the step asked
-    for last, so memory stays flat over long runs.
-    """
+    """log_lambda_hat at K fixed points as phi(y) . A[:, k], for the features
+    phi(y) = [y_i y_j for i <= j, y, 1] (F = N(N+1)/2 + N + 1 of them) and an
+    (F, K) matrix A, kept for the last step asked for (any step, when the
+    model is stationary)."""
 
     def __init__(self, spec: SystemSpec, points: np.ndarray):
         self.spec = spec
@@ -81,8 +64,7 @@ class QuadFormWorkspace:
         self._cache: Optional[np.ndarray] = None
 
     def _compute(self, t: int) -> np.ndarray:
-        """A, built over slices of points whose (P, N, N) stacks hold at
-        most ``_SLICE_ENTRIES`` entries; a point's column does not depend
+        """A, built over slices of points; a point's column does not depend
         on its slice."""
         spec, i, j = self.spec, *self._upper
         coef = np.empty((len(i) + spec.obs.n + 1, len(self.points)))
@@ -125,15 +107,11 @@ class QuadFormWorkspace:
 def log_lambda_hat_at_points(spec: SystemSpec, t: int, points: np.ndarray,
                              y: np.ndarray,
                              workspace: Optional[QuadFormWorkspace] = None) -> np.ndarray:
-    """Reduced log likelihood ratio of observations at many states at once.
-
-    ``y`` is one observation (N,) or a stack (B, N); the result is (K,) or
-    (B, K) for K points.  A row of a stack equals the same observation given
-    alone, bit for bit.  Matches per-point ``log_lambda_hat`` up to roundoff
-    relative to the terms y'Py, 2q'y, r and log det C.  A workspace, when
-    given, must have been built for the same ``spec`` object and the same
-    point set (the same array, or an equal one), else DomainError.
-    """
+    """Reduced log ratios (K,) or (B, K) of ``y`` (N,) or (B, N) at K
+    ``points``: a row of a stack equals the observation alone bit for bit,
+    and per-point ``log_lambda_hat`` to roundoff relative to y'Py, 2q'y, r
+    and log det C.  DomainError: a ``workspace`` built for another spec
+    object or point set, or an observation whose last axis is not N."""
     if workspace is None:
         workspace = QuadFormWorkspace(spec, points)
     elif workspace.spec is not spec:

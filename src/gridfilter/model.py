@@ -1,28 +1,9 @@
-"""Hidden-system models: bounded Markov state, conditionally Gaussian observations.
-
-A system couples a Markov state process living in a compact box ``Z`` with
-vector observations
+"""Hidden-system models: a Markov state in a box Z observed as
 
     y_t = scale * (mu_t(x_t) + chol(Sigma_t(x_t) + sigma_xi^2 I) u_t),
 
-where ``u_t`` is standard Gaussian and ``scale`` is a single multiplicative
-constant applied jointly to the observation mean and (squared) to the
-observation covariance.  The scaled total covariance
-
-    C_t(x) = scale^2 * (Sigma_t(x) + sigma_xi^2 I)
-
-is the object every downstream computation sees; filtering theory here needs
-its eigenvalues bounded below by a constant strictly greater than one, which
-is exactly what the scale knob is for.
-
-``simulate`` draws the system as written above; with ``tilde=True`` it keeps
-the state path and Gaussian draws of the same seed but emits the draws
-``u_t`` themselves, i.i.d. standard normal observations independent of the
-state.  The two laws realize the reference-measure coupling used by the
-filtering recursions and the concentration experiments.
-
-All randomness flows through counter-based Philox streams keyed by
-``(seed, stream...)``; equal keys reproduce bit-identical output.
+u_t standard normal, with total covariance C_t(x) = scale^2 (Sigma_t(x) +
+sigma_xi^2 I).  Equal ``(seed, stream...)`` keys give bit-identical draws.
 """
 
 from __future__ import annotations
@@ -52,11 +33,8 @@ __all__ = [
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for stream ``(seed, *stream)``.
-
-    Distinct keys give statistically independent streams; equal keys give
-    bit-identical draws on every platform.
-    """
+    """Philox generator for stream ``(seed, *stream)``: equal keys give
+    bit-identical draws.  ValueError: a negative key."""
     if seed < 0 or any(s < 0 for s in stream):
         raise ValueError("stream keys must be nonnegative integers")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
@@ -71,18 +49,18 @@ def _checked(a, shape: tuple, name: str, t: int) -> np.ndarray:
     return a
 
 
-# Most corners ``StateSpace.corners`` lists; a larger box gives lower and upper.
+# Most corners ``StateSpace.corners`` lists.
 _MAX_CORNERS = 4096
 
-# Most entries per slice when a chain's profile, its initial law or a
-# likelihood workspace is built a slice of cells or points at a time.
+# Most entries per slice of a chain build or a likelihood workspace.
 _SLICE_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Axis-aligned closed box ``Z = [lower_1, upper_1] x ... x [lower_M, upper_M]``
-    with finite bounds, lower < upper and a finite width on every axis."""
+    """Closed box ``Z = [lower_1, upper_1] x ... x [lower_M, upper_M]``,
+    bounds (M,).  ModelDefinitionError: bounds of different lengths, not
+    finite or not lower < upper, or a width that overflows, naming the axis."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -130,18 +108,11 @@ class StateSpace:
 
 @dataclass
 class ObservationModel:
-    """Conditionally Gaussian observation channel.
-
-    ``mean_fn(t, x)`` and ``cov_fn(t, x)`` describe the unscaled mean and
-    state covariance at a batch of states; ``obs_scale`` multiplies the
-    emitted observation (and hence the total covariance by its square).  Set
-    ``stationary`` when both callbacks ignore ``t`` so factorizations can be
-    cached.  Both callbacks are batched over B states with M axes (N is
-    ``n``)::
-
-        mean_fn(t, x)    x (B, M)  ->  (B, N)
-        cov_fn(t, x)     x (B, M)  ->  (B, N, N)
-    """
+    """Conditionally Gaussian observation channel with N = ``n``: unscaled
+    ``mean_fn(t, x)``, x (B, M) -> (B, N), and ``cov_fn(t, x)`` -> (B, N, N);
+    ``obs_scale`` multiplies the observation, so the total covariance by its
+    square.  ``stationary``: both callbacks ignore t.  ModelDefinitionError:
+    n < 1, or sigma_xi_sq or obs_scale not positive."""
 
     n: int
     mean_fn: Callable[[int, np.ndarray], np.ndarray]
@@ -170,32 +141,20 @@ class ObservationModel:
 
 @dataclass
 class TransitionKernel:
-    """State dynamics of a Markov process on the box Z.
-
-    Callbacks are batched over B paths or n points with M axes::
+    """State dynamics on the box Z, as callbacks batched over B paths or n
+    points with M axes::
 
         sampler(t, x_prev, rng)      x_prev (B, M)                      ->  (B, M)
         initial_sampler(rng, size)                                      ->  (size, M)
         density(t, x_prev, xs)       one source x_prev (M,), xs (n, M)  ->  (n,)
         initial_density(xs)          xs (n, M)                          ->  (n,)
+        increment_cell_mass(lo, hi)  1-D only, lo and hi (n,)          ->  (n,)
 
-    ``sampler`` draws X_t given X_{t-1} = x_prev row by row and
-    ``initial_sampler`` draws X_0; their ``rng`` may be per-path streams:
-    draw with ``random``, ``uniform`` or ``standard_normal`` at a size whose
-    leading axis is the paths, one row per path.  ``density``, when present,
-    is the transition density with respect to Lebesgue measure on Z and must
-    integrate to one there; ``initial_density`` is the density of X_0.  An
-    output of another shape raises ModelDefinitionError naming the callback
-    and t (0 for the initial callbacks).
-
-    ``increment_cell_mass(lo, hi)``, optional, declares the dynamics
-    translation invariant: it maps (n,) offset bounds to the (n,) masses of
-    the unconstrained step X_t - X_{t-1} in [lo, hi], and on the box
-    ``density(t, x_prev, .)`` must be proportional to the step's density at
-    ``. - x_prev`` for every ``x_prev`` (a per-row constant, such as a
-    truncation factor, cancels when chain rows are renormalized).  Quadrature
-    chain construction then takes one offset profile of cell masses, and
-    ``verify_assumptions`` checks the proportionality.  1-D boxes only.
+    The densities are per unit Lebesgue measure on Z.  The optional hook
+    gives the masses of the step X_t - X_{t-1} in [lo, hi]; ``density(t,
+    x_prev, .)`` must then be proportional to the step's density at
+    ``. - x_prev``.  An output of another shape raises ModelDefinitionError
+    naming the callback and t (0 for the initial callbacks).
     """
 
     sampler: Callable[..., np.ndarray]
@@ -207,18 +166,12 @@ class TransitionKernel:
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Regularity constants of the observation channel.
-
-    lambda_inf / lambda_sup bound the eigenvalues of C_t(x) from below and
-    above; mu_sup bounds the scaled mean norm; k_mu and k_sigma are Lipschitz
-    constants of the mean (l2 over l1) and of the covariance entries.  The
-    optional trailing constants are estimated by the bounds suite and feed the
-    quadratic-form and product-error budgets: k_det for determinant
-    differences, k_inv for the inverse map.
-
-    Audits reject lambda_inf <= 1; construction only requires it positive so
-    deliberately degenerate demonstration models remain expressible.
-    """
+    """Regularity constants of the observation channel: lambda_inf and
+    lambda_sup bound C_t(x)'s eigenvalues, mu_sup the scaled mean's norm,
+    k_mu (l2 over l1) and k_sigma (entries over l1) are Lipschitz constants
+    of mean and covariance, and ``audit_derived_constants`` sets k_det and
+    k_inv.  ModelDefinitionError: a constant not finite or negative,
+    lambda_inf <= 0 or above lambda_sup."""
 
     lambda_inf: float
     lambda_sup: float
@@ -254,13 +207,11 @@ class SystemSpec:
     optimal_filter: Optional[Callable[["SystemSpec", np.ndarray], np.ndarray]] = None
 
 
-# Panel counts of the mass quadrature in ``_check_density_mass``: the first
-# one, and the cap of the doubling.
+# ``_check_density_mass``'s first panel count and the cap of its doubling.
 _MASS_PANELS = (64, 2**14)
 
 
-# The 8-node Gauss-Legendre rule on [-1, 1], ``leggauss(8)`` bit for bit, mirrored
-# from its positive half; tuples, as numpy work at import pages in numpy code.
+# The 8-node Gauss-Legendre rule on [-1, 1], ``leggauss(8)`` bit for bit.
 _GL_POS = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
 _GL_POS_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 _GL_NODES = tuple(-x for x in reversed(_GL_POS)) + _GL_POS
@@ -277,15 +228,10 @@ def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> None:
-    """Unit mass of the transition density from each source; with
-    ``increment_cell_mass``, also the same law on the box: the cumulative
-    panel masses of density and hook, each over its total, agree to 1e-9.
-
-    The mass is integrated with 8-node Gauss-Legendre panels over the box.
-    The panel count doubles from 64 until two successive masses agree to
-    ``tol / 10`` (a step much narrower than a panel needs finer panels), up
-    to 2^14 panels, whose mass is then checked as it stands.
-    """
+    """Refuse a density without unit mass (to ``tol``) from a source, or one
+    whose cumulative panel masses differ from ``increment_cell_mass``'s by
+    more than 1e-9, each over its total.  Panels double from 64 until two
+    masses agree to ``tol / 10``, up to 2^14."""
     if spec.space.dim != 1:
         return
     lo, hi = spec.space.lower[0], spec.space.upper[0]
@@ -318,7 +264,8 @@ def _check_density_mass(spec: SystemSpec, sources: np.ndarray, tol: float) -> No
 
 @dataclass
 class Trajectory:
-    """One simulated path: states (T+1, M) and observations (T+1, N)."""
+    """One simulated path: states (T+1, M) and observations (T+1, N);
+    ModelDefinitionError when their time axes differ."""
 
     states: np.ndarray
     observations: np.ndarray
@@ -335,8 +282,7 @@ class Trajectory:
 
 
 def _probe_points(space: StateSpace, n_probe: int, rng: np.random.Generator) -> np.ndarray:
-    """Box corners, midpoint, and n_probe uniform draws (corners make the
-    empirical eigenvalue range tight for monotone models)."""
+    """Box corners, midpoint, and n_probe uniform draws."""
     u = rng.uniform(space.lower, space.upper, size=(n_probe, space.dim))
     mid = 0.5 * (space.lower + space.upper)
     return np.concatenate([space.corners(), mid[None, :], u], axis=0)
@@ -350,8 +296,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
-# Rows per slice in ``_observe`` and in the tame-set fold: bounds their
-# temporaries.  The sampler and the normal draws take the whole batch.
+# Rows per slice in ``_observe`` and in the tame-set fold.
 _OBS_CHUNK = 2**13
 
 
@@ -365,7 +310,6 @@ def _observe(spec: SystemSpec, t: int, x: np.ndarray, rng_obs, tilde: bool) -> n
         chol = cholesky_rows(raw_cov, t, xs, spec.obs.sigma_xi_sq)
         raw_mean = _checked(spec.obs.mean_fn(t, xs), (len(xs), n), "mean_fn", t)
         # Last row first: y_i overwrites u_i, which no earlier row reads.
-        # Factoring obs_scale out keeps y exactly linear in the scale.
         for i in range(n - 1, -1, -1):
             lu = chol[i][0] * us[:, 0]
             for k in range(1, i + 1):
@@ -376,10 +320,8 @@ def _observe(spec: SystemSpec, t: int, x: np.ndarray, rng_obs, tilde: bool) -> n
 
 def _path_steps(spec: SystemSpec, horizon: int, n_paths: int, rng_state, rng_obs,
                 tilde: bool):
-    """Advance ``n_paths`` paths together, yielding each step's states
-    (n_paths, M) and observations (n_paths, N), the raw draws ``u_t`` when
-    ``tilde``, from plain generators or ``PathStreams``.  Only the states
-    outlive a yield: a consumer's dropped observations are freed before the next step."""
+    """Each step's states (n_paths, M) and observations (n_paths, N), the
+    draws u_t when ``tilde``; ModelDefinitionError for a path leaving the box."""
     x = spec.kernel.initial_sampler(rng_state, n_paths)
     for t in range(horizon + 1):
         if t > 0:
@@ -415,44 +357,31 @@ def _simulate(spec: SystemSpec, horizon: int, seeds: list[int],
 
 
 def simulate(spec: SystemSpec, horizon: int, seed: int, tilde: bool = False) -> Trajectory:
-    """Draw one path of states and observations up to time ``horizon``,
-    deterministic in ``seed``; ``tilde`` draws under the reference coupling."""
+    """One path up to time ``horizon`` from streams (seed, 0) and (seed, 1);
+    ``tilde`` emits the draws u_t as the observations."""
     states, obs = _simulate(spec, horizon, [seed], tilde)
     return Trajectory(states=states[0], observations=obs[0])
 
 
 def simulate_batch(spec: SystemSpec, horizon: int, n_traj: int, seed: int,
                    tilde: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n_traj`` independent paths at once.
-
-    Returns (states, observations) with shapes (n_traj, T+1, M) and
-    (n_traj, T+1, N).  Deterministic in (seed, n_traj); the paths use their
-    own streams, so they are not element-wise equal to ``simulate`` calls.
-    """
+    """States (n_traj, T+1, M) and observations (n_traj, T+1, N) from streams
+    (seed, 2) and (seed, 3); not equal to ``simulate``'s paths."""
     return _sample_paths(spec, horizon, n_traj, make_rng(seed, 2), make_rng(seed, 3), tilde)
 
 
 def verify_assumptions(spec: SystemSpec, n_probe: int, seed: int,
                        horizon: int = 0) -> AssumptionConstants:
-    """Audit the model's callbacks and declared constants at probe points.
-
-    Probes the box corners, midpoint and ``n_probe`` uniform points at every
-    time in ``0..horizon`` (stationary models can leave horizon at 0), and
-    measures: eigenvalue range of C_t, sup of the scaled mean norm, and the
-    Lipschitz quotients of mean (l2 over l1) and covariance entries (max
-    entry over l1) across all probe pairs.  Then it draws three steps of as
-    many paths as there are probe points from the kernel's samplers and,
-    when the kernel declares a density, checks its unit mass and its
-    proportionality to ``increment_cell_mass`` from the first four probe
-    points (1-D boxes only).  Returns the empirical constants.
-
-    Raises ModelDefinitionError naming the callback and t for an output of
-    the wrong shape, and naming t and the point for a covariance not
-    symmetric (beyond 1e-12) or not positive definite, a sampler leaving
-    the box or a density without unit mass.  Raises AssumptionViolationError,
-    naming the constant, the probe point or pair and the measured value, if the
-    empirical eigenvalue floor is <= 1 or any declared constant is
-    contradicted beyond a 1e-9 relative slack.
+    """The empirical constants at the box corners, midpoint and ``n_probe``
+    uniform points, at t = 0..``horizon``, after three sampler steps and,
+    on a 1-D box with a density, its mass checks.  ValueError: n_probe < 2.
+    ModelDefinitionError: an output of the wrong shape, naming the callback
+    and t; a covariance not symmetric (beyond 1e-12) or not positive
+    definite, a path leaving the box or a density without unit mass or not
+    proportional to ``increment_cell_mass``, naming t and the point.
+    AssumptionViolationError, naming the constant, point or pair and the
+    value: an eigenvalue floor <= 1 or a declared constant contradicted
+    beyond 1e-9 relative.
     """
     if n_probe < 2:
         raise ValueError("need n_probe >= 2")

@@ -1,13 +1,5 @@
-"""Uniform grid quantization of the state box and quantized Markov chains.
-
-The box is split into a tensor product of half-open cells (the upper boundary
-of the box belongs to the last cell of each axis), every point maps to the
-center of its cell, and a state kernel induces a finite chain on the cell
-centers: row k holds the probability of landing in each cell when the kernel
-is started from center k.  The chain is one admissible finite approximation
-of the dynamics; which one was used is recorded in ``build_method`` and in
-the serialized metadata.
-"""
+"""Uniform grids on the state box and the finite chains a kernel induces on
+their cell centers."""
 
 from __future__ import annotations
 
@@ -33,11 +25,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell grid over a state box.
-
-    ``a_per_dim`` counts cells along each axis; linear indices are row-major
-    (last axis fastest), matching ``numpy.ravel_multi_index``.
-    """
+    """Uniform grid of half-open cells (the box's upper face in the last
+    cell), ``a_per_dim`` cells per axis, indexed row-major as
+    ``numpy.ravel_multi_index``.  ValueError: a count below 1 or of the
+    wrong length."""
 
     space: StateSpace
     a_per_dim: tuple[int, ...]
@@ -81,7 +72,8 @@ class Grid:
 
 
 def quantize_points(grid: Grid, xs: np.ndarray) -> np.ndarray:
-    """Linear cell indices for points ``xs`` of shape (n, M)."""
+    """Linear cell indices (n,) of points ``xs`` (n, M); DomainError naming
+    a point outside the box."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     lo, hi = grid.space.lower, grid.space.upper
     bad = ~grid.space.contains(xs)
@@ -110,8 +102,8 @@ def _checked_entries(name: str, values: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
-    """Sums of a chain's unnormalized rows; a row without mass is refused
-    by name."""
+    """Sums of a chain's unnormalized rows; ChainConstructionError naming a
+    row without mass."""
     mass = rows.sum(axis=1)
     if np.any(mass <= 0.0):
         row = int(np.argmax(mass <= 0.0))
@@ -120,29 +112,24 @@ def _row_mass(grid: Grid, rows: np.ndarray) -> np.ndarray:
     return mass
 
 
-# An FFT-predicted entry errs by at most delta = _FFT_C eps log2(L) ||profile||
-# ||u|| (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-# ch. 24); rows certified worse than _TAU_MAX are summed directly.
-# ``filter_steps`` hands a profile chain at most _FFT_SLICE // L rows at a
-# time, so the FFT buffers stay small however many trajectories it filters.
+# FFT entry error constant, the largest certified tau, and the most FFT
+# entries ``filter_steps`` steps at once.
 _FFT_C = 4.0
 _TAU_MAX = 1e-13
 _FFT_SLICE = 1 << 14
 
 
 class QuantizedChain:
-    """Finite chain on grid-cell centers: one transition operator + initial law.
+    """Finite chain on the grid centers: one operator and an initial law (K,).
 
-    The operator's shape gives its form.  A (K, K) ``operator`` is the
-    row-stochastic ``transition``; a (2K-1,) one is a non-negative offset
-    ``profile`` whose rows are its windows, ``transition[r, c] ==
-    profile[c - r + K - 1] / row_mass[r]`` with the window sums ``row_mass``
-    (K,), so at K = 1, (1,) is a profile and (1, 1) a matrix.  Any other
-    shape, and an operator or ``initial`` entry that is not finite and >= 0,
-    raise ChainConstructionError naming it.  A profile chain holds no K x K
-    matrix: reading ``transition`` builds one anew on every read and does not
-    keep it, for the oracles; ``predict`` never does.  Chains compare equal
-    only to themselves.
+    A (K, K) ``operator`` is the row-stochastic ``transition``; a (2K-1,)
+    one is an offset ``profile``, with ``transition[r, c] == profile[c - r +
+    K - 1] / row_mass[r]`` for its window sums ``row_mass`` (K,).  A profile
+    chain holds no K x K matrix; each read of ``transition`` builds one.
+    ChainConstructionError, naming it: another operator shape; an operator
+    or ``initial`` entry not finite and >= 0; a matrix row or ``initial``
+    not summing to 1 within 1e-12; a profile row without mass.  Chains
+    compare equal only to themselves.
     """
 
     def __init__(self, grid: Grid, operator: np.ndarray, initial: np.ndarray,
@@ -199,12 +186,9 @@ class QuantizedChain:
         return weights
 
     def predict(self, weights: np.ndarray) -> np.ndarray:
-        """One exact step of the chain, ``weights @ transition`` for (K,) or
-        (B, K) weights: the oracle and the fallback of ``certified_predict``.
-        On a profile chain each row of u = weights / row_mass is the direct
-        sum ``np.correlate(profile, u[::-1], "valid")``, so small predicted
-        masses keep their relative precision, and no K x K matrix is read.
-        """
+        """``weights @ transition`` for (K,) or (B, K) weights, exactly: on a
+        profile chain, ``np.correlate(profile, u[::-1], "valid")`` per row of u
+        = weights / row_mass.  DomainError: a last axis that is not K."""
         weights = self._checked(weights)
         if self.profile is None:
             return weights @ self._matrix
@@ -213,38 +197,25 @@ class QuantizedChain:
                          for u in rows]).reshape(weights.shape)
 
     def fft_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """New, uninitialized complex (rows, L//2+1) and real (rows, L)
-        arrays: the spectrum and the signal of ``certified_predict``'s
-        transforms of up to ``rows`` rows on this profile chain, L its FFT
-        length."""
+        """New complex (rows, L//2+1) and real (rows, L) arrays, L the FFT
+        length: ``certified_predict``'s buffers for up to ``rows`` rows."""
         n_fft = self._spectrum[1]
         return np.empty((rows, n_fft // 2 + 1), complex), np.empty((rows, n_fft))
 
     def certified_predict(self, weights: np.ndarray, log_lik: np.ndarray,
                           buffers: Optional[tuple[np.ndarray, np.ndarray]] = None
                           ) -> tuple[np.ndarray, np.ndarray]:
-        """``predict`` for (K,) or (B, K) weights and the step's log-likelihood
-        (they broadcast), and tau, (B,) or a scalar: a bound on the total
-        variation distance between the posteriors ``predicted * exp(log_lik)``
-        of this and of ``predict``.
-
-        A profile chain predicts the rows by real FFTs of u = weights /
-        row_mass at length L = 2^ceil(log2(2K-1)), all rows in one
-        transform, clamped at 0; each entry is within delta =
-        4 eps log2(max(L, 2)) ||profile|| ||u|| of the direct sum.  With a =
-        exp(log_lik - max log_lik), tau = delta sum(a) / sum(max(predicted -
-        delta, 0) a).  A row with tau above 1e-13 (or not finite) is
-        recomputed by ``predict`` and equals it bit for bit.  A matrix chain
-        returns the product and tau = 0.  Either way ``predicted`` is a new
-        array of the broadcast shape, which the caller may overwrite.
-
-        The transforms write through ``out=`` into the first rows of
-        ``buffers``, a pair from ``fft_buffers(R)`` with R at least the
-        number of rows, which also hold the call's (rows, K) temporaries
-        while the transforms do not need them; their contents on return are
-        scratch.  Without ``buffers`` the call allocates its own;
-        ``filter_steps`` allocates one pair per run, for its at most
-        2^14 // L rows per call, and the chain, which may be shared, keeps none.
+        """``predict`` of (K,) or (B, K) weights, broadcast with the step's
+        log-likelihood, as a new array, and tau, (B,) or a scalar: a bound on
+        the total variation distance between the posteriors ``predicted *
+        exp(log_lik)`` of this and of ``predict``.  A profile chain predicts by
+        FFT, clamped at 0, each entry within delta = 4 eps log2(max(L, 2))
+        ||profile|| ||u|| of ``predict``, and tau = delta sum(a) /
+        sum(max(predicted - delta, 0) a) for a = exp(log_lik - max log_lik); a
+        row with tau above 1e-13, or not finite, equals ``predict`` bit for bit.
+        A matrix chain gives the product and tau = 0.  ``buffers``, a pair from
+        ``fft_buffers(R)`` with R at least the rows, is scratch; without it the
+        call allocates its own.  DomainError: a last axis that is not K.
         """
         weights = self._checked(weights)
         if weights.shape != np.shape(log_lik):
@@ -283,10 +254,9 @@ class QuantizedChain:
 
 
 def _gl_cells(grid: Grid, first: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8-node Gauss-Legendre nodes per axis over the cells whose index on the
-    first axis is in ``first``: (nodes (n, M), weights (n,), owning cell's
-    linear index counted from the first of them (n,)).  These cells are
-    contiguous in linear-index order, and so are their nodes."""
+    """8-node Gauss-Legendre nodes (n, M), weights (n,) and owning cells
+    (n,), counted from the first, over the cells whose first-axis index is
+    in ``first``, contiguous in linear-index order."""
     per_dim = []
     for d in range(grid.space.dim):
         cells = first if d == 0 else range(grid.a_per_dim[d])
@@ -302,27 +272,18 @@ def _gl_cells(grid: Grid, first: range) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def build_chain(spec: SystemSpec, grid: Grid, method: str = "quadrature",
                 seed: int = 0, n_samples: int = 100_000) -> QuantizedChain:
-    """Induce a finite chain on the grid centers from the state kernel.
+    """The chain the kernel induces on the grid centers, rows renormalized.
 
-    ``method="quadrature"`` integrates the transition density over every cell
-    with 8-node Gauss-Legendre rules (needs ``density`` and
-    ``initial_density``); ``method="monte_carlo"`` histograms ``n_samples``
-    kernel draws per source center.  Rows are renormalized; a row with no
-    mass raises ChainConstructionError naming it, a callback output of the
-    wrong shape ModelDefinitionError naming the callback and t, and an
-    unknown method or one the kernel cannot serve ConfigError.
-
-    A kernel declaring ``increment_cell_mass`` (1-D boxes only) has rows
-    that are one shifted step profile up to a per-row constant.  The hook on
-    the 2K-1 offset cells [(d - 1/2) h, (d + 1/2) h], d = -(K-1)..K-1, called
-    on at most 2^12 of them at a time, gives that profile, and the chain is
-    the profile alone, at O(K) memory: no K x K matrix is made unless an
-    oracle reads ``transition``.  Kernels without the hook take the
-    row-by-row path, the reference for the profile path; their chains, like
-    monte_carlo ones, are dense matrices.  The quadrature initial law is
-    weighed over slices of the first axis's cells with at most 2^12 nodes
-    (or over one of them, if it has more); each cell's mass is the same sum
-    as over all nodes at once.
+    ``"quadrature"`` integrates ``density`` and ``initial_density`` over
+    each cell with 8-node Gauss-Legendre rules, or, for a kernel with
+    ``increment_cell_mass``, gives a profile chain from the hook on the
+    2K-1 offset cells [(d - 1/2) h, (d + 1/2) h], d = -(K-1)..K-1.
+    ``"monte_carlo"`` histograms ``n_samples`` draws per center.  Each
+    cell's initial mass is the same sum in any slicing.  ConfigError: an
+    unknown method, or a callback it needs that is missing.
+    ChainConstructionError: the hook on a box with M > 1, or a row or the
+    initial law without mass.  ModelDefinitionError: a callback output of
+    the wrong shape, naming the callback and t.
     """
     k = grid.total_points
     centers = grid.centers

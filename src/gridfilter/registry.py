@@ -1,21 +1,7 @@
-"""Built-in demonstration systems.
-
-Three families cover the test surface:
-
-* ``finite_chain``: the state really is a finite Markov chain sitting on the
-  cell centers of a uniform grid; its optimal filter is ``exact_forward_filter``.
-* ``gauss_walk``: truncated Gaussian random walk on an interval, linear
-  observation mean alpha*x in every coordinate, state-dependent covariance
-  (beta + x^2) I.  The canonical continuous-state example.
-* ``constant``: frozen state and constant observation law; degenerate on
-  purpose, for closed-form checks.
-
-Each builder returns a fully declared SystemSpec: the regularity constants
-are computed analytically from the parameters, for both linear families by
-``_linear_system`` from beta's range and Lipschitz constant.  The observation
-scale ``obs_scale`` defaults to the value that lifts the covariance
-eigenvalue floor to ``_LAMBDA_INF_TARGET``.
-"""
+"""The registered demonstration systems, each a ``SystemSpec`` whose declared
+constants follow from its parameters, and the exact filter of the finite
+chain.  ``obs_scale=None`` lifts the covariance eigenvalue floor to
+``_LAMBDA_INF_TARGET``."""
 
 from __future__ import annotations
 
@@ -45,7 +31,8 @@ __all__ = [
 
 
 class FiniteStateKernel(TransitionKernel):
-    """Kernel supported on finitely many known states with a known matrix."""
+    """Dynamics on the K ``states`` (K, M) with a row-stochastic (K, K)
+    matrix and an initial law (K,); ModelDefinitionError otherwise."""
 
     def __init__(self, states: np.ndarray, transition_matrix: np.ndarray,
                  initial_probs: np.ndarray):
@@ -87,14 +74,10 @@ class FiniteStateKernel(TransitionKernel):
 
 
 def exact_forward_filter(spec: SystemSpec, observations: np.ndarray) -> np.ndarray:
-    """Optimal filter for dynamics that are exactly a finite-state chain.
-
-    Classical forward algorithm with per-step scaling, run in linear domain,
-    over observations of shape (T+1, N) or (B, T+1, N).  The spec's kernel
-    must expose states, transition matrix and initial law.  Observations
-    are refused as in ``filter_steps``; weights that all vanish raise
-    ``DegenerateUpdateError`` naming t and the trajectory b.
-    """
+    """Estimates (.., T+1, M) of the optimal filter of a ``FiniteStateKernel``
+    by the forward algorithm, for observations (T+1, N) or (B, T+1, N).
+    ModelDefinitionError: another kernel.  Refused as in ``filter_steps``,
+    with forward weights that all vanish naming t and b."""
     kernel = spec.kernel
     if not isinstance(kernel, FiniteStateKernel):
         raise ModelDefinitionError(
@@ -149,10 +132,9 @@ def _linear_system(model_id: str, space: StateSpace, kernel: TransitionKernel,
                    k_beta: float, sigma_xi_sq: float, obs_scale,
                    **fixed: float) -> SystemSpec:
     """The system observed with mean alpha*x in every coordinate and
-    covariance beta_fn(x) * I, for states with |x| <= hi and beta_fn ranging
-    over beta_range with Lipschitz constant k_beta; ``fixed`` are declared
-    constants that these formulas do not give.  A formula constant that
-    overflows is refused naming the box."""
+    covariance beta_fn(x) * I, for |x| <= hi, beta_fn over beta_range with
+    Lipschitz constant k_beta, and the other declared constants ``fixed``.
+    ConfigError: a constant that overflows, naming the box."""
     raw_floor = beta_range[0] + sigma_xi_sq
     if obs_scale is None and raw_floor <= 0.0:
         raise ConfigError("cannot derive obs_scale for a singular covariance floor")
@@ -280,12 +262,9 @@ def constant_demo(n: int = 1, value: float = 0.5, mean_const: float = 0.0,
                   cov_const: float = 0.0, sigma_xi_sq: float = 1.0,
                   obs_scale: float = 1.0, lower: float = 0.0,
                   upper: float = 1.0) -> SystemSpec:
-    """Frozen state, constant observation law.
-
-    With the defaults the observations are i.i.d. standard normal; note the
-    eigenvalue floor is then exactly one, which the audits reject, so this
-    family is for simulation sanity checks and closed-form tests only.
-    """
+    """Frozen state, constant observation law; the defaults give i.i.d.
+    standard normal observations and an eigenvalue floor of exactly one,
+    which the audits reject."""
     space = _interval_space(lower, upper)
     if not (lower <= value <= upper):
         raise ConfigError("value must lie inside the interval")
@@ -324,15 +303,14 @@ MODEL_BUILDERS = {
 }
 
 
-# What a builder parameter takes, by the type of its default; a float or
-# None default takes any real number.
+# What a builder parameter takes, by its default's type; else any real number.
 _TAKES = {int: (numbers.Integral, "an integer"), str: (str, "a word")}
 
 
 def build_model(model_id: str, **params) -> SystemSpec:
-    """Instantiate a registered family.  Unknown ids or parameters, a value
-    that its parameter does not take (see ``_TAKES``), a non-finite float and
-    a model the builder cannot construct raise ConfigError."""
+    """Build a registered model.  ConfigError: an unknown id or parameter, a
+    value of another type than the parameter's default, a non-finite float,
+    or a model the builder cannot construct."""
     try:
         builder = MODEL_BUILDERS[model_id]
     except KeyError:

@@ -638,6 +638,35 @@ def test_pooled_reports_equal_direct_calls_whatever_the_cpu_count(workdir, monke
     assert [f.result() for f in futures] == direct * 2
 
 
+def test_without_an_affinity_mask_the_pool_counts_os_cpu_count(workdir, monkeypatch):
+    tmp, cfg = workdir
+    with_three_cases(tmp)
+    workers = []
+
+    class InlinePool(concurrent.futures.Executor):
+        """Records its worker count and runs each case here, starting no process."""
+
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    outputs = []
+    for cpus in (None, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["verify-concentration", "--config", cfg, "--out",
+                     str(tmp / f"cpus{cpus}")]) == 0
+        outputs.append([read_bytes(tmp / f"cpus{cpus}" / name)
+                        for name in ("chi2.csv", "concentration.csv")])
+    assert workers == [1, 2]
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("error, code, message", [
     (gf.ModelDefinitionError, 1, "check failed: case n=3 raised"),
     (gf.ConfigError, 2, "config error: case n=3 raised"),

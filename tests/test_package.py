@@ -3,6 +3,8 @@ import only downward."""
 
 import ast
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 import gridfilter as gf
@@ -90,3 +92,47 @@ def test_one_generator_steps_the_filter_and_owns_its_fft_buffers():
     buffering = {(module, caller) for module, tree in trees.items() if module != "quantize"
                  for caller in callers(tree, "fft_buffers")}
     assert buffering == {("filtering", "_steps")}
+
+
+def docstring_and_comment_lines(text):
+    """Non-blank docstring lines (by ``ast``) and comment-only lines (by
+    ``tokenize``) of one module's source, as a set of line numbers."""
+    lines = text.splitlines()
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.update(i for i in range(first.lineno, first.end_lineno + 1)
+                             if lines[i - 1].strip())
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        row, col = tok.start
+        if tok.type == tokenize.COMMENT and not lines[row - 1][:col].strip():
+            found.add(row)
+    return found
+
+
+def test_docstrings_and_comments_stay_within_their_line_budget():
+    total = sum(len(docstring_and_comment_lines(path.read_text())) for path in SRC.glob("*.py"))
+    assert 0 < total <= 500
+
+
+def test_the_observation_bound_and_theta_each_have_one_home():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+    def comparisons(node):
+        return [c for c in ast.walk(node)
+                if isinstance(c, ast.Compare) and "_Y_MAX" in named_identifiers(c)]
+
+    check = next(node for node in trees["filtering"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_check_inputs")
+    assert sum(len(comparisons(tree)) for tree in trees.values()) == len(comparisons(check)) > 0
+    assert callers(trees["filtering"], "_check_inputs") == {
+        "grid_filter_step", "filter_steps", "path_sum_oracle"}
+    theta = {(module, caller) for module, tree in trees.items()
+             for caller in callers(tree, "_theta")}
+    assert theta == {("bounds", "theta_bound"), ("harness", "kg_evaluate")}
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "bounds"
+               and "_theta" in {alias.name for alias in node.names}
+               for node in trees["harness"].body)
